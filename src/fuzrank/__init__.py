@@ -32,7 +32,6 @@ from .graph import (
     AttackScheme,
     NodeKind,
     build_graph,
-    enabled,
     enumerate_paths,
     export_dot,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "build_graph",
     "combinatorial_weights",
     "default_scale",
-    "enabled",
     "enumerate_paths",
     "export_dot",
     "fuzzy_ideals",

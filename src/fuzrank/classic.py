@@ -59,6 +59,8 @@ class PairwiseMatrix:
         m = np.asarray(cells, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"pairwise matrix must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("pairwise matrix entries must be finite")
         if not np.all(m > 0):
             raise ValueError("pairwise matrix entries must all be positive")
         if not np.allclose(np.diagonal(m), 1.0, atol=1e-9, rtol=0):
@@ -94,6 +96,8 @@ class DecisionMatrix:
                 f"cells shape {m.shape} does not match "
                 f"{len(alternatives)} alternatives x {len(criteria)} criteria"
             )
+        if not np.all(np.isfinite(m)):
+            raise ValueError("decision matrix cells must be finite")
         if np.any(m < 0):
             raise ValueError("decision matrix cells must be nonnegative")
         if len(set(alternatives)) != len(alternatives):

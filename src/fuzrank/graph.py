@@ -4,6 +4,14 @@ Node semantics: Configuration nodes are facts known to be true; AttackStep and
 FinalStep nodes require ALL predecessors (AND); Privilege nodes require ANY
 predecessor (OR). Because AND nodes need several branches at once, a "path" here
 is a minimal node set that satisfies the goal, reported in topological order.
+
+Minimal sets are found as minimal cut sets are in fault-tree analysis (MOCUS):
+one memoised pass over the goal's ancestors, with node sets encoded as int
+bitmasks (bit i is node ``sorted(graph.nodes)[i]``; k is a subset of m iff
+``k & ~m == 0``). An OR node unites its predecessors' families, an AND node
+joins them pairwise with ``|``, and after every merge only the
+inclusion-minimal masks are kept (absorption), so each node's family is an
+antichain and no global superset prune is needed.
 """
 
 from __future__ import annotations
@@ -138,7 +146,8 @@ def build_graph(
         if node.kind in (NodeKind.ATTACK_STEP, NodeKind.PRIVILEGE) and not preds[nid]:
             errors.append(f"{node.kind.value} node {nid!r} has no predecessor")
 
-    cycle = _find_cycle(by_id.keys(), succs)
+    sorted_succs = {nid: tuple(sorted(ss)) for nid, ss in succs.items()}
+    cycle = _find_cycle(sorted_succs)
     if cycle:
         errors.append("cycle detected: " + " -> ".join(cycle))
     else:
@@ -156,14 +165,16 @@ def build_graph(
         edges=frozenset(edge_list),
         targets=frozenset(target_set),
         _preds={nid: tuple(sorted(ps)) for nid, ps in preds.items()},
-        _succs={nid: tuple(sorted(ss)) for nid, ss in succs.items()},
+        _succs=sorted_succs,
     )
 
 
-def _find_cycle(node_ids: Iterable[str], succs: dict[str, list[str]]) -> Optional[list[str]]:
-    """Return one directed cycle as a node sequence (closed), or None."""
+def _find_cycle(succs: dict[str, tuple[str, ...]]) -> Optional[list[str]]:
+    """Return one directed cycle as a node sequence (closed), or None.
+
+    `succs` maps every node id to its successors, already sorted."""
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in node_ids}
+    color = dict.fromkeys(succs, WHITE)
     parent: dict[str, Optional[str]] = {}
 
     for start in sorted(color):
@@ -174,7 +185,7 @@ def _find_cycle(node_ids: Iterable[str], succs: dict[str, list[str]]) -> Optiona
         color[start] = GREY
         while stack:
             nid, idx = stack[-1]
-            children = sorted(succs[nid])
+            children = succs[nid]
             if idx < len(children):
                 stack[-1] = (nid, idx + 1)
                 child = children[idx]
@@ -212,82 +223,92 @@ def _reachable_from_configurations(
     return seen
 
 
-def enabled(graph: AttackGraph, node_id: str, satisfied: set[str]) -> bool:
-    """Whether node_id can fire given the already-satisfied node set."""
-    node = graph.nodes.get(node_id)
-    if node is None:
-        raise UnknownNodeError(f"unknown node id {node_id!r}")
-    preds = graph.predecessors(node_id)
-    if node.kind is NodeKind.CONFIGURATION:
-        return True
-    if node.kind is NodeKind.PRIVILEGE:
-        return any(p in satisfied for p in preds)
-    return all(p in satisfied for p in preds)
-
-
 def enumerate_paths(
     graph: AttackGraph, goal: str, cap: int = DEFAULT_PATH_CAP
 ) -> list[tuple[str, ...]]:
     """All minimal node sets that satisfy `goal`, each linearized topologically.
 
-    AND nodes pull in every predecessor's requirements; OR nodes branch per
-    predecessor. Supersets introduced by overlapping OR branches are dropped,
-    so each returned sequence is a minimal satisfying set. Output order is
-    deterministic: sequences sorted lexicographically.
+    The sets come from one memoised pass over bitmask families with absorption
+    at every node (see the module docstring), so every returned sequence is a
+    minimal satisfying set. `cap` bounds each node's deduplicated candidate
+    family, built from its predecessors' already-absorbed families; a node
+    that exceeds it raises PathExplosionError. Output order is deterministic:
+    sequences sorted lexicographically.
     """
+    ids, masks = _minimal_masks(graph, goal, cap)
+    return sorted(_linearize(graph, _decode(ids, m)) for m in masks)
+
+
+def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], list[int]]:
+    """The sorted node ids and the antichain of minimal masks satisfying `goal`."""
     graph._check(goal)
-    sets = _requirement_sets(graph, goal, {}, cap)
-    minimal = _drop_supersets(sets)
-    paths = sorted(_linearize(graph, s) for s in minimal)
-    return paths
+    ids = sorted(graph.nodes)
+    bit = {nid: 1 << i for i, nid in enumerate(ids)}
+    families: dict[str, list[int]] = {}
+    stack = [goal]
+    while stack:  # post-order over the goal's ancestors, first predecessor first
+        nid = stack[-1]
+        if nid in families:
+            stack.pop()
+            continue
+        preds = graph.predecessors(nid)
+        pending = [p for p in preds if p not in families]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        own = bit[nid]
+        kind = graph.nodes[nid].kind
+        if kind is NodeKind.CONFIGURATION or not preds:
+            families[nid] = [own]
+        elif kind is NodeKind.PRIVILEGE:
+            candidates = {m | own for p in preds for m in families[p]}
+            _check_cap(candidates, nid, cap)
+            families[nid] = _minimal(candidates)
+        else:  # AND: ATTACK_STEP and FINAL_STEP
+            combos = families[preds[0]]
+            for p in preds[1:]:
+                branch = families[p]
+                candidates = set()
+                for c in combos:
+                    candidates.update(c | m for m in branch)
+                    _check_cap(candidates, nid, cap)
+                combos = _minimal(candidates)
+            # own is no ancestor of itself in a DAG, so this stays an antichain
+            families[nid] = [c | own for c in combos]
+    return ids, families[goal]
 
 
-def _requirement_sets(
-    graph: AttackGraph,
-    node_id: str,
-    cache: dict[str, frozenset[frozenset[str]]],
-    cap: int,
-) -> frozenset[frozenset[str]]:
-    if node_id in cache:
-        return cache[node_id]
-    node = graph.nodes[node_id]
-    preds = graph.predecessors(node_id)
-
-    if node.kind is NodeKind.CONFIGURATION or not preds:
-        result = frozenset({frozenset({node_id})})
-    elif node.kind is NodeKind.PRIVILEGE:
-        collected: set[frozenset[str]] = set()
-        for p in preds:
-            for s in _requirement_sets(graph, p, cache, cap):
-                collected.add(s | {node_id})
-                if len(collected) > cap:
-                    raise PathExplosionError(
-                        f"more than {cap} candidate paths while expanding {node_id!r}; "
-                        "raise the cap to enumerate anyway"
-                    )
-        result = frozenset(collected)
-    else:  # AND: ATTACK_STEP and FINAL_STEP
-        combos: set[frozenset[str]] = {frozenset()}
-        for p in preds:
-            branch = _requirement_sets(graph, p, cache, cap)
-            combos = {c | s for c in combos for s in branch}
-            if len(combos) > cap:
-                raise PathExplosionError(
-                    f"more than {cap} candidate paths while expanding {node_id!r}; "
-                    "raise the cap to enumerate anyway"
-                )
-        result = frozenset(c | {node_id} for c in combos)
-    cache[node_id] = result
-    return result
+def _check_cap(candidates: set[int], node_id: str, cap: int) -> None:
+    if len(candidates) > cap:
+        raise PathExplosionError(
+            f"more than {cap} candidate paths while expanding {node_id!r}; "
+            "raise the cap to enumerate anyway"
+        )
 
 
-def _drop_supersets(sets: Iterable[frozenset[str]]) -> list[frozenset[str]]:
-    ordered = sorted(set(sets), key=len)
-    kept: list[frozenset[str]] = []
-    for s in ordered:
-        if not any(k < s for k in kept):
-            kept.append(s)
-    return kept
+def _minimal(masks: Iterable[int]) -> list[int]:
+    """Inclusion-minimal masks of a deduplicated family.
+
+    Distinct masks of equal popcount are never subsets of one another, so each
+    mask is tested only against kept masks of strictly smaller popcount.
+    """
+    smaller: list[int] = []
+    level: list[int] = []
+    size = -1
+    for m in sorted(masks, key=int.bit_count):
+        if m.bit_count() != size:
+            smaller += level
+            level = []
+            size = m.bit_count()
+        outside = ~m
+        if all(k & outside for k in smaller):
+            level.append(m)
+    return smaller + level
+
+
+def _decode(ids: Sequence[str], mask: int) -> frozenset[str]:
+    return frozenset(nid for i, nid in enumerate(ids) if mask >> i & 1)
 
 
 def _linearize(graph: AttackGraph, node_set: frozenset[str]) -> tuple[str, ...]:
@@ -330,10 +351,16 @@ def export_dot(graph: AttackGraph, name: str = "attack_graph") -> str:
 
 
 def subgraph_to_goal(graph: AttackGraph, goal: str, cap: int = DEFAULT_PATH_CAP) -> AttackGraph:
-    """Restriction of the graph to nodes on some minimal path to `goal`."""
-    keep: set[str] = set()
-    for path in enumerate_paths(graph, goal, cap=cap):
-        keep.update(path)
+    """Restriction of the graph to nodes on some minimal path to `goal`.
+
+    The kept nodes are the bitwise OR of the goal's minimal masks (see
+    enumerate_paths for the method and for `cap`); no path is linearised.
+    """
+    ids, masks = _minimal_masks(graph, goal, cap)
+    union = 0
+    for m in masks:
+        union |= m
+    keep = _decode(ids, union)
     nodes = [graph.nodes[nid] for nid in sorted(keep)]
     edges = [(s, d) for s, d in sorted(graph.edges) if s in keep and d in keep]
     targets = [t for t in graph.targets if t in keep]

@@ -75,7 +75,7 @@ class RunReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_table(self) -> str:
         lines: list[str] = []

@@ -11,6 +11,7 @@ asset profiles. In strict mode every warning becomes an error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -139,7 +140,13 @@ def _number(col: _Collector, path: str, value: Any, lo=None, hi=None) -> Optiona
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         col.error(path, f"expected a number, got {type(value).__name__}")
         return None
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        col.error(path, f"expected a finite number, got {x!r}")
+        return None
     if lo is not None and x < lo or hi is not None and x > hi:
         col.error(path, f"value {x!r} outside [{lo}, {hi}]")
         return None

@@ -81,6 +81,14 @@ def test_pairwise_validation():
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_matrices_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        dm([[1, bad], [3, 4]])
+    with pytest.raises(ValueError, match="finite"):
+        PairwiseMatrix([[1, bad], [0.5, 1]], allow_non_reciprocal=True)
+
+
 def test_eigen_symmetric_two_by_two():
     lam, w = principal_eigen(PairwiseMatrix([[1, 1], [1, 1]]))
     assert lam == pytest.approx(2.0, abs=1e-9)

@@ -110,6 +110,31 @@ def test_rank_scenario_without_panel_fuzzy_fails(runner, tmp_path):
     assert "needs a 'panel'" in bad.output
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), 10**400], ids=["NaN", "Infinity", "int-1e400"]
+)
+@pytest.mark.parametrize("section", ["decision_matrix", "pairwise"])
+def test_rank_non_finite_number_exit_one(runner, tmp_path, section, value):
+    doc = {
+        "schema_version": "1",
+        "criteria": [{"id": "C-1", "weight": 1.0}, {"id": "C-2", "weight": 1.0}],
+        "actions": ["A1", "A2"],
+        "decision_matrix": {"A1": {"C-1": 2.0, "C-2": 1.0}, "A2": {"C-1": 1.0, "C-2": 3.0}},
+        "pairwise": [[1.0, 2.0], [0.5, 1.0]],
+    }
+    if section == "decision_matrix":
+        doc["decision_matrix"]["A1"]["C-1"] = value
+        where = "$.decision_matrix.A1.C-1"
+    else:
+        doc["pairwise"][0][1] = value
+        where = "$.pairwise[0][1]"
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rank", str(path), "--engine", "classic", "--format", "json"])
+    assert result.exit_code == 1, result.output
+    assert f"{where}: expected a finite number" in result.output
+
+
 def test_rank_invalid_scenario_lists_paths(runner, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{}")

@@ -1,7 +1,10 @@
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzrank.graph import (
     AttackGraph,
@@ -12,7 +15,6 @@ from fuzrank.graph import (
     PREDEFINED_SCHEMES,
     UnknownNodeError,
     build_graph,
-    enabled,
     enumerate_paths,
     export_dot,
     subgraph_to_goal,
@@ -174,7 +176,7 @@ def test_predefined_schemes():
     assert "backhaul" in PREDEFINED_SCHEMES["I"].description
 
 
-# --- enabled -----------------------------------------------------------------
+# --- enumerate_paths ---------------------------------------------------------
 
 def and_or_graph():
     return build_graph(
@@ -182,21 +184,6 @@ def and_or_graph():
         [("p1", "and"), ("p2", "and"), ("p1", "or"), ("p2", "or"), ("and", "fin")],
     )
 
-
-def test_enabled_semantics():
-    g = and_or_graph()
-    assert enabled(g, "and", {"p1"}) is False
-    assert enabled(g, "and", {"p1", "p2"}) is True
-    assert enabled(g, "or", {"p2"}) is True
-    assert enabled(g, "or", set()) is False
-    assert enabled(g, "p1", set()) is True
-    assert enabled(g, "fin", {"and"}) is True
-    assert enabled(g, "fin", set()) is False
-    with pytest.raises(UnknownNodeError):
-        enabled(g, "nope", set())
-
-
-# --- enumerate_paths ---------------------------------------------------------
 
 def test_linear_chain_single_path():
     g = chain_graph()
@@ -243,6 +230,67 @@ def test_path_cap_enforced():
     with pytest.raises(PathExplosionError, match="more than 3"):
         enumerate_paths(g, "priv", cap=3)
     assert len(enumerate_paths(g, "priv")) == 8
+
+
+def test_cap_bounds_absorbed_families():
+    # Each privilege is reached from c directly or through a step that itself
+    # needs c; absorption drops the second way. Joining the unabsorbed
+    # families at the AND node "fin" would give 2 x 2 = 4 candidates.
+    g = build_graph(
+        [n("c", C), n("s1", S), n("s2", S), n("p1", P), n("p2", P), n("fin", F)],
+        [("c", "s1"), ("c", "p1"), ("s1", "p1"), ("c", "s2"), ("c", "p2"), ("s2", "p2"),
+         ("p1", "fin"), ("p2", "fin")],
+    )
+    assert enumerate_paths(g, "fin", cap=3) == [("c", "p1", "p2", "fin")]
+    # the cap still bounds each node's candidates before absorption
+    with pytest.raises(PathExplosionError, match="more than 1 candidate paths while expanding 'p1'"):
+        enumerate_paths(g, "fin", cap=1)
+
+
+def layered_graph(layers, width):
+    """Chain of `layers` privileges, each reached by any of `width` attack
+    steps on the previous one: width**layers minimal sets."""
+    nodes, edges, prev = [n("cfg", C)], [], "cfg"
+    for layer in range(layers):
+        priv = f"priv-{layer}"
+        for s in range(width):
+            step = f"step-{layer}-{s}"
+            nodes.append(n(step, S))
+            edges += [(prev, step), (step, priv)]
+        nodes.append(n(priv, P))
+        prev = priv
+    nodes.append(n("goal", F))
+    edges.append((prev, "goal"))
+    return build_graph(nodes, edges, ["goal"])
+
+
+def test_layered_l8w3_within_default_cap():
+    g = layered_graph(8, 3)
+    assert len(g) == 34
+    assert len(enumerate_paths(g, "goal")) == 3**8
+    assert set(subgraph_to_goal(g, "goal").nodes) == set(g.nodes)
+
+
+def test_chain_deeper_than_recursion_limit():
+    depth = sys.getrecursionlimit() + 500
+    ids = [f"n{i:05d}" for i in range(depth)]
+    g = build_graph(
+        [n(ids[0], C)] + [n(nid, S) for nid in ids[1:]],
+        list(zip(ids, ids[1:])),
+    )
+    assert enumerate_paths(g, ids[-1]) == [tuple(ids)]
+    assert len(subgraph_to_goal(g, ids[-1])) == depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_minimal_sets_and_subgraph_match_oracle(seed, data):
+    g = random_typed_dag(np.random.default_rng(seed))
+    goal = data.draw(st.sampled_from(sorted(g.nodes)))
+    got = enumerate_paths(g, goal)
+    assert len(got) == len(set(got))
+    assert {frozenset(p) for p in got} == oracle_minimal_sets(g, goal)
+    assert set(subgraph_to_goal(g, goal).nodes) == {nid for p in got for nid in p}
 
 
 def test_enumeration_matches_bruteforce_oracle_randomized():
