@@ -241,7 +241,9 @@ def combinatorial_weights(
 
 def normalize(matrix: DecisionMatrix) -> DecisionMatrix:
     """Scale each criterion column to unit Euclidean norm."""
-    norms = np.sqrt((matrix.cells ** 2).sum(axis=0))
+    # hypot instead of sqrt-of-sum so cells beyond 1e154 do not overflow the
+    # norm; sorted first so the norm does not depend on the row order
+    norms = np.hypot.reduce(np.sort(matrix.cells, axis=0), axis=0)
     if np.any(norms == 0):
         dead = [matrix.criteria[j].id for j in np.flatnonzero(norms == 0)]
         raise ValueError(f"cannot normalize all-zero column(s): {', '.join(dead)}")

@@ -26,7 +26,7 @@ from .classic import (
     derive_weights,
     rank_classic,
 )
-from .fuzzy import aggregate_ratings, apply_weights, normalize_fuzzy, rank_fuzzy
+from .fuzzy import aggregate_ratings, rank_panel
 from .graph import DEFAULT_PATH_CAP, PathExplosionError, export_dot, subgraph_to_goal
 from .report import RunReport, fingerprint
 from .scenario import (
@@ -106,9 +106,8 @@ def _classic_inputs(scenario: ScenarioFile) -> tuple[DecisionMatrix, np.ndarray]
     if scenario.decision_matrix is not None:
         matrix = scenario.decision_matrix
     elif scenario.panel is not None:
-        aggregated = aggregate_ratings(scenario.panel, scenario.scale)
-        cells = [[cell.b for cell in row] for row in aggregated.cells]
-        matrix = DecisionMatrix(list(scenario.actions), list(scenario.criteria), cells)
+        peaks = aggregate_ratings(scenario.panel, scenario.scale).values[..., 1]
+        matrix = DecisionMatrix(list(scenario.actions), list(scenario.criteria), peaks)
     else:
         raise CliError(
             "classic engine needs a 'decision_matrix' or a 'panel' in the scenario"
@@ -135,13 +134,6 @@ def _classic_inputs(scenario: ScenarioFile) -> tuple[DecisionMatrix, np.ndarray]
     return matrix, weights
 
 
-def _run_fuzzy(scenario: ScenarioFile) -> RankingResult:
-    if scenario.panel is None:
-        raise CliError("fuzzy engine needs a 'panel' section in the scenario")
-    aggregated = aggregate_ratings(scenario.panel, scenario.scale)
-    return rank_fuzzy(apply_weights(normalize_fuzzy(aggregated)))
-
-
 def _run_engines(scenario: ScenarioFile, engine: str) -> list[RankingResult]:
     results = []
     try:
@@ -149,7 +141,9 @@ def _run_engines(scenario: ScenarioFile, engine: str) -> list[RankingResult]:
             matrix, weights = _classic_inputs(scenario)
             results.append(rank_classic(matrix, weights))
         if engine in ("fuzzy", "both"):
-            results.append(_run_fuzzy(scenario))
+            if scenario.panel is None:
+                raise CliError("fuzzy engine needs a 'panel' section in the scenario")
+            results.append(rank_panel(scenario.panel, scenario.scale))
     except ConvergenceError as exc:
         raise CliError(f"computation failed: {exc}", exit_code=EXIT_COMPUTATION)
     except (ValueError, KeyError) as exc:
@@ -205,7 +199,7 @@ def veability(scenario_path: str, fmt: str, strict: bool, output: Optional[str])
             v.atc_cost is None and v.action is not None for v in scenario.vulnerabilities
         )
         if needs_ranking:
-            ranking = _run_fuzzy(scenario)
+            (ranking,) = _run_engines(scenario, "fuzzy")
             action_costs = {e.action: e.cost for e in ranking.entries}
         try:
             records = resolve_vulnerability_records(scenario, action_costs)

@@ -3,7 +3,16 @@
 Multi-rater grids are aggregated per cell as (min of lower bounds, mean of
 peaks, max of upper bounds), normalized by a linear scale transformation,
 weighted by fuzzy criterion weights, and ranked by summed vertex distances to
-the fuzzy ideal and anti-ideal.
+the fuzzy ideal and anti-ideal (Chen 2000, Fuzzy Sets and Systems 114:1-9).
+
+Array layout. A `RatingPanel` carries its linguistic labels as integer codes
+into `panel.labels`: `rating_codes` has shape (k, m, n) for k raters, m
+alternatives and n criteria, `weight_codes` has shape (k, n). Pooling looks
+the codes up in a (labels, 3) table built from the scale, so every later
+stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
+(m, n, 3), the last axis holding each cell's (a, b, c), and whose fuzzy
+weights have shape (n, 3). `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view
+of the same values, built on first use.
 
 The cost reported here is d_minus / (d_plus + d_minus) — the closeness
 coefficient — so the cheapest action for an attacker has the HIGHEST cost
@@ -13,100 +22,142 @@ engine; reports label each cost column with its defining formula.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Mapping, Optional
+
+import numpy as np
 
 from .classic import ActionRanking, CriterionKind, CriterionSpec, RankingResult
 from .tfn import TFN, LinguisticScale, TriangularFuzzyNumber
 
 
-@dataclass(frozen=True)
+def _check_ordered(t: np.ndarray) -> None:
+    """Every (a, b, c) triple on the last axis must satisfy a <= b <= c."""
+    bad = ~((t[..., 0] <= t[..., 1]) & (t[..., 1] <= t[..., 2]))
+    if bad.any():
+        a, b, c = t[np.unravel_index(np.argmax(bad), bad.shape)].tolist()
+        raise ValueError(f"TFN components must satisfy a <= b <= c, got ({a}, {b}, {c})")
+
+
+@dataclass(frozen=True, eq=False)
 class FuzzyDecisionMatrix:
     """Alternatives x criteria grid of TFNs plus per-criterion fuzzy weights."""
 
     alternatives: tuple[str, ...]
     criteria: tuple[CriterionSpec, ...]
-    cells: tuple[tuple[TriangularFuzzyNumber, ...], ...]  # [alternative][criterion]
-    weights: Optional[tuple[TriangularFuzzyNumber, ...]] = None
+    values: np.ndarray  # (m, n, 3): [alternative, criterion, (a, b, c)]
+    weights: Optional[np.ndarray] = None  # (n, 3)
 
     def __post_init__(self) -> None:
-        if len(self.cells) != len(self.alternatives):
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 3 or values.shape[0] != len(self.alternatives):
             raise ValueError("one cell row per alternative required")
-        for row in self.cells:
-            if len(row) != len(self.criteria):
-                raise ValueError("one cell per criterion required in every row")
-        if self.weights is not None and len(self.weights) != len(self.criteria):
-            raise ValueError("one weight per criterion required")
+        if values.shape[1:] != (len(self.criteria), 3):
+            raise ValueError("one cell per criterion required in every row")
+        _check_ordered(values)
+        object.__setattr__(self, "values", values)
+        if self.weights is not None:
+            weights = np.asarray(self.weights, dtype=float)
+            if weights.shape != (len(self.criteria), 3):
+                raise ValueError("one weight per criterion required")
+            _check_ordered(weights)
+            object.__setattr__(self, "weights", weights)
 
-    def column(self, j: int) -> list[TriangularFuzzyNumber]:
-        return [row[j] for row in self.cells]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.alternatives), len(self.criteria))
+    @cached_property
+    def cells(self) -> tuple[tuple[TriangularFuzzyNumber, ...], ...]:
+        """The values as TFNs, [alternative][criterion]."""
+        return tuple(tuple(TFN(*abc) for abc in row) for row in self.values.tolist())
 
 
 @dataclass(frozen=True)
 class RatingPanel:
     """Linguistic rating grids from N decision makers over one set of
-    alternatives and criteria, plus each rater's criterion-weight labels."""
+    alternatives and criteria, plus each rater's criterion-weight labels.
+
+    The scenario parser passes the label codes it decoded while validating.
+    A panel built from the mappings alone is checked for coverage and encoded
+    here.
+    """
 
     decision_makers: tuple[str, ...]
     alternatives: tuple[str, ...]
     criteria: tuple[CriterionSpec, ...]
     ratings: Mapping[str, Mapping[str, Mapping[str, str]]]  # rater -> alt -> crit -> label
     weight_labels: Mapping[str, Mapping[str, str]]  # rater -> crit -> label
+    labels: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    rating_codes: Optional[np.ndarray] = field(default=None, compare=False, repr=False)  # (k, m, n)
+    weight_codes: Optional[np.ndarray] = field(default=None, compare=False, repr=False)  # (k, n)
 
     def __post_init__(self) -> None:
-        if not self.decision_makers:
+        if self.rating_codes is None:
+            for name, value in zip(("labels", "rating_codes", "weight_codes"), self._encode()):
+                object.__setattr__(self, name, value)
+
+    def _encode(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        dms = self.decision_makers
+        if not dms:
             raise ValueError("rating panel needs at least one decision maker")
-        if len(set(self.decision_makers)) != len(self.decision_makers):
+        if len(set(dms)) != len(dms):
             raise ValueError("decision maker names must be unique")
         crit_ids = [c.id for c in self.criteria]
-        for dm in self.decision_makers:
+        index: dict[str, int] = {}
+
+        def encode(row: Optional[Mapping[str, str]], problem: str) -> list[int]:
+            if row is None or set(row) != set(crit_ids):
+                raise ValueError(problem)
+            return [index.setdefault(row[cid], len(index)) for cid in crit_ids]
+
+        ratings = []
+        for dm in dms:
             grid = self.ratings.get(dm)
             if grid is None:
                 raise ValueError(f"decision maker {dm!r} has no rating grid")
             if set(grid) != set(self.alternatives):
                 raise ValueError(f"rating grid of {dm!r} does not cover the alternatives")
-            for alt in self.alternatives:
-                if set(grid[alt]) != set(crit_ids):
-                    raise ValueError(
-                        f"rating grid of {dm!r} for {alt!r} does not cover the criteria"
-                    )
-            wrow = self.weight_labels.get(dm)
-            if wrow is None or set(wrow) != set(crit_ids):
-                raise ValueError(f"criterion weight labels of {dm!r} do not cover the criteria")
+            ratings += [
+                encode(grid[alt], f"rating grid of {dm!r} for {alt!r} does not cover the criteria")
+                for alt in self.alternatives
+            ]
+        weights = [
+            encode(
+                self.weight_labels.get(dm),
+                f"criterion weight labels of {dm!r} do not cover the criteria",
+            )
+            for dm in dms
+        ]
+        k, m, n = len(dms), len(self.alternatives), len(crit_ids)
+        return (
+            tuple(index),
+            np.array(ratings, dtype=np.intp).reshape(k, m, n),
+            np.array(weights, dtype=np.intp).reshape(k, n),
+        )
 
 
 def aggregate_ratings(panel: RatingPanel, scale: LinguisticScale) -> FuzzyDecisionMatrix:
     """Pool the raters: per cell take (min a, mean b, max c) across raters,
-    and aggregate each criterion's weight labels the same way."""
+    and aggregate each criterion's weight labels the same way.
 
-    def pool(tfns: Sequence[TriangularFuzzyNumber]) -> TriangularFuzzyNumber:
-        return TFN(
-            min(t.a for t in tfns),
-            sum(t.b for t in tfns) / len(tfns),
-            max(t.c for t in tfns),
-        )
+    The mean peak can round just past the pooled bounds (three raters at
+    (0, 0.1, 0.1) average to 0.10000000000000002), so it is clamped into
+    [min a, max c], where its exact value lies.
+    """
+    table = np.array([scale[label].as_tuple() for label in panel.labels], dtype=float)
+    table = table.reshape(-1, 3)  # (labels, 3), also with no labels
 
-    rows = []
-    for alt in panel.alternatives:
-        row = []
-        for spec in panel.criteria:
-            row.append(pool([scale[panel.ratings[dm][alt][spec.id]] for dm in panel.decision_makers]))
-        rows.append(tuple(row))
+    def pool(codes: np.ndarray) -> np.ndarray:
+        tfns = table[codes]  # (k, ..., 3)
+        a = tfns[..., 0].min(axis=0)
+        c = tfns[..., 2].max(axis=0)
+        return np.stack([a, np.clip(tfns[..., 1].mean(axis=0), a, c), c], axis=-1)
 
-    weights = tuple(
-        pool([scale[panel.weight_labels[dm][spec.id]] for dm in panel.decision_makers])
-        for spec in panel.criteria
-    )
     return FuzzyDecisionMatrix(
         alternatives=panel.alternatives,
         criteria=panel.criteria,
-        cells=tuple(rows),
-        weights=weights,
+        values=pool(panel.rating_codes),
+        weights=pool(panel.weight_codes),
     )
 
 
@@ -118,61 +169,65 @@ def normalize_fuzzy(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
     min b, min c) by the cell's own upper bound, which keeps the triplet
     ordered and inside [0, 1].
     """
-    m, n = matrix.shape
-    cols: list[list[TriangularFuzzyNumber]] = []
-    for j, spec in enumerate(matrix.criteria):
-        col = matrix.column(j)
+    v = matrix.values
+    benefit = np.array([spec.kind is CriterionKind.BENEFIT for spec in matrix.criteria], dtype=bool)
+    c_max = v[..., 2].max(axis=0)
+    unusable = np.where(benefit, c_max <= 0, (v[..., 2] <= 0).any(axis=0))
+    if unusable.any():
+        spec = matrix.criteria[int(np.argmax(unusable))]
         if spec.kind is CriterionKind.BENEFIT:
-            c_max = max(t.c for t in col)
-            if c_max <= 0:
-                raise ValueError(
-                    f"benefit criterion {spec.id!r} has no positive upper bound; cannot normalize"
-                )
-            cols.append([TFN(t.a / c_max, t.b / c_max, t.c / c_max) for t in col])
-        else:
-            if any(t.c <= 0 for t in col):
-                raise ValueError(
-                    f"cost criterion {spec.id!r} has a cell with nonpositive upper bound; "
-                    "cannot normalize"
-                )
-            a_min = min(t.a for t in col)
-            b_min = min(t.b for t in col)
-            c_min = min(t.c for t in col)
-            cols.append([TFN(a_min / t.c, b_min / t.c, c_min / t.c) for t in col])
-    rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(m))
-    return FuzzyDecisionMatrix(matrix.alternatives, matrix.criteria, rows, matrix.weights)
+            raise ValueError(
+                f"benefit criterion {spec.id!r} has no positive upper bound; cannot normalize"
+            )
+        raise ValueError(
+            f"cost criterion {spec.id!r} has a cell with nonpositive upper bound; "
+            "cannot normalize"
+        )
+    cost = ~benefit
+    out = np.empty_like(v)
+    out[:, benefit] = v[:, benefit] / c_max[benefit, None]
+    out[:, cost] = v[:, cost].min(axis=0) / v[:, cost, 2:]
+    return FuzzyDecisionMatrix(matrix.alternatives, matrix.criteria, out, matrix.weights)
 
 
-def apply_weights(
-    matrix: FuzzyDecisionMatrix,
-    weights: Optional[Sequence[TriangularFuzzyNumber]] = None,
-) -> FuzzyDecisionMatrix:
-    """Multiply each column by its criterion weight (componentwise TFN product)."""
-    w = tuple(weights) if weights is not None else matrix.weights
+def apply_weights(matrix: FuzzyDecisionMatrix, weights=None) -> FuzzyDecisionMatrix:
+    """Multiply each column by its criterion weight (componentwise TFN product).
+
+    `weights` is one (a, b, c) triple per criterion; by default the matrix's
+    own pooled weights.
+    """
+    w = matrix.weights if weights is None else np.asarray(weights, dtype=float)
     if w is None:
         raise ValueError("no weights supplied and the matrix carries none")
-    if len(w) != len(matrix.criteria):
-        raise ValueError(f"expected {len(matrix.criteria)} weights, got {len(w)}")
-    for spec, t in zip(matrix.criteria, w):
-        if t.a < 0:
-            raise ValueError(f"weight for criterion {spec.id!r} has a negative component: {t}")
-    rows = tuple(
-        tuple(cell * w[j] for j, cell in enumerate(row)) for row in matrix.cells
-    )
-    return FuzzyDecisionMatrix(matrix.alternatives, matrix.criteria, rows, weights=None)
+    n = len(matrix.criteria)
+    if w.shape != (n, 3):
+        raise ValueError(f"expected {n} weights as (a, b, c) triples, got shape {w.shape}")
+    negative = w[:, 0] < 0
+    if negative.any():
+        j = int(np.argmax(negative))
+        a, b, c = w[j].tolist()
+        raise ValueError(
+            f"weight for criterion {matrix.criteria[j].id!r} has a negative component: "
+            f"TFN({a:g}, {b:g}, {c:g})"
+        )
+    return FuzzyDecisionMatrix(matrix.alternatives, matrix.criteria, matrix.values * w)
 
 
-def fuzzy_ideals(
-    weighted: FuzzyDecisionMatrix,
-) -> tuple[list[TriangularFuzzyNumber], list[TriangularFuzzyNumber]]:
+def fuzzy_ideals(weighted: FuzzyDecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per criterion: ideal = crisp max of upper bounds, anti-ideal = crisp min
-    of lower bounds (degenerate TFNs)."""
-    fpis, fnis = [], []
-    for j in range(len(weighted.criteria)):
-        col = weighted.column(j)
-        fpis.append(TFN.crisp(max(t.c for t in col)))
-        fnis.append(TFN.crisp(min(t.a for t in col)))
+    of lower bounds, each as an (n, 3) array of degenerate triplets."""
+    v = weighted.values
+    fpis = np.repeat(v[..., 2].max(axis=0)[:, None], 3, axis=1)
+    fnis = np.repeat(v[..., 0].min(axis=0)[:, None], 3, axis=1)
     return fpis, fnis
+
+
+def _vertex_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Vertex-method distance between (a, b, c) triples on the last axis:
+    sqrt of the mean squared component gap."""
+    d = x - y
+    # hypot instead of sqrt-of-sum so tiny gaps do not underflow to 0
+    return np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2]) / math.sqrt(3.0)
 
 
 def cost_benefit(d_plus: float, d_minus: float) -> tuple[float, float]:
@@ -199,19 +254,17 @@ def rank_fuzzy(weighted: FuzzyDecisionMatrix) -> RankingResult:
     (the closeness coefficient), ties broken by action id.
     """
     fpis, fnis = fuzzy_ideals(weighted)
-    d_plus, d_minus, costs, benefits = [], [], [], []
-    for i, row in enumerate(weighted.cells):
-        dp = sum(cell.distance(fpis[j]) for j, cell in enumerate(row))
-        dmi = sum(cell.distance(fnis[j]) for j, cell in enumerate(row))
+    d_plus = _vertex_distance(weighted.values, fpis).sum(axis=1).tolist()
+    d_minus = _vertex_distance(weighted.values, fnis).sum(axis=1).tolist()
+    costs, benefits = [], []
+    for alt, dp, dmi in zip(weighted.alternatives, d_plus, d_minus):
         if dp + dmi == 0.0:
             warnings.warn(
-                f"alternative {weighted.alternatives[i]!r} has zero distance to both "
+                f"alternative {alt!r} has zero distance to both "
                 "ideals (degenerate matrix); cost defined as 0.5",
                 stacklevel=2,
             )
         cost, benefit = cost_benefit(dp, dmi)
-        d_plus.append(dp)
-        d_minus.append(dmi)
         costs.append(cost)
         benefits.append(benefit)
 

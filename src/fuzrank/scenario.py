@@ -14,8 +14,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .classic import (
     CriterionKind,
@@ -326,7 +329,7 @@ def _parse_actions(col: _Collector, raw: Any) -> tuple[str, ...]:
         return ()
     if not _expect(col, "$.actions", raw, list, "a list of action ids"):
         return ()
-    out: list[str] = []
+    out: dict[str, None] = {}
     for i, item in enumerate(raw):
         if not isinstance(item, str) or not item:
             col.error(f"$.actions[{i}]", "action id must be a nonempty string")
@@ -334,7 +337,7 @@ def _parse_actions(col: _Collector, raw: Any) -> tuple[str, ...]:
         if item in out:
             col.error(f"$.actions[{i}]", f"duplicate action id {item!r}")
             continue
-        out.append(item)
+        out[item] = None
     return tuple(out)
 
 
@@ -443,20 +446,43 @@ def _parse_panel(
         col.error("$.panel.decision_makers", "rater names must be unique")
         return None
     raters = tuple(raters_raw)
-    crit_ids = [c.id for c in criteria]
+    crit_ids = tuple(c.id for c in criteria)
+    crit_set = set(crit_ids)
+    code_of = {label: i for i, label in enumerate(scale.labels)}.__getitem__
+    pick = itemgetter(*crit_ids) if len(crit_ids) > 1 else lambda row: (row[crit_ids[0]],)
 
-    def check_label(path: str, label: Any) -> bool:
-        if not isinstance(label, str) or label not in scale:
-            col.error(
-                path, f"label {label!r} not in the scale ({', '.join(scale.labels)})"
-            )
+    def decode(row: dict, codes: list[int]) -> bool:
+        """Append the label codes of a valid criterion row to codes. False
+        leaves the row for check_row to explain; the panel is then invalid
+        and codes, possibly half-extended, is discarded."""
+        if row.keys() != crit_set:
+            return False
+        try:
+            codes += map(code_of, pick(row))
+        except (KeyError, TypeError):  # a label outside the scale, or unhashable
             return False
         return True
+
+    def check_row(path: str, row: dict, what: str) -> None:
+        """Report every problem of a criterion row that decode refused."""
+        for cid in row:
+            if cid not in crit_set:
+                col.error(f"{path}.{cid}", f"unknown criterion {cid!r}")
+        for cid in crit_ids:
+            if cid not in row:
+                col.error(path, f"missing {what} for criterion {cid!r}")
+            elif not isinstance(row[cid], str) or row[cid] not in scale:
+                col.error(
+                    f"{path}.{cid}",
+                    f"label {row[cid]!r} not in the scale ({', '.join(scale.labels)})",
+                )
 
     ratings_ok = True
     ratings = raw.get("ratings")
     if not _expect(col, "$.panel.ratings", ratings, dict, "an object keyed by rater"):
         return None
+    action_set = set(actions)
+    rating_codes: list[int] = []
     for dm in raters:
         grid = ratings.get(dm)
         path = f"$.panel.ratings.{dm}"
@@ -465,7 +491,7 @@ def _parse_panel(
             ratings_ok = False
             continue
         for alt in grid:
-            if alt not in actions:
+            if alt not in action_set:
                 col.error(f"{path}.{alt}", f"unknown action {alt!r}")
                 ratings_ok = False
         for alt in actions:
@@ -474,24 +500,19 @@ def _parse_panel(
                 col.error(f"{path}.{alt}", f"missing ratings for action {alt!r}")
                 ratings_ok = False
                 continue
-            for cid in row:
-                if cid not in crit_ids:
-                    col.error(f"{path}.{alt}.{cid}", f"unknown criterion {cid!r}")
-                    ratings_ok = False
-            for cid in crit_ids:
-                if cid not in row:
-                    col.error(f"{path}.{alt}", f"missing rating for criterion {cid!r}")
-                    ratings_ok = False
-                elif not check_label(f"{path}.{alt}.{cid}", row[cid]):
-                    ratings_ok = False
-    for dm in ratings or {}:
-        if dm not in raters:
+            if not decode(row, rating_codes):
+                check_row(f"{path}.{alt}", row, "rating")
+                ratings_ok = False
+    rater_set = set(raters)
+    for dm in ratings:
+        if dm not in rater_set:
             col.error(f"$.panel.ratings.{dm}", f"rating grid for undeclared rater {dm!r}")
             ratings_ok = False
 
     weights = raw.get("weights")
     if not _expect(col, "$.panel.weights", weights, dict, "an object keyed by rater"):
         return None
+    weight_codes: list[int] = []
     for dm in raters:
         row = weights.get(dm)
         path = f"$.panel.weights.{dm}"
@@ -499,25 +520,22 @@ def _parse_panel(
             col.error(path, f"missing criterion weight labels for decision maker {dm!r}")
             ratings_ok = False
             continue
-        for cid in row:
-            if cid not in crit_ids:
-                col.error(f"{path}.{cid}", f"unknown criterion {cid!r}")
-                ratings_ok = False
-        for cid in crit_ids:
-            if cid not in row:
-                col.error(path, f"missing weight label for criterion {cid!r}")
-                ratings_ok = False
-            elif not check_label(f"{path}.{cid}", row[cid]):
-                ratings_ok = False
+        if not decode(row, weight_codes):
+            check_row(path, row, "weight label")
+            ratings_ok = False
 
     if not ratings_ok:
         return None
+    k, m, n = len(raters), len(actions), len(crit_ids)
     return RatingPanel(
         decision_makers=raters,
         alternatives=actions,
         criteria=criteria,
-        ratings={dm: {a: dict(ratings[dm][a]) for a in actions} for dm in raters},
-        weight_labels={dm: dict(weights[dm]) for dm in raters},
+        ratings={dm: ratings[dm] for dm in raters},
+        weight_labels={dm: weights[dm] for dm in raters},
+        labels=tuple(scale.labels),
+        rating_codes=np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
+        weight_codes=np.array(weight_codes, dtype=np.intp).reshape(k, n),
     )
 
 

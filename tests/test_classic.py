@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,21 @@ def test_rank_column_scale_invariance():
     for e1, e2 in zip(r1.entries, r2.entries):
         assert e1.cost == pytest.approx(e2.cost, abs=1e-12)
         assert e1.rank == e2.rank
+
+
+def test_rank_huge_column_matches_scaled_down():
+    # squaring 2e300 overflows; the column norm must not
+    huge = [[2e300, 2.0], [1e300, 1.0]]
+    small = [[2.0, 2.0], [1.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r1 = rank_classic(dm(huge), [0.5, 0.5])
+        r2 = rank_classic(dm(small), [0.5, 0.5])
+    for e1, e2 in zip(r1.entries, r2.entries):
+        assert e1.d_plus == pytest.approx(e2.d_plus, rel=1e-12)
+        assert e1.d_minus == pytest.approx(e2.d_minus, rel=1e-12)
+        assert e1.rank == e2.rank
+    assert r1.entry("A2").d_plus == pytest.approx(np.sqrt(0.1), rel=1e-12)
 
 
 def test_benefit_cost_flip_swaps_ideals():

@@ -110,6 +110,30 @@ def test_rank_scenario_without_panel_fuzzy_fails(runner, tmp_path):
     assert "needs a 'panel'" in bad.output
 
 
+def test_rank_pooled_peak_rounding_above_upper_bound(runner, tmp_path):
+    # three raters at (0, 0.1, 0.1) pool to a float mean peak of
+    # 0.10000000000000002, one ulp above the pooled upper bound
+    raters = ["r1", "r2", "r3"]
+    doc = {
+        "schema_version": "1",
+        "scale": {"LO": [0, 0.1, 0.1], "HI": [0.1, 0.5, 1]},
+        "criteria": [{"id": "C-1", "weight": 1.0}],
+        "actions": ["A1", "A2"],
+        "panel": {
+            "decision_makers": raters,
+            "ratings": {r: {"A1": {"C-1": "LO"}, "A2": {"C-1": "HI"}} for r in raters},
+            "weights": {r: {"C-1": "LO"} for r in raters},
+        },
+    }
+    path = tmp_path / "tight_scale.json"
+    path.write_text(json.dumps(doc))
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["rank", str(path), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    for ranking in json.loads(result.output)["rankings"]:
+        assert ranking["minimum_effort_action"] == "A2"
+
+
 @pytest.mark.parametrize(
     "value", [float("nan"), float("inf"), 10**400], ids=["NaN", "Infinity", "int-1e400"]
 )
@@ -168,6 +192,33 @@ def test_veability_zero_vuln_asset_scores_ten(runner, tmp_path):
     assert result.exit_code == 0
     (asset,) = json.loads(result.output)["assets"]
     assert asset["veability"] == 10.0
+
+
+def test_veability_unrankable_panel_exit_one(runner, tmp_path):
+    # an all-zero benefit column cannot be normalized; veability ranks the
+    # panel for the CVE's attacker cost and must report that, not crash
+    doc = {
+        "schema_version": "1",
+        "scale": {"Z": [0, 0, 0], "H": [1, 2, 3]},
+        "criteria": [{"id": "C-1"}],
+        "actions": ["A1"],
+        "panel": {
+            "decision_makers": ["r"],
+            "ratings": {"r": {"A1": {"C-1": "Z"}}},
+            "weights": {"r": {"C-1": "H"}},
+        },
+        "vulnerabilities": [
+            {"cve": "CVE-2020-0001", "impact_score": 5, "exploitability_score": 3,
+             "temporal_score": 5, "action": "A1"}
+        ],
+        "assets": [{"id": "x", "services_on_asset": 1, "network_services_total": 2,
+                    "vulnerabilities": ["CVE-2020-0001"]}],
+    }
+    path = tmp_path / "zero_column.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["veability", str(path)])
+    assert result.exit_code == 1
+    assert "cannot rank scenario: benefit criterion 'C-1'" in result.output
 
 
 def test_veability_requires_assets(runner, tmp_path):

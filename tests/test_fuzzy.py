@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,13 +31,9 @@ def specs(kinds):
 
 
 def fdm(cells, kinds=None, weights=None):
-    cells = [[TFN(*c) for c in row] for row in cells]
     kinds = kinds or [B] * len(cells[0])
     alts = tuple(f"A{i+1}" for i in range(len(cells)))
-    return FuzzyDecisionMatrix(
-        alts, specs(kinds), tuple(tuple(r) for r in cells),
-        weights=tuple(TFN(*w) for w in weights) if weights else None,
-    )
+    return FuzzyDecisionMatrix(alts, specs(kinds), np.array(cells, dtype=float), weights=weights)
 
 
 def golden_panel(kinds=(B, B, CO, CO), weight_labels=None):
@@ -83,13 +80,13 @@ def test_aggregation_single_rater_is_identity():
     )
     agg = aggregate_ratings(panel, default_scale())
     assert agg.cells[0][0] == TFN(5, 7, 9)
-    assert agg.weights == (TFN(7, 9, 9),)
+    assert agg.weights.tolist() == [[7, 9, 9]]
 
 
 def test_aggregation_weights_pool_like_cells():
     panel = golden_panel(weight_labels={"C-1": "VL", "C-2": "VH", "C-3": "VL", "C-4": "VL"})
     agg = aggregate_ratings(panel, default_scale())
-    assert agg.weights == (TFN(1, 1, 3), TFN(7, 9, 9), TFN(1, 1, 3), TFN(1, 1, 3))
+    assert agg.weights.tolist() == [[1, 1, 3], [7, 9, 9], [1, 1, 3], [1, 1, 3]]
 
 
 def test_aggregation_rater_permutation_invariant():
@@ -201,22 +198,22 @@ def test_apply_weights_identity():
 
 def test_apply_weights_componentwise_product():
     m = fdm([[(0.5, 0.6, 1.0)]])
-    cell = apply_weights(m, [TFN(1, 3, 5)]).cells[0][0]
+    cell = apply_weights(m, [(1, 3, 5)]).cells[0][0]
     assert cell.as_tuple() == pytest.approx((0.5, 1.8, 5.0), abs=1e-9)
 
 
 def test_apply_weights_zero_collapses_column():
     m = fdm([[(0.25, 0.5, 1.0)], [(0.1, 0.2, 0.4)]])
-    out = apply_weights(m, [TFN(0, 0, 0)])
+    out = apply_weights(m, [(0, 0, 0)])
     assert all(row[0] == TFN(0, 0, 0) for row in out.cells)
 
 
 def test_apply_weights_rejects_negative_and_mismatch():
     m = fdm([[(0.2, 0.5, 0.8)]])
     with pytest.raises(ValueError, match="negative component"):
-        apply_weights(m, [TFN(-1, 0, 1)])
+        apply_weights(m, [(-1, 0, 1)])
     with pytest.raises(ValueError, match="expected 1 weights"):
-        apply_weights(m, [TFN(1, 1, 1), TFN(1, 1, 1)])
+        apply_weights(m, [(1, 1, 1), (1, 1, 1)])
     with pytest.raises(ValueError, match="carries none"):
         apply_weights(m)
 
@@ -226,17 +223,17 @@ def test_apply_weights_rejects_negative_and_mismatch():
 def test_fuzzy_ideals_read_off_extremes():
     m = fdm([[(0.1, 0.2, 0.4)], [(0.2, 0.3, 0.9)]])
     fpis, fnis = fuzzy_ideals(m)
-    assert fpis == [TFN(0.9, 0.9, 0.9)]
-    assert fnis == [TFN(0.1, 0.1, 0.1)]
+    assert fpis.tolist() == [[0.9, 0.9, 0.9]]
+    assert fnis.tolist() == [[0.1, 0.1, 0.1]]
 
 
 def test_fuzzy_ideals_single_and_identical_columns():
     single = fdm([[(0.2, 0.5, 0.7)]])
     fpis, fnis = fuzzy_ideals(single)
-    assert fpis == [TFN(0.7, 0.7, 0.7)] and fnis == [TFN(0.2, 0.2, 0.2)]
+    assert fpis.tolist() == [[0.7, 0.7, 0.7]] and fnis.tolist() == [[0.2, 0.2, 0.2]]
     same = fdm([[(0.2, 0.5, 0.7)], [(0.2, 0.5, 0.7)]])
     fpis, fnis = fuzzy_ideals(same)
-    assert fpis == [TFN(0.7, 0.7, 0.7)] and fnis == [TFN(0.2, 0.2, 0.2)]
+    assert fpis.tolist() == [[0.7, 0.7, 0.7]] and fnis.tolist() == [[0.2, 0.2, 0.2]]
 
 
 # --- closeness / ranking -----------------------------------------------------------
@@ -313,7 +310,7 @@ def test_cost_benefit_duality_randomized():
             normed = normalize_fuzzy(fdm(rows, kinds=kinds))
         except ValueError:
             continue  # degenerate zero column, rejected by contract
-        res = rank_fuzzy(apply_weights(normed, [TFN(*w) for w in weights]))
+        res = rank_fuzzy(apply_weights(normed, weights))
         for e in res.entries:
             assert e.cost + e.benefit == pytest.approx(1.0, abs=1e-12)
             assert 0.0 <= e.cost <= 1.0
@@ -330,8 +327,140 @@ def test_aggregated_order_feeds_normalization():
 
 def test_matrix_shape_validation():
     with pytest.raises(ValueError, match="one cell row per alternative"):
-        FuzzyDecisionMatrix(("A1", "A2"), specs([B]), ((TFN(1, 2, 3),),))
+        FuzzyDecisionMatrix(("A1", "A2"), specs([B]), [[(1, 2, 3)]])
     with pytest.raises(ValueError, match="one weight per criterion"):
         FuzzyDecisionMatrix(
-            ("A1",), specs([B]), ((TFN(1, 2, 3),),), weights=(TFN(1, 1, 1), TFN(1, 1, 1))
+            ("A1",), specs([B]), [[(1, 2, 3)]], weights=[(1, 1, 1), (1, 1, 1)]
         )
+
+
+# --- properties of the whole fuzzy pipeline ------------------------------------------
+
+LABELS = ("VL", "L", "AV", "H", "VH")
+
+
+@st.composite
+def panels(draw):
+    m, n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from([B, CO]), min_size=n, max_size=n))
+    label = st.sampled_from(LABELS)
+    raters = tuple(f"dm{r}" for r in range(k))
+    alts = tuple(f"A{i}" for i in range(m))
+    criteria = tuple(CriterionSpec(f"C{j}", kind=kinds[j]) for j in range(n))
+    return RatingPanel(
+        decision_makers=raters,
+        alternatives=alts,
+        criteria=criteria,
+        ratings={r: {a: {c.id: draw(label) for c in criteria} for a in alts} for r in raters},
+        weight_labels={r: {c.id: draw(label) for c in criteria} for r in raters},
+    )
+
+
+def oracle_fuzzy(panel, scale):
+    """Straight-line transcription of the pipeline on plain tuples:
+    (min a, mean b, max c) pooling, linear-scale normalization, componentwise
+    weighting, vertex distances to the crisp ideals. Returns action ->
+    (d_plus, d_minus, cost)."""
+    def pool(tfns):
+        return (min(t.a for t in tfns), sum(t.b for t in tfns) / len(tfns), max(t.c for t in tfns))
+
+    dms = panel.decision_makers
+    weights = [pool([scale[panel.weight_labels[d][c.id]] for d in dms]) for c in panel.criteria]
+    cols = []
+    for c, w in zip(panel.criteria, weights):
+        col = [pool([scale[panel.ratings[d][a][c.id]] for d in dms]) for a in panel.alternatives]
+        if c.kind is B:
+            top = max(t[2] for t in col)
+            col = [(t[0] / top, t[1] / top, t[2] / top) for t in col]
+        else:
+            lo = [min(t[i] for t in col) for i in range(3)]
+            col = [(lo[0] / t[2], lo[1] / t[2], lo[2] / t[2]) for t in col]
+        col = [(t[0] * w[0], t[1] * w[1], t[2] * w[2]) for t in col]
+        best, worst = max(t[2] for t in col), min(t[0] for t in col)
+        cols.append([
+            (math.dist(t, (best,) * 3) / math.sqrt(3), math.dist(t, (worst,) * 3) / math.sqrt(3))
+            for t in col
+        ])
+    out = {}
+    for i, a in enumerate(panel.alternatives):
+        dp = sum(col[i][0] for col in cols)
+        dm_ = sum(col[i][1] for col in cols)
+        out[a] = (dp, dm_, cost_benefit(dp, dm_)[0])
+    return out
+
+
+def assert_same_ranking(got, want, fields=("d_plus", "d_minus", "cost", "benefit")):
+    """Per action: the fields agree to 1e-12, and every pair of actions whose
+    costs differ by more than 1e-9 is ranked in the same order."""
+    by_action = {e.action: e for e in got.entries}
+    assert by_action.keys() == {e.action for e in want.entries}
+    for w in want.entries:
+        for f in fields:
+            assert getattr(by_action[w.action], f) == pytest.approx(
+                getattr(w, f), rel=1e-12, abs=1e-12
+            ), (w.action, f)
+    for x in want.entries:
+        for y in want.entries:
+            if x.cost > y.cost + 1e-9:
+                assert by_action[x.action].rank < by_action[y.action].rank
+
+
+@given(panels())
+def test_rank_panel_matches_oracle(panel):
+    res = rank_panel(panel, default_scale())
+    expected = oracle_fuzzy(panel, default_scale())
+    for e in res.entries:
+        dp, dm_, cost = expected[e.action]
+        assert e.d_plus == pytest.approx(dp, rel=1e-12, abs=1e-12)
+        assert e.d_minus == pytest.approx(dm_, rel=1e-12, abs=1e-12)
+        assert e.cost == pytest.approx(cost, rel=1e-12, abs=1e-12)
+
+
+@given(panels(), st.randoms(use_true_random=False))
+def test_rank_panel_permuting_alternatives_permutes_results(panel, rnd):
+    alts = list(panel.alternatives)
+    rnd.shuffle(alts)
+    shuffled = RatingPanel(
+        panel.decision_makers, tuple(alts), panel.criteria, panel.ratings, panel.weight_labels
+    )
+    got, want = rank_panel(shuffled, default_scale()), rank_panel(panel, default_scale())
+    assert [e.action for e in got.entries] == alts
+    assert_same_ranking(got, want)
+    assert {e.action: e.rank for e in got.entries} == {e.action: e.rank for e in want.entries}
+
+
+@given(panels(), st.randoms(use_true_random=False))
+def test_rank_panel_permuting_criteria_keeps_results(panel, rnd):
+    crits = list(panel.criteria)
+    rnd.shuffle(crits)
+    shuffled = RatingPanel(
+        panel.decision_makers, panel.alternatives, tuple(crits), panel.ratings, panel.weight_labels
+    )
+    agg = aggregate_ratings(panel, default_scale())
+    agg_shuffled = aggregate_ratings(shuffled, default_scale())
+    order = [panel.criteria.index(c) for c in crits]
+    np.testing.assert_array_equal(agg_shuffled.values, agg.values[:, order])
+    np.testing.assert_array_equal(agg_shuffled.weights, agg.weights[order])
+    assert_same_ranking(rank_panel(shuffled, default_scale()), rank_panel(panel, default_scale()))
+
+
+@given(panels())
+def test_rank_panel_duplicating_every_rater_keeps_results(panel):
+    twins = {f"{dm}'": dm for dm in panel.decision_makers}
+    doubled = RatingPanel(
+        panel.decision_makers + tuple(twins),
+        panel.alternatives,
+        panel.criteria,
+        {**panel.ratings, **{t: panel.ratings[dm] for t, dm in twins.items()}},
+        {**panel.weight_labels, **{t: panel.weight_labels[dm] for t, dm in twins.items()}},
+    )
+    assert_same_ranking(rank_panel(doubled, default_scale()), rank_panel(panel, default_scale()))
+
+
+@given(panels(), st.floats(1e-3, 1e3))
+def test_scaling_every_fuzzy_weight_keeps_closeness(panel, k):
+    agg = aggregate_ratings(panel, default_scale())
+    normed = normalize_fuzzy(agg)
+    got = rank_fuzzy(apply_weights(normed, agg.weights * k))
+    want = rank_fuzzy(apply_weights(normed))
+    assert_same_ranking(got, want, fields=("cost", "benefit"))
