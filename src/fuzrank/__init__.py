@@ -6,12 +6,10 @@ __version__ = "1.0.0"
 from .classic import (
     ActionRanking,
     CriterionKind,
-    CriterionLayer,
     CriterionSpec,
     DecisionMatrix,
     PairwiseMatrix,
     RankingResult,
-    combinatorial_weights,
     principal_eigen,
     rank_classic,
 )
@@ -24,7 +22,6 @@ from .fuzzy import (
     fuzzy_ideals,
     normalize_fuzzy,
     rank_fuzzy,
-    rank_panel,
 )
 from .graph import (
     AttackGraph,
@@ -52,7 +49,6 @@ __all__ = [
     "AttackNode",
     "AttackScheme",
     "CriterionKind",
-    "CriterionLayer",
     "CriterionSpec",
     "CvssVector",
     "DecisionMatrix",
@@ -70,7 +66,6 @@ __all__ = [
     "aggregate_ratings",
     "apply_weights",
     "build_graph",
-    "combinatorial_weights",
     "default_scale",
     "enumerate_paths",
     "export_dot",
@@ -82,7 +77,6 @@ __all__ = [
     "principal_eigen",
     "rank_classic",
     "rank_fuzzy",
-    "rank_panel",
     "score_cvss",
     "veability_score",
     "__version__",

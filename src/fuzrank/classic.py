@@ -1,9 +1,18 @@
 """Crisp TOPSIS engine: pairwise-comparison weighting via the principal
 eigenvector, vector normalization, and closeness-to-ideal ranking.
 
-The cost reported here is d_plus / (d_plus + d_minus) — the similarity to the
-worst condition — so the cheapest action for an attacker has the LOWEST cost
-and receives rank 1.
+Both engines end in `rank_by_closeness`, the skeleton shared with the fuzzy
+engine: from each alternative's distances d_plus (to the ideal) and d_minus
+(to the anti-ideal) it computes the two shares d_plus / (d_plus + d_minus)
+and d_minus / (d_plus + d_minus), and ranks the alternative nearest the ideal
+first. The engines report different shares as their cost:
+
+- classic: cost = d_plus / (d_plus + d_minus), the similarity to the worst
+  condition, so the cheapest action for an attacker has the LOWEST cost;
+- fuzzy: cost = d_minus / (d_plus + d_minus), the closeness coefficient, so
+  the cheapest action has the HIGHEST cost.
+
+Reports label each cost column with its defining formula.
 """
 
 from __future__ import annotations
@@ -29,18 +38,11 @@ class CriterionKind(Enum):
     COST = "cost"
 
 
-class CriterionLayer(Enum):
-    TARGET = "target"
-    CRITERIA = "criteria"
-    INDICATOR = "indicator"
-
-
 @dataclass(frozen=True)
 class CriterionSpec:
     id: str
     kind: CriterionKind = CriterionKind.BENEFIT
     weight: Optional[object] = None  # numeric for crisp runs, label for fuzzy runs
-    layer: CriterionLayer = CriterionLayer.CRITERIA
 
 
 class ConvergenceError(RuntimeError):
@@ -152,6 +154,49 @@ class RankingResult:
         return self.by_rank()[0].action
 
 
+#: engine -> (cost definition, cost orientation, cost is the d_plus share).
+#: Rank 1 always goes to the smallest d_plus share, which is the lowest
+#: classic cost and the highest fuzzy cost.
+_COST_COLUMNS = {
+    "classic": ("d_plus / (d_plus + d_minus)", "lower cost = cheaper action for the attacker", True),
+    "fuzzy": ("d_minus / (d_plus + d_minus)", "higher cost = cheaper action for the attacker", False),
+}
+
+
+def rank_by_closeness(
+    engine: str, alternatives: Sequence[str], d_plus: np.ndarray, d_minus: np.ndarray
+) -> RankingResult:
+    """Closeness and ranking from each alternative's distances to the ideal
+    (d_plus) and anti-ideal (d_minus), reported in `engine`'s cost column.
+
+    An alternative at zero distance from both ideals gets 0.5 for both shares,
+    with one warning naming every such alternative. Ties in cost are broken
+    by action id.
+    """
+    definition, orientation, cost_is_d_plus = _COST_COLUMNS[engine]
+    total = d_plus + d_minus
+    degenerate = total == 0.0
+    if degenerate.any():
+        names = ", ".join(repr(alternatives[i]) for i in np.flatnonzero(degenerate))
+        warnings.warn(
+            f"{engine} ranking: {names} at zero distance from both ideals "
+            "(all alternatives identical?); cost and benefit defined as 0.5",
+            stacklevel=3,
+        )
+    safe = np.where(degenerate, 1.0, total)
+    plus_share = np.where(degenerate, 0.5, d_plus / safe).tolist()
+    minus_share = np.where(degenerate, 0.5, d_minus / safe).tolist()
+    cost, benefit = (plus_share, minus_share) if cost_is_d_plus else (minus_share, plus_share)
+    sign = 1.0 if cost_is_d_plus else -1.0
+    order = sorted(range(len(cost)), key=lambda i: (sign * cost[i], alternatives[i]))
+    ranks = {i: pos + 1 for pos, i in enumerate(order)}
+    entries = tuple(
+        ActionRanking(alt, dp, dm, cost[i], benefit[i], ranks[i])
+        for i, (alt, dp, dm) in enumerate(zip(alternatives, d_plus.tolist(), d_minus.tolist()))
+    )
+    return RankingResult(engine, definition, orientation, entries)
+
+
 def principal_eigen(matrix: PairwiseMatrix) -> tuple[float, np.ndarray]:
     """Dominant eigenpair by power iteration: (lambda_max, weights summing to 1).
 
@@ -207,38 +252,6 @@ def derive_weights(matrix: PairwiseMatrix) -> np.ndarray:
     return w
 
 
-def combinatorial_weights(
-    parent_weights: Sequence[float],
-    child_weights: Optional[Sequence[Sequence[float]]] = None,
-) -> np.ndarray:
-    """Flatten a two-layer weight hierarchy into indicator-level weights.
-
-    Each child vector is scaled by its parent's weight and the results are
-    concatenated. With no child layer the parent vector passes through.
-    """
-    parent = np.asarray(parent_weights, dtype=float)
-    if parent.ndim != 1 or parent.size == 0:
-        raise ValueError("parent weights must be a nonempty vector")
-    if not np.isclose(parent.sum(), 1.0, atol=1e-9):
-        raise ValueError(f"parent weights must sum to 1, got {parent.sum()!r}")
-    if child_weights is None:
-        return parent.copy()
-    if len(child_weights) != parent.size:
-        raise ValueError(
-            f"need one child weight vector per parent: {parent.size} parents, "
-            f"{len(child_weights)} child vectors"
-        )
-    flat: list[float] = []
-    for p, children in zip(parent, child_weights):
-        sub = np.asarray(children, dtype=float)
-        if sub.ndim != 1 or sub.size == 0:
-            raise ValueError("each child weight vector must be a nonempty vector")
-        if not np.isclose(sub.sum(), 1.0, atol=1e-9):
-            raise ValueError(f"child weights must sum to 1, got {sub.sum()!r}")
-        flat.extend(p * sub)
-    return np.asarray(flat)
-
-
 def normalize(matrix: DecisionMatrix) -> DecisionMatrix:
     """Scale each criterion column to unit Euclidean norm."""
     # hypot instead of sqrt-of-sum so cells beyond 1e154 do not overflow the
@@ -252,18 +265,9 @@ def normalize(matrix: DecisionMatrix) -> DecisionMatrix:
 
 def ideal_solutions(weighted: DecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Best and worst per-criterion values: (max, min) for benefit, flipped for cost."""
-    e_plus = np.empty(weighted.shape[1])
-    e_minus = np.empty(weighted.shape[1])
-    for j, spec in enumerate(weighted.criteria):
-        col = weighted.cells[:, j]
-        if spec.kind is CriterionKind.BENEFIT:
-            e_plus[j], e_minus[j] = col.max(), col.min()
-        else:
-            e_plus[j], e_minus[j] = col.min(), col.max()
-    return e_plus, e_minus
-
-
-COST_DEFINITION_CLASSIC = "d_plus / (d_plus + d_minus)"
+    benefit = np.array([spec.kind is CriterionKind.BENEFIT for spec in weighted.criteria], dtype=bool)
+    hi, lo = weighted.cells.max(axis=0), weighted.cells.min(axis=0)
+    return np.where(benefit, hi, lo), np.where(benefit, lo, hi)
 
 
 def rank_classic(matrix: DecisionMatrix, weights: Sequence[float]) -> RankingResult:
@@ -284,36 +288,4 @@ def rank_classic(matrix: DecisionMatrix, weights: Sequence[float]) -> RankingRes
     e_plus, e_minus = ideal_solutions(weighted)
     d_plus = np.sqrt(((weighted.cells - e_plus) ** 2).sum(axis=1))
     d_minus = np.sqrt(((weighted.cells - e_minus) ** 2).sum(axis=1))
-
-    costs = np.empty(len(matrix.alternatives))
-    for i in range(len(costs)):
-        denom = d_plus[i] + d_minus[i]
-        if denom == 0.0:
-            warnings.warn(
-                f"alternative {matrix.alternatives[i]!r} is indistinguishable from "
-                "both ideals (all alternatives identical?); cost defined as 0.5",
-                stacklevel=2,
-            )
-            costs[i] = 0.5
-        else:
-            costs[i] = d_plus[i] / denom
-
-    order = sorted(range(len(costs)), key=lambda i: (costs[i], matrix.alternatives[i]))
-    ranks = {i: pos + 1 for pos, i in enumerate(order)}
-    entries = tuple(
-        ActionRanking(
-            action=matrix.alternatives[i],
-            d_plus=float(d_plus[i]),
-            d_minus=float(d_minus[i]),
-            cost=float(costs[i]),
-            benefit=float(1.0 - costs[i]),
-            rank=ranks[i],
-        )
-        for i in range(len(costs))
-    )
-    return RankingResult(
-        engine="classic",
-        cost_definition=COST_DEFINITION_CLASSIC,
-        cost_orientation="lower cost = cheaper action for the attacker",
-        entries=entries,
-    )
+    return rank_by_closeness("classic", matrix.alternatives, d_plus, d_minus)

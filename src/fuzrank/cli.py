@@ -26,7 +26,13 @@ from .classic import (
     derive_weights,
     rank_classic,
 )
-from .fuzzy import aggregate_ratings, rank_panel
+from .fuzzy import (
+    FuzzyDecisionMatrix,
+    aggregate_ratings,
+    apply_weights,
+    normalize_fuzzy,
+    rank_fuzzy,
+)
 from .graph import DEFAULT_PATH_CAP, PathExplosionError, export_dot, subgraph_to_goal
 from .report import RunReport, fingerprint
 from .scenario import (
@@ -95,18 +101,20 @@ def _path_cap() -> int:
         raise CliError(f"{PATH_CAP_ENV} must be a positive integer, got {raw!r}")
 
 
-def _classic_inputs(scenario: ScenarioFile) -> tuple[DecisionMatrix, np.ndarray]:
+def _classic_inputs(
+    scenario: ScenarioFile, pooled: Optional[FuzzyDecisionMatrix]
+) -> tuple[DecisionMatrix, np.ndarray]:
     """Crisp matrix and weight vector for the classic engine.
 
     The matrix is the scenario's explicit decision_matrix, or the per-cell
-    peak (most probable value) of the aggregated fuzzy ratings. Weights come
+    peak (most probable value) of the pooled fuzzy ratings. Weights come
     from the pairwise matrix when present, otherwise from the criteria's own
     numeric or linguistic weights, normalized to sum 1.
     """
     if scenario.decision_matrix is not None:
         matrix = scenario.decision_matrix
-    elif scenario.panel is not None:
-        peaks = aggregate_ratings(scenario.panel, scenario.scale).values[..., 1]
+    elif pooled is not None:
+        peaks = pooled.values[..., 1]
         matrix = DecisionMatrix(list(scenario.actions), list(scenario.criteria), peaks)
     else:
         raise CliError(
@@ -135,15 +143,20 @@ def _classic_inputs(scenario: ScenarioFile) -> tuple[DecisionMatrix, np.ndarray]
 
 
 def _run_engines(scenario: ScenarioFile, engine: str) -> list[RankingResult]:
+    """Run the chosen engines, pooling the panel's ratings at most once."""
     results = []
     try:
+        pooled = None
+        needs_panel = engine != "classic" or scenario.decision_matrix is None
+        if needs_panel and scenario.panel is not None:
+            pooled = aggregate_ratings(scenario.panel, scenario.scale)
         if engine in ("classic", "both"):
-            matrix, weights = _classic_inputs(scenario)
+            matrix, weights = _classic_inputs(scenario, pooled)
             results.append(rank_classic(matrix, weights))
         if engine in ("fuzzy", "both"):
-            if scenario.panel is None:
+            if pooled is None:
                 raise CliError("fuzzy engine needs a 'panel' section in the scenario")
-            results.append(rank_panel(scenario.panel, scenario.scale))
+            results.append(rank_fuzzy(apply_weights(normalize_fuzzy(pooled))))
     except ConvergenceError as exc:
         raise CliError(f"computation failed: {exc}", exit_code=EXIT_COMPUTATION)
     except (ValueError, KeyError) as exc:

@@ -14,23 +14,20 @@ stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
 weights have shape (n, 3). `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view
 of the same values, built on first use.
 
-The cost reported here is d_minus / (d_plus + d_minus) — the closeness
-coefficient — so the cheapest action for an attacker has the HIGHEST cost
-value and receives rank 1. That is the opposite orientation from the crisp
-engine; reports label each cost column with its defining formula.
+The distances end in `classic.rank_by_closeness`, the closeness-and-ranking
+skeleton both engines share; `classic` states the two cost orientations.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .classic import ActionRanking, CriterionKind, CriterionSpec, RankingResult
+from .classic import CriterionKind, CriterionSpec, RankingResult, rank_by_closeness
 from .tfn import TFN, LinguisticScale, TriangularFuzzyNumber
 
 
@@ -230,22 +227,6 @@ def _vertex_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2]) / math.sqrt(3.0)
 
 
-def cost_benefit(d_plus: float, d_minus: float) -> tuple[float, float]:
-    """Closeness coefficients from the two accumulated distances.
-
-    cost = d_minus / (d_plus + d_minus), benefit = d_plus / (d_plus + d_minus);
-    they sum to 1. Both distances zero (fully degenerate matrix) maps to
-    (0.5, 0.5).
-    """
-    denom = d_plus + d_minus
-    if denom == 0.0:
-        return 0.5, 0.5
-    return d_minus / denom, d_plus / denom
-
-
-COST_DEFINITION_FUZZY = "d_minus / (d_plus + d_minus)"
-
-
 def rank_fuzzy(weighted: FuzzyDecisionMatrix) -> RankingResult:
     """Rank a weighted normalized fuzzy matrix.
 
@@ -254,44 +235,6 @@ def rank_fuzzy(weighted: FuzzyDecisionMatrix) -> RankingResult:
     (the closeness coefficient), ties broken by action id.
     """
     fpis, fnis = fuzzy_ideals(weighted)
-    d_plus = _vertex_distance(weighted.values, fpis).sum(axis=1).tolist()
-    d_minus = _vertex_distance(weighted.values, fnis).sum(axis=1).tolist()
-    costs, benefits = [], []
-    for alt, dp, dmi in zip(weighted.alternatives, d_plus, d_minus):
-        if dp + dmi == 0.0:
-            warnings.warn(
-                f"alternative {alt!r} has zero distance to both "
-                "ideals (degenerate matrix); cost defined as 0.5",
-                stacklevel=2,
-            )
-        cost, benefit = cost_benefit(dp, dmi)
-        costs.append(cost)
-        benefits.append(benefit)
-
-    order = sorted(
-        range(len(costs)), key=lambda i: (-costs[i], weighted.alternatives[i])
-    )
-    ranks = {i: pos + 1 for pos, i in enumerate(order)}
-    entries = tuple(
-        ActionRanking(
-            action=weighted.alternatives[i],
-            d_plus=d_plus[i],
-            d_minus=d_minus[i],
-            cost=costs[i],
-            benefit=benefits[i],
-            rank=ranks[i],
-        )
-        for i in range(len(costs))
-    )
-    return RankingResult(
-        engine="fuzzy",
-        cost_definition=COST_DEFINITION_FUZZY,
-        cost_orientation="higher cost = cheaper action for the attacker",
-        entries=entries,
-    )
-
-
-def rank_panel(panel: RatingPanel, scale: LinguisticScale) -> RankingResult:
-    """Full pipeline: aggregate, normalize, weight, rank."""
-    aggregated = aggregate_ratings(panel, scale)
-    return rank_fuzzy(apply_weights(normalize_fuzzy(aggregated)))
+    d_plus = _vertex_distance(weighted.values, fpis).sum(axis=1)
+    d_minus = _vertex_distance(weighted.values, fnis).sum(axis=1)
+    return rank_by_closeness("fuzzy", weighted.alternatives, d_plus, d_minus)

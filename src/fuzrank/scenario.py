@@ -22,7 +22,6 @@ import numpy as np
 
 from .classic import (
     CriterionKind,
-    CriterionLayer,
     CriterionSpec,
     DecisionMatrix,
     PairwiseMatrix,
@@ -301,15 +300,13 @@ def _parse_criteria(
         except ValueError:
             col.error(f"{path}.kind", f"unknown kind {kind_raw!r}; use 'benefit' or 'cost'")
             kind = CriterionKind.BENEFIT
+        # "layer" is accepted for older scenarios but changes no result
         layer_raw = item.get("layer", "criteria")
-        try:
-            layer = CriterionLayer(layer_raw)
-        except ValueError:
+        if layer_raw not in ("target", "criteria", "indicator"):
             col.error(
                 f"{path}.layer",
                 f"unknown layer {layer_raw!r}; use 'target', 'criteria' or 'indicator'",
             )
-            layer = CriterionLayer.CRITERIA
         weight = item.get("weight")
         if weight is not None:
             if isinstance(weight, str):
@@ -320,7 +317,7 @@ def _parse_criteria(
                     )
             elif _number(col, f"{path}.weight", weight, lo=0) is not None:
                 weight = float(weight)
-        out.append(CriterionSpec(cid, kind=kind, weight=weight, layer=layer))
+        out.append(CriterionSpec(cid, kind=kind, weight=weight))
     return tuple(out)
 
 
@@ -580,8 +577,10 @@ def _parse_decision_matrix(
         col.error("$.decision_matrix", "requires top-level 'actions' and 'criteria' lists")
         return None
     ok = True
+    action_set = set(actions)
+    crit_set = {c.id for c in criteria}
     for action in raw:
-        if action not in actions:
+        if action not in action_set:
             col.error(f"$.decision_matrix.{action}", f"unknown action {action!r}")
             ok = False
     rows: list[list[float]] = []
@@ -593,7 +592,7 @@ def _parse_decision_matrix(
             ok = False
             continue
         for cid in row:
-            if cid not in {c.id for c in criteria}:
+            if cid not in crit_set:
                 col.error(f"{path}.{cid}", f"unknown criterion {cid!r}")
                 ok = False
         vals: list[float] = []
@@ -815,7 +814,6 @@ def scenario_to_dict(scenario: ScenarioFile) -> dict[str, Any]:
             {
                 "id": c.id,
                 "kind": c.kind.value,
-                "layer": c.layer.value,
                 **({"weight": c.weight} if c.weight is not None else {}),
             }
             for c in scenario.criteria

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -24,53 +23,6 @@ class TriangularFuzzyNumber:
                 f"TFN components must satisfy a <= b <= c, got ({self.a}, {self.b}, {self.c})"
             )
 
-    @classmethod
-    def crisp(cls, value: float) -> "TriangularFuzzyNumber":
-        return cls(value, value, value)
-
-    @property
-    def is_crisp(self) -> bool:
-        return self.a == self.b == self.c
-
-    def membership(self, x: float) -> float:
-        """Degree to which x belongs to this fuzzy number, in [0, 1].
-
-        Linear ramp up on [a, b], linear ramp down on [b, c], zero outside.
-        A collapsed segment (b == a or c == b) contributes membership 1 at the
-        shared point, the limit of the ramp.
-        """
-        if x < self.a or x > self.c:
-            return 0.0
-        if x == self.b:
-            return 1.0
-        if x < self.b:
-            return (x - self.a) / (self.b - self.a)
-        return (self.c - x) / (self.c - self.b)
-
-    def distance(self, other: "TriangularFuzzyNumber") -> float:
-        """Vertex-method distance: sqrt of the mean squared component gap."""
-        # hypot instead of sqrt-of-sum so tiny gaps do not underflow to 0
-        return math.hypot(self.a - other.a, self.b - other.b, self.c - other.c) / math.sqrt(3.0)
-
-    def __mul__(self, other: "TriangularFuzzyNumber") -> "TriangularFuzzyNumber":
-        """Componentwise product. Defined for nonnegative operands only.
-
-        With a negative component the componentwise triplet is not guaranteed
-        to stay ordered, so such operands are rejected.
-        """
-        if not isinstance(other, TriangularFuzzyNumber):
-            return NotImplemented
-        if self.a < 0 or other.a < 0:
-            raise ValueError(
-                f"TFN multiplication requires nonnegative components, got {self} * {other}"
-            )
-        return TriangularFuzzyNumber(self.a * other.a, self.b * other.b, self.c * other.c)
-
-    def scaled(self, factor: float) -> "TriangularFuzzyNumber":
-        if factor < 0:
-            raise ValueError("scaling factor must be nonnegative")
-        return TriangularFuzzyNumber(self.a * factor, self.b * factor, self.c * factor)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
 
@@ -79,18 +31,6 @@ class TriangularFuzzyNumber:
 
 
 TFN = TriangularFuzzyNumber
-
-
-def membership(t: TriangularFuzzyNumber, x: float) -> float:
-    return t.membership(x)
-
-
-def distance(t1: TriangularFuzzyNumber, t2: TriangularFuzzyNumber) -> float:
-    return t1.distance(t2)
-
-
-def multiply(t1: TriangularFuzzyNumber, t2: TriangularFuzzyNumber) -> TriangularFuzzyNumber:
-    return t1 * t2
 
 
 class LinguisticScale:
@@ -144,6 +84,3 @@ def default_scale() -> LinguisticScale:
         }
     )
 
-
-def from_linguistic(scale: LinguisticScale, label: str) -> TriangularFuzzyNumber:
-    return scale[label]

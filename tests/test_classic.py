@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fuzrank.classic import (
     ConvergenceError,
@@ -9,7 +11,6 @@ from fuzrank.classic import (
     CriterionSpec,
     DecisionMatrix,
     PairwiseMatrix,
-    combinatorial_weights,
     consistency_ratio,
     derive_weights,
     ideal_solutions,
@@ -131,33 +132,6 @@ def test_consistency_ratio():
         derive_weights(sloppy)
 
 
-# --- combinatorial weights ----------------------------------------------------
-
-def test_combinatorial_identity_passthrough():
-    out = combinatorial_weights([0.25, 0.75])
-    assert out == pytest.approx([0.25, 0.75])
-
-
-def test_combinatorial_two_layers():
-    out = combinatorial_weights([0.6, 0.4], [[0.5, 0.5], [0.5, 0.5]])
-    assert out == pytest.approx([0.3, 0.3, 0.2, 0.2])
-    assert out.sum() == pytest.approx(1.0)
-
-
-def test_combinatorial_degenerate_parent():
-    out = combinatorial_weights([1.0], [[0.2, 0.3, 0.5]])
-    assert out == pytest.approx([0.2, 0.3, 0.5])
-
-
-def test_combinatorial_errors():
-    with pytest.raises(ValueError, match="one child weight vector per parent"):
-        combinatorial_weights([0.5, 0.5], [[1.0]])
-    with pytest.raises(ValueError, match="must sum to 1"):
-        combinatorial_weights([0.5, 0.6])
-    with pytest.raises(ValueError, match="must sum to 1"):
-        combinatorial_weights([0.5, 0.5], [[0.9], [1.0]])
-
-
 # --- normalize / ideals ---------------------------------------------------------
 
 def test_normalize_three_four_five():
@@ -260,6 +234,37 @@ def test_rank_column_scale_invariance():
     for e1, e2 in zip(r1.entries, r2.entries):
         assert e1.cost == pytest.approx(e2.cost, abs=1e-12)
         assert e1.rank == e2.rank
+
+
+@st.composite
+def crisp_problems(draw):
+    m, n = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    cell = st.floats(0.1, 100.0)
+    cells = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    kinds = draw(st.lists(st.sampled_from([B, CO]), min_size=n, max_size=n))
+    raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    return np.array(cells), kinds, raw / raw.sum()
+
+
+@pytest.mark.filterwarnings("ignore:classic ranking:UserWarning")
+@given(crisp_problems(), st.data(), st.floats(1e-3, 1e3))
+def test_scaling_a_crisp_column_keeps_ranking(problem, data, c):
+    """Vector normalisation divides the factor out again: d+ and d- agree to
+    1e-12, and ranks agree except between actions whose costs tie to 1e-12,
+    whose order can follow rounding."""
+    cells, kinds, weights = problem
+    j = data.draw(st.integers(0, cells.shape[1] - 1))
+    scaled = cells.copy()
+    scaled[:, j] *= c
+    want = rank_classic(dm(cells, kinds), weights)
+    got = rank_classic(dm(scaled, kinds), weights)
+    for e1, e2 in zip(want.entries, got.entries):
+        assert e2.d_plus == pytest.approx(e1.d_plus, abs=1e-12)
+        assert e2.d_minus == pytest.approx(e1.d_minus, abs=1e-12)
+    for x, gx in zip(want.entries, got.entries):
+        for y, gy in zip(want.entries, got.entries):
+            if abs(x.cost - y.cost) > 1e-12:
+                assert (x.rank < y.rank) == (gx.rank < gy.rank)
 
 
 def test_rank_huge_column_matches_scaled_down():

@@ -60,6 +60,24 @@ def test_rank_json_reports_are_byte_identical(runner, scenario_file):
     assert json.loads(first.output)["scenario_fingerprint"].startswith("sha256:")
 
 
+def test_rank_both_pools_the_ratings_once(runner, scenario_file, monkeypatch):
+    from fuzrank import cli, fuzzy
+
+    real, calls = fuzzy.aggregate_ratings, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli, fuzzy):
+        monkeypatch.setattr(module, "aggregate_ratings", counting)
+    result = runner.invoke(
+        main, ["rank", str(scenario_file), "--engine", "both", "--format", "json"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
 def test_rank_csv_format(runner, scenario_file):
     result = runner.invoke(
         main, ["rank", str(scenario_file), "--engine", "classic", "--format", "csv"]

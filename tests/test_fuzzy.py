@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzrank.classic import CriterionKind, CriterionSpec
+from fuzrank.classic import (
+    CriterionKind,
+    CriterionSpec,
+    DecisionMatrix,
+    rank_by_closeness,
+    rank_classic,
+)
 from fuzrank.fuzzy import (
     FuzzyDecisionMatrix,
     RatingPanel,
     aggregate_ratings,
     apply_weights,
-    cost_benefit,
     fuzzy_ideals,
     normalize_fuzzy,
     rank_fuzzy,
-    rank_panel,
 )
 from fuzrank.tfn import TFN, default_scale
 
@@ -34,6 +38,11 @@ def fdm(cells, kinds=None, weights=None):
     kinds = kinds or [B] * len(cells[0])
     alts = tuple(f"A{i+1}" for i in range(len(cells)))
     return FuzzyDecisionMatrix(alts, specs(kinds), np.array(cells, dtype=float), weights=weights)
+
+
+def rank_panel(panel, scale):
+    """The fuzzy pipeline `fuzrank rank` runs: pool, normalize, weight, rank."""
+    return rank_fuzzy(apply_weights(normalize_fuzzy(aggregate_ratings(panel, scale))))
 
 
 def golden_panel(kinds=(B, B, CO, CO), weight_labels=None):
@@ -241,22 +250,42 @@ def test_fuzzy_ideals_single_and_identical_columns():
 def test_closeness_published_cases():
     from golden_ratings import CLOSENESS_CASES
 
-    for _, d_plus, d_minus, expected in CLOSENESS_CASES:
-        cost, benefit = cost_benefit(d_plus, d_minus)
-        assert cost == pytest.approx(expected, abs=5e-4)
-        assert cost + benefit == pytest.approx(1.0, abs=1e-15)
+    names = [case[0] for case in CLOSENESS_CASES]
+    d_plus = np.array([case[1] for case in CLOSENESS_CASES])
+    d_minus = np.array([case[2] for case in CLOSENESS_CASES])
+    res = rank_by_closeness("fuzzy", names, d_plus, d_minus)
+    for e, (_, _, _, expected) in zip(res.entries, CLOSENESS_CASES):
+        assert e.cost == pytest.approx(expected, abs=5e-4)
+        assert e.cost + e.benefit == pytest.approx(1.0, abs=1e-15)
 
 
 def test_closeness_symmetry_and_degenerate():
-    assert cost_benefit(2.5, 2.5) == (0.5, 0.5)
-    assert cost_benefit(0.0, 0.0) == (0.5, 0.5)
+    with pytest.warns(UserWarning, match="ranking: 'A2' at zero distance"):
+        res = rank_by_closeness("fuzzy", ["A1", "A2"], np.array([2.5, 0.0]), np.array([2.5, 0.0]))
+    assert [(e.cost, e.benefit) for e in res.entries] == [(0.5, 0.5), (0.5, 0.5)]
+
+
+DEGENERATE_WARNING = (
+    "{engine} ranking: 'A1', 'A2' at zero distance from both ideals "
+    "(all alternatives identical?); cost and benefit defined as 0.5"
+)
 
 
 def test_rank_fuzzy_degenerate_matrix_warns():
     m = fdm([[(0.5, 0.5, 0.5)], [(0.5, 0.5, 0.5)]])
-    with pytest.warns(UserWarning, match="0.5"):
+    with pytest.warns(UserWarning) as caught:
         res = rank_fuzzy(m)
+    assert [str(w.message) for w in caught] == [DEGENERATE_WARNING.format(engine="fuzzy")]
     assert [e.cost for e in res.entries] == [0.5, 0.5]
+    assert [e.rank for e in res.entries] == [1, 2]
+
+
+def test_rank_classic_degenerate_matrix_warns():
+    m = DecisionMatrix(["A1", "A2"], specs([B, CO]), [[2.0, 3.0], [2.0, 3.0]])
+    with pytest.warns(UserWarning) as caught:
+        res = rank_classic(m, [0.4, 0.6])
+    assert [str(w.message) for w in caught] == [DEGENERATE_WARNING.format(engine="classic")]
+    assert [(e.cost, e.benefit) for e in res.entries] == [(0.5, 0.5), (0.5, 0.5)]
     assert [e.rank for e in res.entries] == [1, 2]
 
 
@@ -385,7 +414,7 @@ def oracle_fuzzy(panel, scale):
     for i, a in enumerate(panel.alternatives):
         dp = sum(col[i][0] for col in cols)
         dm_ = sum(col[i][1] for col in cols)
-        out[a] = (dp, dm_, cost_benefit(dp, dm_)[0])
+        out[a] = (dp, dm_, 0.5 if dp + dm_ == 0 else dm_ / (dp + dm_))
     return out
 
 

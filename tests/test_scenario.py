@@ -160,6 +160,16 @@ def test_graph_errors_carry_graph_path():
     assert any(e.startswith("$.graph:") and "unknown destination node" in e for e in errs)
 
 
+def test_criterion_layer_is_checked_but_changes_nothing():
+    layered = parse_scenario(minimal(criteria=[{"id": "C-1", "layer": "indicator"}]), strict=True)
+    plain = parse_scenario(minimal(criteria=[{"id": "C-1"}]), strict=True)
+    assert layered.criteria == plain.criteria
+    errs = errors_of(minimal(criteria=[{"id": "C-1", "layer": "leaf"}]))
+    assert errs == [
+        "$.criteria[0].layer: unknown layer 'leaf'; use 'target', 'criteria' or 'indicator'"
+    ]
+
+
 def test_pairwise_must_match_criteria_count():
     text = minimal(criteria=[{"id": "C-1"}, {"id": "C-2"}], pairwise=[[1.0]])
     errs = errors_of(text)

@@ -1,21 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzrank.tfn import (
-    TFN,
-    LinguisticScale,
-    default_scale,
-    distance,
-    from_linguistic,
-    membership,
-    multiply,
-)
+from fuzrank.fuzzy import _vertex_distance
+from fuzrank.tfn import TFN, LinguisticScale, default_scale
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-nonneg = st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 def tfns(values=finite):
@@ -29,59 +22,19 @@ def test_construction_rejects_unordered():
         TFN(1, 4, 3)
 
 
-def test_degenerate_is_crisp():
-    t = TFN.crisp(4.2)
-    assert t == TFN(4.2, 4.2, 4.2)
-    assert t.is_crisp
-    assert not TFN(1, 2, 3).is_crisp
+# --- vertex distance, as the fuzzy engine computes it ----------------------------
 
-
-def test_membership_examples():
-    t = TFN(1, 3, 5)
-    assert membership(t, 3) == 1.0
-    assert membership(t, 2) == 0.5  # (2-1)/(3-1)
-    assert membership(t, 7) == 0.0
-    assert membership(t, 0) == 0.0
-    assert membership(t, 4) == 0.5
-
-
-def test_membership_degenerate_segments():
-    # collapsed left leg: membership at the shared point is 1
-    assert membership(TFN(2, 2, 5), 2) == 1.0
-    # collapsed right leg
-    assert membership(TFN(1, 4, 4), 4) == 1.0
-    # fully crisp
-    assert membership(TFN.crisp(3), 3) == 1.0
-    assert membership(TFN.crisp(3), 3.0001) == 0.0
+def distance(t1, t2):
+    return float(_vertex_distance(np.array(t1.as_tuple()), np.array(t2.as_tuple())))
 
 
 def test_distance_examples():
     assert distance(TFN(1, 3, 5), TFN(1, 3, 5)) == 0.0
-    assert distance(TFN.crisp(0), TFN.crisp(3)) == pytest.approx(3.0, abs=1e-9)
+    assert distance(TFN(0, 0, 0), TFN(3, 3, 3)) == pytest.approx(3.0, abs=1e-9)
     # hand evaluation: sqrt(((2-1)^2 + (4-2)^2 + (6-3)^2) / 3) = sqrt(14/3)
     assert distance(TFN(2, 4, 6), TFN(1, 2, 3)) == pytest.approx(
         math.sqrt(14.0 / 3.0), abs=1e-12
     )
-
-
-def test_multiply_examples():
-    assert multiply(TFN(1, 2, 3), TFN.crisp(2)) == TFN(2, 4, 6)
-    assert multiply(TFN.crisp(1), TFN(5, 7, 9)) == TFN(5, 7, 9)
-    assert multiply(TFN(1, 3, 5), TFN(1, 3, 5)) == TFN(1, 9, 25)
-
-
-def test_multiply_rejects_negative_components():
-    with pytest.raises(ValueError, match="nonnegative"):
-        multiply(TFN(-1, 2, 3), TFN(1, 2, 3))
-    with pytest.raises(ValueError, match="nonnegative"):
-        multiply(TFN(1, 2, 3), TFN(-4, 0, 1))
-
-
-@given(tfns(), st.floats(min_value=-2e6, max_value=2e6, allow_nan=False))
-def test_membership_bounded_and_peaks(t, x):
-    m = t.membership(x)
-    assert 0.0 <= m <= 1.0
-    assert t.membership(t.b) == 1.0
 
 
 @given(tfns(), tfns())
@@ -95,13 +48,7 @@ def test_distance_symmetric_nonnegative(t1, t2):
 
 @given(finite, finite)
 def test_distance_of_crisp_pair_is_absolute_difference(x, y):
-    assert distance(TFN.crisp(x), TFN.crisp(y)) == pytest.approx(abs(x - y), rel=1e-12, abs=1e-12)
-
-
-@given(tfns(nonneg), tfns(nonneg))
-def test_multiply_preserves_ordering(t1, t2):
-    p = multiply(t1, t2)
-    assert p.a <= p.b <= p.c
+    assert distance(TFN(x, x, x), TFN(y, y, y)) == pytest.approx(abs(x - y), rel=1e-12, abs=1e-12)
 
 
 def test_default_scale_matches_rating_table():
@@ -114,17 +61,10 @@ def test_default_scale_matches_rating_table():
     assert scale.labels == ["VL", "L", "AV", "H", "VH"]
 
 
-def test_from_linguistic():
-    scale = default_scale()
-    assert from_linguistic(scale, "VH") == TFN(7, 9, 9)
-    assert from_linguistic(scale, "VL") == TFN(1, 1, 3)
-    assert from_linguistic(scale, "AV") == TFN(3, 5, 7)
-
-
-def test_from_linguistic_unknown_label_lists_valid_ones():
+def test_scale_unknown_label_lists_valid_ones():
     scale = default_scale()
     with pytest.raises(KeyError, match=r"'XX'.*VL, L, AV, H, VH"):
-        from_linguistic(scale, "XX")
+        scale["XX"]
 
 
 def test_scale_rejects_empty_and_custom_scale_works():
