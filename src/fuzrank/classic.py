@@ -50,14 +50,10 @@ class ConvergenceError(RuntimeError):
 
 
 class PairwiseMatrix:
-    """Square positive comparison matrix with unit diagonal.
+    """Square positive reciprocal comparison matrix (cells[j][i] ==
+    1/cells[i][j]) with unit diagonal."""
 
-    Reciprocity (cells[j][i] == 1/cells[i][j]) is required by default;
-    pass allow_non_reciprocal=True to skip that check — the principal
-    eigenvector is still well defined for any positive matrix.
-    """
-
-    def __init__(self, cells, allow_non_reciprocal: bool = False):
+    def __init__(self, cells):
         m = np.asarray(cells, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"pairwise matrix must be square, got shape {m.shape}")
@@ -67,11 +63,8 @@ class PairwiseMatrix:
             raise ValueError("pairwise matrix entries must all be positive")
         if not np.allclose(np.diagonal(m), 1.0, atol=1e-9, rtol=0):
             raise ValueError("pairwise matrix diagonal must be all ones")
-        if not allow_non_reciprocal and not np.allclose(m * m.T, 1.0, atol=1e-9, rtol=0):
-            raise ValueError(
-                "pairwise matrix is not reciprocal (cells[j][i] != 1/cells[i][j]); "
-                "pass allow_non_reciprocal=True to accept it anyway"
-            )
+        if not np.allclose(m * m.T, 1.0, atol=1e-9, rtol=0):
+            raise ValueError("pairwise matrix is not reciprocal (cells[j][i] != 1/cells[i][j])")
         self.cells = m
         self.cells.setflags(write=False)
 

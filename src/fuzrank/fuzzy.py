@@ -7,7 +7,8 @@ the fuzzy ideal and anti-ideal (Chen 2000, Fuzzy Sets and Systems 114:1-9).
 
 Array layout. A `RatingPanel` carries its linguistic labels as integer codes
 into `panel.labels`: `rating_codes` has shape (k, m, n) for k raters, m
-alternatives and n criteria, `weight_codes` has shape (k, n). Pooling looks
+alternatives and n criteria, `weight_codes` has shape (k, n). Only the
+scenario parser builds these codes, while it validates the panel. Pooling looks
 the codes up in a (labels, 3) table built from the scale, so every later
 stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
 (m, n, 3), the last axis holding each cell's (a, b, c), and whose fuzzy
@@ -21,9 +22,9 @@ skeleton both engines share; `classic` states the two cost orientations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -69,67 +70,34 @@ class FuzzyDecisionMatrix:
         return tuple(tuple(TFN(*abc) for abc in row) for row in self.values.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatingPanel:
-    """Linguistic rating grids from N decision makers over one set of
-    alternatives and criteria, plus each rater's criterion-weight labels.
-
-    The scenario parser passes the label codes it decoded while validating.
-    A panel built from the mappings alone is checked for coverage and encoded
-    here.
+    """Linguistic rating grids from k decision makers over m alternatives and
+    n criteria, plus each rater's criterion-weight labels, held as integer
+    codes into `labels`. Only the scenario parser builds panels: it decodes
+    and checks every label while it validates the document.
     """
 
     decision_makers: tuple[str, ...]
     alternatives: tuple[str, ...]
     criteria: tuple[CriterionSpec, ...]
-    ratings: Mapping[str, Mapping[str, Mapping[str, str]]]  # rater -> alt -> crit -> label
-    weight_labels: Mapping[str, Mapping[str, str]]  # rater -> crit -> label
-    labels: tuple[str, ...] = field(default=(), compare=False, repr=False)
-    rating_codes: Optional[np.ndarray] = field(default=None, compare=False, repr=False)  # (k, m, n)
-    weight_codes: Optional[np.ndarray] = field(default=None, compare=False, repr=False)  # (k, n)
+    labels: tuple[str, ...]
+    rating_codes: np.ndarray  # (k, m, n)
+    weight_codes: np.ndarray  # (k, n)
 
-    def __post_init__(self) -> None:
-        if self.rating_codes is None:
-            for name, value in zip(("labels", "rating_codes", "weight_codes"), self._encode()):
-                object.__setattr__(self, name, value)
+    def label_grids(self) -> tuple[list, list]:
+        """The labels the codes stand for: ratings as [rater][alternative][criterion]
+        and weights as [rater][criterion] nested lists."""
+        names = np.array(self.labels, dtype=object)
+        return names[self.rating_codes].tolist(), names[self.weight_codes].tolist()
 
-    def _encode(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        dms = self.decision_makers
-        if not dms:
-            raise ValueError("rating panel needs at least one decision maker")
-        if len(set(dms)) != len(dms):
-            raise ValueError("decision maker names must be unique")
-        crit_ids = [c.id for c in self.criteria]
-        index: dict[str, int] = {}
-
-        def encode(row: Optional[Mapping[str, str]], problem: str) -> list[int]:
-            if row is None or set(row) != set(crit_ids):
-                raise ValueError(problem)
-            return [index.setdefault(row[cid], len(index)) for cid in crit_ids]
-
-        ratings = []
-        for dm in dms:
-            grid = self.ratings.get(dm)
-            if grid is None:
-                raise ValueError(f"decision maker {dm!r} has no rating grid")
-            if set(grid) != set(self.alternatives):
-                raise ValueError(f"rating grid of {dm!r} does not cover the alternatives")
-            ratings += [
-                encode(grid[alt], f"rating grid of {dm!r} for {alt!r} does not cover the criteria")
-                for alt in self.alternatives
-            ]
-        weights = [
-            encode(
-                self.weight_labels.get(dm),
-                f"criterion weight labels of {dm!r} do not cover the criteria",
-            )
-            for dm in dms
-        ]
-        k, m, n = len(dms), len(self.alternatives), len(crit_ids)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RatingPanel):
+            return NotImplemented
         return (
-            tuple(index),
-            np.array(ratings, dtype=np.intp).reshape(k, m, n),
-            np.array(weights, dtype=np.intp).reshape(k, n),
+            (self.decision_makers, self.alternatives, self.criteria)
+            == (other.decision_makers, other.alternatives, other.criteria)
+            and self.label_grids() == other.label_grids()
         )
 
 

@@ -6,6 +6,11 @@ linguistic-scale override, an attack graph, criteria, a multi-rater rating
 panel, a pairwise comparison matrix or crisp decision matrix for the classic
 engine, vulnerability records (explicit subscores or a CVSS v3.1 vector), and
 asset profiles. In strict mode every warning becomes an error.
+
+This parser is the format's only statement. The `_*_KEYS` sets list each
+object's fields (any other key draws an "unknown field" warning), and each
+`_parse_*` function checks the types, ranges and cross-references of its
+section. Every problem is reported as `<json-path>: <message>`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -155,6 +160,50 @@ def _number(col: _Collector, path: str, value: Any, lo=None, hi=None) -> Optiona
     return x
 
 
+def _objects(
+    col: _Collector,
+    raw: Any,
+    section: str,
+    noun: str,
+    fields: set[str],
+    key: str = "id",
+    what: Optional[str] = None,
+    duplicate: Optional[str] = None,
+) -> Iterator[tuple[str, dict, str]]:
+    """Yield (path, item, name) for each object of the list at `$.<section>`
+    whose `key` is a nonempty string. The list, each item, its fields and its
+    name are checked here, in the section's own words: `noun` names one item,
+    `what` its name (default "<noun> <key>"), and `duplicate`, when given,
+    what a repeated name is reported as."""
+    if not _expect(col, f"$.{section}", raw, list, f"a list of {noun} objects"):
+        return
+    what = what or f"{noun} {key}"
+    seen: set[str] = set()
+    for i, item in enumerate(raw):
+        path = f"$.{section}[{i}]"
+        if not _expect(col, path, item, dict, "an object"):
+            continue
+        col.unknown_keys(path, item, fields)
+        name = item.get(key)
+        if not isinstance(name, str) or not name:
+            col.error(f"{path}.{key}", f"{what} must be a nonempty string")
+            continue
+        if duplicate is not None:
+            if name in seen:
+                col.error(f"{path}.{key}", f"duplicate {duplicate} {name!r}")
+                continue
+            seen.add(name)
+        yield path, item, name
+
+
+def _optional_str(col: _Collector, path: str, value: Any) -> Optional[str]:
+    """A string field that may be absent or null; any other value is an
+    error and reads as absent."""
+    if value is None or _expect(col, path, value, str, "a string"):
+        return value
+    return None
+
+
 def parse_scenario(text: str, strict: bool = False) -> ScenarioFile:
     """Parse and fully validate scenario JSON; raises ScenarioError with every
     problem found, each prefixed by its JSON path."""
@@ -174,9 +223,7 @@ def parse_scenario(text: str, strict: bool = False) -> ScenarioFile:
     elif version != SCHEMA_VERSION:
         col.error("$.schema_version", f"unrecognized schema_version {version!r}; expected {SCHEMA_VERSION!r}")
 
-    title = doc.get("title")
-    if title is not None:
-        _expect(col, "$.title", title, str, "a string")
+    title = _optional_str(col, "$.title", doc.get("title"))
 
     scale = _parse_scale(col, doc.get("scale"))
     schemes = _parse_schemes(col, doc.get("schemes"))
@@ -218,11 +265,6 @@ def bundled_scenario_path() -> Path:
     return Path(str(resources.files(__package__) / "data" / "paper_s4.json"))
 
 
-def bundled_schema_path() -> Path:
-    """Filesystem path of the scenario JSON-Schema shipped with the package."""
-    return Path(str(resources.files(__package__) / "data" / "scenario.schema.json"))
-
-
 def _parse_scale(col: _Collector, raw: Any) -> LinguisticScale:
     if raw is None:
         return default_scale()
@@ -251,20 +293,11 @@ def _parse_schemes(col: _Collector, raw: Any) -> tuple[AttackScheme, ...]:
     schemes = dict(PREDEFINED_SCHEMES)
     if raw is None:
         return tuple(schemes.values())
-    if not _expect(col, "$.schemes", raw, list, "a list of scheme objects"):
-        return tuple(schemes.values())
-    for i, item in enumerate(raw):
-        path = f"$.schemes[{i}]"
-        if not _expect(col, path, item, dict, "an object"):
-            continue
-        col.unknown_keys(path, item, _SCHEME_KEYS)
-        code, desc = item.get("code"), item.get("description")
-        if not isinstance(code, str) or not code:
-            col.error(f"{path}.code", "scheme code must be a nonempty string")
-            continue
+    for path, item, code in _objects(col, raw, "schemes", "scheme", _SCHEME_KEYS, key="code"):
         if code in PREDEFINED_SCHEMES:
             col.warn(f"{path}.code", f"scheme {code!r} is predefined; declaration ignored")
             continue
+        desc = item.get("description")
         if not isinstance(desc, str) or not desc:
             col.error(f"{path}.description", "scheme description must be a nonempty string")
             continue
@@ -277,23 +310,10 @@ def _parse_criteria(
 ) -> tuple[CriterionSpec, ...]:
     if raw is None:
         return ()
-    if not _expect(col, "$.criteria", raw, list, "a list of criterion objects"):
-        return ()
     out: list[CriterionSpec] = []
-    seen: set[str] = set()
-    for i, item in enumerate(raw):
-        path = f"$.criteria[{i}]"
-        if not _expect(col, path, item, dict, "an object"):
-            continue
-        col.unknown_keys(path, item, _CRITERION_KEYS)
-        cid = item.get("id")
-        if not isinstance(cid, str) or not cid:
-            col.error(f"{path}.id", "criterion id must be a nonempty string")
-            continue
-        if cid in seen:
-            col.error(f"{path}.id", f"duplicate criterion id {cid!r}")
-            continue
-        seen.add(cid)
+    for path, item, cid in _objects(
+        col, raw, "criteria", "criterion", _CRITERION_KEYS, duplicate="criterion id"
+    ):
         kind_raw = item.get("kind", "benefit")
         try:
             kind = CriterionKind(kind_raw)
@@ -349,38 +369,26 @@ def _parse_graph(
     known_codes = {s.code for s in schemes}
 
     nodes: list[AttackNode] = []
-    raw_nodes = raw.get("nodes", [])
-    if _expect(col, "$.graph.nodes", raw_nodes, list, "a list of node objects"):
-        for i, item in enumerate(raw_nodes):
-            path = f"$.graph.nodes[{i}]"
-            if not _expect(col, path, item, dict, "an object"):
-                continue
-            col.unknown_keys(path, item, _NODE_KEYS)
-            nid = item.get("id")
-            if not isinstance(nid, str) or not nid:
-                col.error(f"{path}.id", "node id must be a nonempty string")
-                continue
-            kind_raw = item.get("kind")
-            try:
-                kind = NodeKind(kind_raw)
-            except ValueError:
-                col.error(
-                    f"{path}.kind",
-                    f"unknown node kind {kind_raw!r}; use one of "
-                    f"{', '.join(k.value for k in NodeKind)}",
-                )
-                continue
-            scheme = item.get("scheme")
-            if scheme is not None and scheme not in known_codes:
-                col.error(
-                    f"{path}.scheme",
-                    f"scheme {scheme!r} is neither predefined (I, S, P) nor declared",
-                )
-            nodes.append(
-                AttackNode(
-                    nid, kind, label=item.get("label", ""), cve=item.get("cve"), scheme=scheme
-                )
+    for path, item, nid in _objects(col, raw.get("nodes", []), "graph.nodes", "node", _NODE_KEYS):
+        kind_raw = item.get("kind")
+        try:
+            kind = NodeKind(kind_raw)
+        except ValueError:
+            col.error(
+                f"{path}.kind",
+                f"unknown node kind {kind_raw!r}; use one of "
+                f"{', '.join(k.value for k in NodeKind)}",
             )
+            continue
+        label, cve, scheme = (
+            _optional_str(col, f"{path}.{key}", item.get(key)) for key in ("label", "cve", "scheme")
+        )
+        if scheme is not None and scheme not in known_codes:
+            col.error(
+                f"{path}.scheme",
+                f"scheme {scheme!r} is neither predefined (I, S, P) nor declared",
+            )
+        nodes.append(AttackNode(nid, kind, label=label or "", cve=cve, scheme=scheme))
 
     edges: list[tuple[str, str]] = []
     raw_edges = raw.get("edges", [])
@@ -528,8 +536,6 @@ def _parse_panel(
         decision_makers=raters,
         alternatives=actions,
         criteria=criteria,
-        ratings={dm: ratings[dm] for dm in raters},
-        weight_labels={dm: weights[dm] for dm in raters},
         labels=tuple(scale.labels),
         rating_codes=np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
         weight_codes=np.array(weight_codes, dtype=np.intp).reshape(k, n),
@@ -621,24 +627,11 @@ def _parse_vulnerabilities(
 ) -> tuple[ScenarioVulnerability, ...]:
     if raw is None:
         return ()
-    if not _expect(col, "$.vulnerabilities", raw, list, "a list of vulnerability objects"):
-        return ()
     out: list[ScenarioVulnerability] = []
-    seen: set[str] = set()
-    for i, item in enumerate(raw):
-        path = f"$.vulnerabilities[{i}]"
-        if not _expect(col, path, item, dict, "an object"):
-            continue
-        col.unknown_keys(path, item, _VULN_KEYS)
-        cve = item.get("cve")
-        if not isinstance(cve, str) or not cve:
-            col.error(f"{path}.cve", "cve must be a nonempty string")
-            continue
-        if cve in seen:
-            col.error(f"{path}.cve", f"duplicate vulnerability {cve!r}")
-            continue
-        seen.add(cve)
-
+    for path, item, cve in _objects(
+        col, raw, "vulnerabilities", "vulnerability", _VULN_KEYS,
+        key="cve", what="cve", duplicate="vulnerability",
+    ):
         vector = item.get("vector")
         from_vector: Optional[dict[str, float]] = None
         if vector is not None:
@@ -726,24 +719,9 @@ def _parse_assets(
 ) -> tuple[ScenarioAsset, ...]:
     if raw is None:
         return ()
-    if not _expect(col, "$.assets", raw, list, "a list of asset objects"):
-        return ()
     known_cves = {v.cve for v in vulnerabilities}
     out: list[ScenarioAsset] = []
-    seen: set[str] = set()
-    for i, item in enumerate(raw):
-        path = f"$.assets[{i}]"
-        if not _expect(col, path, item, dict, "an object"):
-            continue
-        col.unknown_keys(path, item, _ASSET_KEYS)
-        aid = item.get("id")
-        if not isinstance(aid, str) or not aid:
-            col.error(f"{path}.id", "asset id must be a nonempty string")
-            continue
-        if aid in seen:
-            col.error(f"{path}.id", f"duplicate asset id {aid!r}")
-            continue
-        seen.add(aid)
+    for path, item, aid in _objects(col, raw, "assets", "asset", _ASSET_KEYS, duplicate="asset id"):
         services = item.get("services_on_asset", 0)
         total = item.get("network_services_total", 1)
         if not isinstance(services, int) or isinstance(services, bool):
@@ -753,8 +731,9 @@ def _parse_assets(
             col.error(f"{path}.network_services_total", "expected an integer")
             continue
         cves: list[str] = []
-        ok = True
-        for j, cve in enumerate(item.get("vulnerabilities", [])):
+        refs = item.get("vulnerabilities", [])
+        ok = _expect(col, f"{path}.vulnerabilities", refs, list, "a list of vulnerability ids")
+        for j, cve in enumerate(refs if ok else ()):
             if not isinstance(cve, str) or cve not in known_cves:
                 col.error(
                     f"{path}.vulnerabilities[{j}]",
@@ -799,7 +778,7 @@ def scenario_to_dict(scenario: ScenarioFile) -> dict[str, Any]:
             entry: dict[str, Any] = {"id": node.id, "kind": node.kind.value}
             if node.label:
                 entry["label"] = node.label
-            if node.cve:
+            if node.cve is not None:
                 entry["cve"] = node.cve
             if node.scheme:
                 entry["scheme"] = node.scheme
@@ -822,13 +801,16 @@ def scenario_to_dict(scenario: ScenarioFile) -> dict[str, Any]:
         doc["actions"] = list(scenario.actions)
     if scenario.panel is not None:
         panel = scenario.panel
+        crit_ids = [c.id for c in panel.criteria]
+        raters = panel.decision_makers
+        ratings, weights = panel.label_grids()
         doc["panel"] = {
-            "decision_makers": list(panel.decision_makers),
+            "decision_makers": list(raters),
             "ratings": {
-                dm: {a: dict(panel.ratings[dm][a]) for a in panel.alternatives}
-                for dm in panel.decision_makers
+                dm: {a: dict(zip(crit_ids, row)) for a, row in zip(panel.alternatives, grid)}
+                for dm, grid in zip(raters, ratings)
             },
-            "weights": {dm: dict(panel.weight_labels[dm]) for dm in panel.decision_makers},
+            "weights": {dm: dict(zip(crit_ids, row)) for dm, row in zip(raters, weights)},
         }
     if scenario.pairwise is not None:
         doc["pairwise"] = [list(row) for row in scenario.pairwise.cells.tolist()]

@@ -77,11 +77,6 @@ def test_pairwise_validation():
         PairwiseMatrix([[2, 1], [1, 1]])
     with pytest.raises(ValueError, match="not reciprocal"):
         PairwiseMatrix([[1, 2], [0.7, 1]])
-    # explicit opt-out still builds and still has a dominant eigenpair
-    m = PairwiseMatrix([[1, 2], [0.7, 1]], allow_non_reciprocal=True)
-    lam, w = principal_eigen(m)
-    assert lam == pytest.approx(1 + np.sqrt(1.4), abs=1e-8)
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -89,7 +84,7 @@ def test_matrices_reject_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         dm([[1, bad], [3, 4]])
     with pytest.raises(ValueError, match="finite"):
-        PairwiseMatrix([[1, bad], [0.5, 1]], allow_non_reciprocal=True)
+        PairwiseMatrix([[1, bad], [0.5, 1]])
 
 
 def test_eigen_symmetric_two_by_two():

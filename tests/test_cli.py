@@ -177,6 +177,41 @@ def test_rank_non_finite_number_exit_one(runner, tmp_path, section, value):
     assert f"{where}: expected a finite number" in result.output
 
 
+CHAIN = [{"id": "c", "kind": "configuration"}, {"id": "f", "kind": "final_step"}]
+VULN = {"cve": "C", "impact_score": 5, "exploitability_score": 5, "temporal_score": 5,
+        "atc_cost": 0.5}
+
+
+def node_graph(**fields):
+    return {"nodes": [CHAIN[0], {**CHAIN[1], **fields}], "edges": [["c", "f"]], "targets": []}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("graph", {"graph": node_graph(label=5)},
+         "$.graph.nodes[1].label: expected a string, got int"),
+        ("graph", {"graph": node_graph(scheme=[1])},
+         "$.graph.nodes[1].scheme: expected a string, got list"),
+        ("validate", {"graph": node_graph(cve=5)},
+         "$.graph.nodes[1].cve: expected a string, got int"),
+        ("veability", {"assets": [{"id": "h", "vulnerabilities": 5}]},
+         "$.assets[0].vulnerabilities: expected a list of vulnerability ids, got int"),
+        ("validate",
+         {"vulnerabilities": [VULN], "assets": [{"id": "h", "vulnerabilities": "C"}]},
+         "$.assets[0].vulnerabilities: expected a list of vulnerability ids, got str"),
+    ],
+    ids=["node-label-int", "node-scheme-list", "node-cve-int", "asset-vulns-int",
+         "asset-vulns-str"],
+)
+def test_mistyped_field_exit_one(runner, tmp_path, command, doc, message):
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps({"schema_version": "1", **doc}))
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 1, result.output
+    assert f"  {message}\n" in result.output
+
+
 def test_rank_invalid_scenario_lists_paths(runner, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{}")

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -15,13 +16,13 @@ from fuzrank.classic import (
 )
 from fuzrank.fuzzy import (
     FuzzyDecisionMatrix,
-    RatingPanel,
     aggregate_ratings,
     apply_weights,
     fuzzy_ideals,
     normalize_fuzzy,
     rank_fuzzy,
 )
+from fuzrank.scenario import parse_scenario
 from fuzrank.tfn import TFN, default_scale
 
 from golden_ratings import ACTIONS, CRITERIA, LINGUISTIC_GRIDS, POOLED_MATRIX, RATERS
@@ -45,18 +46,36 @@ def rank_panel(panel, scale):
     return rank_fuzzy(apply_weights(normalize_fuzzy(aggregate_ratings(panel, scale))))
 
 
-def golden_panel(kinds=(B, B, CO, CO), weight_labels=None):
+def panel_doc(raters, actions, criteria, ratings, weights):
+    """A scenario document holding one rating panel. criteria: (id, kind)
+    pairs; ratings: rater -> action -> criterion -> label; weights: rater ->
+    criterion -> label."""
+    return {
+        "schema_version": "1",
+        "criteria": [{"id": cid, "kind": kind.value} for cid, kind in criteria],
+        "actions": list(actions),
+        "panel": {"decision_makers": list(raters), "ratings": ratings, "weights": weights},
+    }
+
+
+def panel_of(doc):
+    """The RatingPanel the scenario parser builds from doc."""
+    return parse_scenario(json.dumps(doc), strict=True).panel
+
+
+def golden_doc(kinds=(B, B, CO, CO), weight_labels=None):
     weight_labels = weight_labels or {c: "AV" for c in CRITERIA}
-    return RatingPanel(
-        decision_makers=tuple(RATERS),
-        alternatives=tuple(ACTIONS),
-        criteria=tuple(CriterionSpec(c, kind=k) for c, k in zip(CRITERIA, kinds)),
-        ratings={
-            dm: {a: dict(zip(CRITERIA, LINGUISTIC_GRIDS[dm][a])) for a in ACTIONS}
-            for dm in RATERS
-        },
-        weight_labels={dm: dict(weight_labels) for dm in RATERS},
+    return panel_doc(
+        RATERS,
+        ACTIONS,
+        zip(CRITERIA, kinds),
+        {dm: {a: dict(zip(CRITERIA, LINGUISTIC_GRIDS[dm][a])) for a in ACTIONS} for dm in RATERS},
+        {dm: dict(weight_labels) for dm in RATERS},
     )
+
+
+def golden_panel(kinds=(B, B, CO, CO), weight_labels=None):
+    return panel_of(golden_doc(kinds, weight_labels))
 
 
 # --- aggregation ---------------------------------------------------------------
@@ -80,14 +99,10 @@ def test_aggregation_named_cells():
 
 
 def test_aggregation_single_rater_is_identity():
-    panel = RatingPanel(
-        decision_makers=("solo",),
-        alternatives=("A1",),
-        criteria=(CriterionSpec("C-1"),),
-        ratings={"solo": {"A1": {"C-1": "H"}}},
-        weight_labels={"solo": {"C-1": "VH"}},
+    doc = panel_doc(
+        ["solo"], ["A1"], [("C-1", B)], {"solo": {"A1": {"C-1": "H"}}}, {"solo": {"C-1": "VH"}}
     )
-    agg = aggregate_ratings(panel, default_scale())
+    agg = aggregate_ratings(panel_of(doc), default_scale())
     assert agg.cells[0][0] == TFN(5, 7, 9)
     assert agg.weights.tolist() == [[7, 9, 9]]
 
@@ -101,29 +116,9 @@ def test_aggregation_weights_pool_like_cells():
 def test_aggregation_rater_permutation_invariant():
     scale = default_scale()
     base = aggregate_ratings(golden_panel(), scale)
-    panel = golden_panel()
-    shuffled = RatingPanel(
-        decision_makers=tuple(reversed(panel.decision_makers)),
-        alternatives=panel.alternatives,
-        criteria=panel.criteria,
-        ratings=panel.ratings,
-        weight_labels=panel.weight_labels,
-    )
-    assert aggregate_ratings(shuffled, scale).cells == base.cells
-
-
-def test_panel_validation():
-    with pytest.raises(ValueError, match="at least one decision maker"):
-        RatingPanel((), ("A1",), (CriterionSpec("C-1"),), {}, {})
-    with pytest.raises(ValueError, match="no rating grid"):
-        RatingPanel(
-            ("dm1",), ("A1",), (CriterionSpec("C-1"),), {}, {"dm1": {"C-1": "H"}}
-        )
-    with pytest.raises(ValueError, match="does not cover the criteria"):
-        RatingPanel(
-            ("dm1",), ("A1",), (CriterionSpec("C-1"),),
-            {"dm1": {"A1": {"C-9": "H"}}}, {"dm1": {"C-1": "H"}},
-        )
+    doc = golden_doc()
+    doc["panel"]["decision_makers"].reverse()
+    assert aggregate_ratings(panel_of(doc), scale).cells == base.cells
 
 
 @given(
@@ -369,36 +364,40 @@ LABELS = ("VL", "L", "AV", "H", "VH")
 
 
 @st.composite
-def panels(draw):
+def panel_docs(draw):
+    """Scenario documents with a random panel of up to 5 actions, 4 criteria
+    and 4 raters."""
     m, n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     kinds = draw(st.lists(st.sampled_from([B, CO]), min_size=n, max_size=n))
     label = st.sampled_from(LABELS)
-    raters = tuple(f"dm{r}" for r in range(k))
-    alts = tuple(f"A{i}" for i in range(m))
-    criteria = tuple(CriterionSpec(f"C{j}", kind=kinds[j]) for j in range(n))
-    return RatingPanel(
-        decision_makers=raters,
-        alternatives=alts,
-        criteria=criteria,
-        ratings={r: {a: {c.id: draw(label) for c in criteria} for a in alts} for r in raters},
-        weight_labels={r: {c.id: draw(label) for c in criteria} for r in raters},
+    raters = [f"dm{r}" for r in range(k)]
+    alts = [f"A{i}" for i in range(m)]
+    crits = [f"C{j}" for j in range(n)]
+    return panel_doc(
+        raters,
+        alts,
+        zip(crits, kinds),
+        {r: {a: {c: draw(label) for c in crits} for a in alts} for r in raters},
+        {r: {c: draw(label) for c in crits} for r in raters},
     )
 
 
-def oracle_fuzzy(panel, scale):
-    """Straight-line transcription of the pipeline on plain tuples:
-    (min a, mean b, max c) pooling, linear-scale normalization, componentwise
-    weighting, vertex distances to the crisp ideals. Returns action ->
-    (d_plus, d_minus, cost)."""
+def oracle_fuzzy(doc, scale):
+    """Straight-line transcription of the pipeline on plain tuples, read off
+    the scenario document: (min a, mean b, max c) pooling, linear-scale
+    normalization, componentwise weighting, vertex distances to the crisp
+    ideals. Returns action -> (d_plus, d_minus, cost)."""
     def pool(tfns):
         return (min(t.a for t in tfns), sum(t.b for t in tfns) / len(tfns), max(t.c for t in tfns))
 
-    dms = panel.decision_makers
-    weights = [pool([scale[panel.weight_labels[d][c.id]] for d in dms]) for c in panel.criteria]
+    panel = doc["panel"]
+    dms, ratings = panel["decision_makers"], panel["ratings"]
     cols = []
-    for c, w in zip(panel.criteria, weights):
-        col = [pool([scale[panel.ratings[d][a][c.id]] for d in dms]) for a in panel.alternatives]
-        if c.kind is B:
+    for c in doc["criteria"]:
+        cid = c["id"]
+        w = pool([scale[panel["weights"][d][cid]] for d in dms])
+        col = [pool([scale[ratings[d][a][cid]] for d in dms]) for a in doc["actions"]]
+        if c["kind"] == B.value:
             top = max(t[2] for t in col)
             col = [(t[0] / top, t[1] / top, t[2] / top) for t in col]
         else:
@@ -411,7 +410,7 @@ def oracle_fuzzy(panel, scale):
             for t in col
         ])
     out = {}
-    for i, a in enumerate(panel.alternatives):
+    for i, a in enumerate(doc["actions"]):
         dp = sum(col[i][0] for col in cols)
         dm_ = sum(col[i][1] for col in cols)
         out[a] = (dp, dm_, 0.5 if dp + dm_ == 0 else dm_ / (dp + dm_))
@@ -434,10 +433,10 @@ def assert_same_ranking(got, want, fields=("d_plus", "d_minus", "cost", "benefit
                 assert by_action[x.action].rank < by_action[y.action].rank
 
 
-@given(panels())
-def test_rank_panel_matches_oracle(panel):
-    res = rank_panel(panel, default_scale())
-    expected = oracle_fuzzy(panel, default_scale())
+@given(panel_docs())
+def test_rank_panel_matches_oracle(doc):
+    res = rank_panel(panel_of(doc), default_scale())
+    expected = oracle_fuzzy(doc, default_scale())
     for e in res.entries:
         dp, dm_, cost = expected[e.action]
         assert e.d_plus == pytest.approx(dp, rel=1e-12, abs=1e-12)
@@ -445,50 +444,64 @@ def test_rank_panel_matches_oracle(panel):
         assert e.cost == pytest.approx(cost, rel=1e-12, abs=1e-12)
 
 
-@given(panels(), st.randoms(use_true_random=False))
-def test_rank_panel_permuting_alternatives_permutes_results(panel, rnd):
-    alts = list(panel.alternatives)
+@given(panel_docs(), st.randoms(use_true_random=False))
+def test_rank_panel_permuting_alternatives_permutes_results(doc, rnd):
+    alts = list(doc["actions"])
     rnd.shuffle(alts)
-    shuffled = RatingPanel(
-        panel.decision_makers, tuple(alts), panel.criteria, panel.ratings, panel.weight_labels
-    )
-    got, want = rank_panel(shuffled, default_scale()), rank_panel(panel, default_scale())
+    got = rank_panel(panel_of({**doc, "actions": alts}), default_scale())
+    want = rank_panel(panel_of(doc), default_scale())
     assert [e.action for e in got.entries] == alts
     assert_same_ranking(got, want)
     assert {e.action: e.rank for e in got.entries} == {e.action: e.rank for e in want.entries}
 
 
-@given(panels(), st.randoms(use_true_random=False))
-def test_rank_panel_permuting_criteria_keeps_results(panel, rnd):
-    crits = list(panel.criteria)
+@given(panel_docs(), st.randoms(use_true_random=False))
+def test_rank_panel_permuting_criteria_keeps_results(doc, rnd):
+    """Shuffles the criteria list and reverses the key order of every rating
+    and weight row."""
+    crits = list(doc["criteria"])
     rnd.shuffle(crits)
-    shuffled = RatingPanel(
-        panel.decision_makers, panel.alternatives, tuple(crits), panel.ratings, panel.weight_labels
-    )
+    p = doc["panel"]
+    shuffled = panel_of({
+        **doc,
+        "criteria": crits,
+        "panel": {
+            "decision_makers": p["decision_makers"],
+            "ratings": {
+                d: {a: dict(reversed(row.items())) for a, row in grid.items()}
+                for d, grid in p["ratings"].items()
+            },
+            "weights": {d: dict(reversed(row.items())) for d, row in p["weights"].items()},
+        },
+    })
+    panel = panel_of(doc)
     agg = aggregate_ratings(panel, default_scale())
     agg_shuffled = aggregate_ratings(shuffled, default_scale())
-    order = [panel.criteria.index(c) for c in crits]
+    order = [doc["criteria"].index(c) for c in crits]
     np.testing.assert_array_equal(agg_shuffled.values, agg.values[:, order])
     np.testing.assert_array_equal(agg_shuffled.weights, agg.weights[order])
     assert_same_ranking(rank_panel(shuffled, default_scale()), rank_panel(panel, default_scale()))
 
 
-@given(panels())
-def test_rank_panel_duplicating_every_rater_keeps_results(panel):
-    twins = {f"{dm}'": dm for dm in panel.decision_makers}
-    doubled = RatingPanel(
-        panel.decision_makers + tuple(twins),
-        panel.alternatives,
-        panel.criteria,
-        {**panel.ratings, **{t: panel.ratings[dm] for t, dm in twins.items()}},
-        {**panel.weight_labels, **{t: panel.weight_labels[dm] for t, dm in twins.items()}},
-    )
-    assert_same_ranking(rank_panel(doubled, default_scale()), rank_panel(panel, default_scale()))
+@given(panel_docs())
+def test_rank_panel_duplicating_every_rater_keeps_results(doc):
+    p = doc["panel"]
+    twins = {f"{dm}'": dm for dm in p["decision_makers"]}
+    doubled = panel_of({
+        **doc,
+        "panel": {
+            "decision_makers": p["decision_makers"] + list(twins),
+            "ratings": {**p["ratings"], **{t: p["ratings"][dm] for t, dm in twins.items()}},
+            "weights": {**p["weights"], **{t: p["weights"][dm] for t, dm in twins.items()}},
+        },
+    })
+    want = rank_panel(panel_of(doc), default_scale())
+    assert_same_ranking(rank_panel(doubled, default_scale()), want)
 
 
-@given(panels(), st.floats(1e-3, 1e3))
-def test_scaling_every_fuzzy_weight_keeps_closeness(panel, k):
-    agg = aggregate_ratings(panel, default_scale())
+@given(panel_docs(), st.floats(1e-3, 1e3))
+def test_scaling_every_fuzzy_weight_keeps_closeness(doc, k):
+    agg = aggregate_ratings(panel_of(doc), default_scale())
     normed = normalize_fuzzy(agg)
     got = rank_fuzzy(apply_weights(normed, agg.weights * k))
     want = rank_fuzzy(apply_weights(normed))

@@ -1,15 +1,16 @@
 import json
 
-import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fuzrank.classic import CriterionKind
 from fuzrank.fuzzy import aggregate_ratings
+from fuzrank.graph import export_dot
 from fuzrank.scenario import (
     ScenarioError,
     asset_profiles,
     bundled_scenario_path,
-    bundled_schema_path,
     load_scenario,
     parse_scenario,
     resolve_vulnerability_records,
@@ -54,12 +55,6 @@ def test_bundled_scenario_panel_aggregates_to_pooled_matrix():
             cell = agg.cells[i][j]
             assert (cell.a, cell.c) == (a, c)
             assert cell.b == pytest.approx(b, abs=1e-9)
-
-
-def test_bundled_scenario_conforms_to_json_schema():
-    schema = json.loads(bundled_schema_path().read_text())
-    document = json.loads(bundled_scenario_path().read_text())
-    jsonschema.validate(document, schema)
 
 
 def test_bundled_graph_has_six_final_boxes_and_ran_target():
@@ -124,6 +119,36 @@ def test_rating_with_unknown_label():
     )
     errs = errors_of(text)
     assert any("label 'HUGE' not in the scale (VL, L, AV, H, VH)" in e for e in errs)
+
+
+@pytest.mark.parametrize(
+    "panel, expected",
+    [
+        (
+            {"decision_makers": [], "ratings": {}, "weights": {}},
+            ["$.panel.decision_makers: expected a nonempty list of rater names"],
+        ),
+        (
+            {"decision_makers": ["dm1"], "ratings": {}, "weights": {"dm1": {"C-1": "H"}}},
+            ["$.panel.ratings.dm1: missing rating grid for decision maker 'dm1'"],
+        ),
+        (
+            {
+                "decision_makers": ["dm1"],
+                "ratings": {"dm1": {"A1": {"C-9": "H"}}},
+                "weights": {"dm1": {"C-1": "H"}},
+            },
+            [
+                "$.panel.ratings.dm1.A1.C-9: unknown criterion 'C-9'",
+                "$.panel.ratings.dm1.A1: missing rating for criterion 'C-1'",
+            ],
+        ),
+    ],
+    ids=["no-raters", "no-grid", "row-misses-criterion"],
+)
+def test_panel_coverage_errors(panel, expected):
+    text = minimal(criteria=[{"id": "C-1"}], actions=["A1"], panel=panel)
+    assert errors_of(text) == expected
 
 
 def test_scale_override_applies_to_labels():
@@ -327,3 +352,46 @@ def test_roundtrip_with_override_scale_and_extras():
     second = parse_scenario(json.dumps(scenario_to_dict(first)), strict=True)
     assert second == first
     assert second.criteria[0].kind is CriterionKind.COST
+
+
+# --- fuzzing ---------------------------------------------------------------------
+
+def _locations(node, path=()):
+    """Every value in a JSON document, as the key path that reaches it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _locations(child, path + (key,))
+
+
+BUNDLED = json.loads(bundled_scenario_path().read_text())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(list(_locations(BUNDLED))), JSON_VALUES)
+def test_one_replaced_value_is_parsed_or_rejected(location, value):
+    """Replace one value or subtree of the bundled scenario with any JSON
+    value: the parser accepts the result or raises ScenarioError, and an
+    accepted scenario exports to DOT and serializes to a document that
+    parses back to it."""
+    doc = json.loads(json.dumps(BUNDLED))
+    if location:
+        parent = doc
+        for key in location[:-1]:
+            parent = parent[key]
+        parent[location[-1]] = value
+    else:
+        doc = value
+    try:
+        scenario = parse_scenario(json.dumps(doc))
+    except ScenarioError:
+        return
+    if scenario.graph is not None:
+        export_dot(scenario.graph)
+    assert parse_scenario(json.dumps(scenario_to_dict(scenario))) == scenario
