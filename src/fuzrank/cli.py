@@ -39,7 +39,7 @@ from .scenario import (
     ScenarioError,
     ScenarioFile,
     asset_profiles,
-    load_scenario,
+    parse_scenario,
     resolve_vulnerability_records,
 )
 from .veability import veability_score
@@ -62,7 +62,11 @@ def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, str]:
         raise CliError(f"file not found: {path}")
     data = p.read_bytes()
     try:
-        scenario = load_scenario(p, strict=strict)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScenarioError([f"$: not UTF-8 text: {exc}"]) from None
+        scenario = parse_scenario(text, strict=strict)
     except ScenarioError as exc:
         raise CliError(
             "scenario validation failed:\n" + "\n".join(f"  {e}" for e in exc.errors)

@@ -11,7 +11,13 @@ bitmasks (bit i is node ``sorted(graph.nodes)[i]``; k is a subset of m iff
 ``k & ~m == 0``). An OR node unites its predecessors' families, an AND node
 joins them pairwise with ``|``, and after every merge only the
 inclusion-minimal masks are kept (absorption), so each node's family is an
-antichain and no global superset prune is needed.
+antichain and no global superset prune is needed. Distinct masks of one
+popcount already form an antichain, so a merged family of one popcount is
+kept as it is, without a subset test.
+
+Bit order is sorted-id order, and ``_linearize`` depends on it: among the
+ready nodes of a set it takes the smallest bit index, which is the smallest
+id, so each path is the set's smallest-id-first topological order.
 """
 
 from __future__ import annotations
@@ -236,7 +242,10 @@ def enumerate_paths(
     sequences sorted lexicographically.
     """
     ids, masks = _minimal_masks(graph, goal, cap)
-    return sorted(_linearize(graph, _decode(ids, m)) for m in masks)
+    index = {nid: i for i, nid in enumerate(ids)}
+    pred_masks = [sum(1 << index[p] for p in graph._preds[nid]) for nid in ids]
+    succ_bits = [[index[s] for s in graph._succs[nid]] for nid in ids]
+    return sorted(_linearize(ids, pred_masks, succ_bits, m) for m in masks)
 
 
 def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], list[int]]:
@@ -251,7 +260,7 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
         if nid in families:
             stack.pop()
             continue
-        preds = graph.predecessors(nid)
+        preds = graph._preds[nid]
         pending = [p for p in preds if p not in families]
         if pending:
             stack.extend(reversed(pending))
@@ -263,7 +272,8 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
             families[nid] = [own]
         elif kind is NodeKind.PRIVILEGE:
             candidates = {m | own for p in preds for m in families[p]}
-            _check_cap(candidates, nid, cap)
+            if len(candidates) > cap:
+                raise _explosion(nid, cap)
             families[nid] = _minimal(candidates)
         else:  # AND: ATTACK_STEP and FINAL_STEP
             combos = families[preds[0]]
@@ -271,62 +281,89 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
                 branch = families[p]
                 candidates = set()
                 for c in combos:
-                    candidates.update(c | m for m in branch)
-                    _check_cap(candidates, nid, cap)
+                    candidates.update(map(c.__or__, branch))
+                    if len(candidates) > cap:
+                        raise _explosion(nid, cap)
                 combos = _minimal(candidates)
             # own is no ancestor of itself in a DAG, so this stays an antichain
             families[nid] = [c | own for c in combos]
     return ids, families[goal]
 
 
-def _check_cap(candidates: set[int], node_id: str, cap: int) -> None:
-    if len(candidates) > cap:
-        raise PathExplosionError(
-            f"more than {cap} candidate paths while expanding {node_id!r}; "
-            "raise the cap to enumerate anyway"
-        )
+def _explosion(node_id: str, cap: int) -> PathExplosionError:
+    return PathExplosionError(
+        f"more than {cap} candidate paths while expanding {node_id!r}; "
+        "raise the cap to enumerate anyway"
+    )
 
 
 def _minimal(masks: Iterable[int]) -> list[int]:
     """Inclusion-minimal masks of a deduplicated family.
 
-    Distinct masks of equal popcount are never subsets of one another, so each
+    Distinct masks of equal popcount are never subsets of one another, so a
+    family of one popcount is returned as it is (sorted), and otherwise each
     mask is tested only against kept masks of strictly smaller popcount.
     """
+    ordered = sorted(masks, key=int.bit_count)
+    if not ordered or ordered[0].bit_count() == ordered[-1].bit_count():
+        return ordered
     smaller: list[int] = []
     level: list[int] = []
-    size = -1
-    for m in sorted(masks, key=int.bit_count):
+    size = ordered[0].bit_count()
+    for m in ordered:
         if m.bit_count() != size:
             smaller += level
             level = []
             size = m.bit_count()
         outside = ~m
-        if all(k & outside for k in smaller):
+        for k in smaller:
+            if not k & outside:  # k is a subset of m
+                break
+        else:
             level.append(m)
-    return smaller + level
+    smaller += level
+    return smaller
 
 
 def _decode(ids: Sequence[str], mask: int) -> frozenset[str]:
-    return frozenset(nid for i, nid in enumerate(ids) if mask >> i & 1)
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(ids[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(nodes)
 
 
-def _linearize(graph: AttackGraph, node_set: frozenset[str]) -> tuple[str, ...]:
-    """Topological order of node_set, smallest id first among ready nodes."""
-    indeg = {
-        nid: sum(1 for p in graph.predecessors(nid) if p in node_set) for nid in node_set
-    }
-    ready = [nid for nid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
+def _linearize(
+    ids: Sequence[str], pred_masks: Sequence[int], succ_bits: Sequence[Sequence[int]], mask: int
+) -> tuple[str, ...]:
+    """Topological order of the nodes in `mask`, smallest id first among ready nodes.
+
+    Bit order is sorted-id order, so the smallest ready bit index is the
+    smallest ready id. `pred_masks[i]` holds the bits of node i's
+    predecessors and `succ_bits[i]` the bit indices of its successors.
+    """
+    indeg: dict[int, int] = {}
+    ready: list[int] = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        rest ^= low
+        d = (pred_masks[i] & mask).bit_count()
+        if d:
+            indeg[i] = d
+        else:
+            ready.append(i)  # ascending, so already a heap
     order: list[str] = []
     while ready:
-        nid = heapq.heappop(ready)
-        order.append(nid)
-        for nxt in graph.successors(nid):
-            if nxt in node_set:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    heapq.heappush(ready, nxt)
+        i = heapq.heappop(ready)
+        order.append(ids[i])
+        for j in succ_bits[i]:
+            if j in indeg:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heapq.heappush(ready, j)
     return tuple(order)
 
 

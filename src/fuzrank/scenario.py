@@ -293,7 +293,9 @@ def _parse_schemes(col: _Collector, raw: Any) -> tuple[AttackScheme, ...]:
     schemes = dict(PREDEFINED_SCHEMES)
     if raw is None:
         return tuple(schemes.values())
-    for path, item, code in _objects(col, raw, "schemes", "scheme", _SCHEME_KEYS, key="code"):
+    for path, item, code in _objects(
+        col, raw, "schemes", "scheme", _SCHEME_KEYS, key="code", duplicate="scheme code"
+    ):
         if code in PREDEFINED_SCHEMES:
             col.warn(f"{path}.code", f"scheme {code!r} is predefined; declaration ignored")
             continue

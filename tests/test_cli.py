@@ -212,6 +212,15 @@ def test_mistyped_field_exit_one(runner, tmp_path, command, doc, message):
     assert f"  {message}\n" in result.output
 
 
+def test_validate_non_utf8_file_exit_one(runner, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"title": "\xff\xfe"}')
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "scenario validation failed:\n  $: not UTF-8 text: " in result.output
+
+
 def test_rank_invalid_scenario_lists_paths(runner, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{}")

@@ -14,6 +14,7 @@ from fuzrank.graph import (
     PathExplosionError,
     PREDEFINED_SCHEMES,
     UnknownNodeError,
+    _minimal,
     build_graph,
     enumerate_paths,
     export_dot,
@@ -222,6 +223,21 @@ def test_paths_deterministic_under_insertion_order():
     assert enumerate_paths(g1, "priv") == enumerate_paths(g2, "priv")
 
 
+def test_paths_follow_each_sets_own_topological_order():
+    # In the whole graph u also waits for the step w, so the whole graph's
+    # smallest-id-first order puts v before u. In the set {a, u, v, goal}
+    # both are ready once a is placed, so u (the smaller id) comes first.
+    g = build_graph(
+        [n("a", C), n("x", C), n("w", S), n("u", P), n("v", P), n("goal", F)],
+        [("x", "w"), ("a", "u"), ("w", "u"), ("a", "v"), ("x", "v"),
+         ("u", "goal"), ("v", "goal")],
+    )
+    assert enumerate_paths(g, "goal") == [
+        ("a", "u", "v", "goal"),
+        ("x", "v", "w", "u", "goal"),
+    ]
+
+
 def test_path_cap_enforced():
     # 8 parallel OR alternatives but cap 3
     nodes = [n(f"c{i}", C) for i in range(8)] + [n(f"s{i}", S) for i in range(8)] + [n("priv", P)]
@@ -313,6 +329,31 @@ def test_enumeration_matches_bruteforce_oracle_randomized():
                 elif node.kind is not C:
                     assert all(p in seen for p in preds)
                 seen.add(nid)
+
+
+def oracle_minimal(family):
+    return {m for m in family if not any(k != m and k & ~m == 0 for k in family)}
+
+
+def _masks_of_popcount(k, bits=12):
+    bit_sets = st.frozensets(st.integers(0, bits - 1), min_size=k, max_size=k)
+    return st.sets(bit_sets, max_size=40).map(lambda sets: {sum(1 << i for i in s) for s in sets})
+
+
+_families = st.one_of(
+    st.sets(st.integers(0, 2**12 - 1), max_size=60),  # mixed popcounts
+    st.sets(st.integers(0, 2**5 - 1), max_size=32),  # small universe: heavy absorption
+    st.integers(0, 12).flatmap(_masks_of_popcount),  # one popcount: an antichain as drawn
+    st.just(set()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families)
+def test_minimal_matches_antichain_oracle(family):
+    got = _minimal(family)
+    assert len(got) == len(set(got))
+    assert set(got) == oracle_minimal(family)
 
 
 # --- DOT export ---------------------------------------------------------------

@@ -185,6 +185,11 @@ def test_graph_errors_carry_graph_path():
     assert any(e.startswith("$.graph:") and "unknown destination node" in e for e in errs)
 
 
+def test_repeated_scheme_code_rejected_even_lax():
+    text = minimal(schemes=[{"code": "X", "description": "a"}, {"code": "X", "description": "b"}])
+    assert errors_of(text) == ["$.schemes[1].code: duplicate scheme code 'X'"]
+
+
 def test_criterion_layer_is_checked_but_changes_nothing():
     layered = parse_scenario(minimal(criteria=[{"id": "C-1", "layer": "indicator"}]), strict=True)
     plain = parse_scenario(minimal(criteria=[{"id": "C-1"}]), strict=True)
