@@ -72,14 +72,6 @@ class PairwiseMatrix:
     def n(self) -> int:
         return self.cells.shape[0]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairwiseMatrix):
-            return NotImplemented
-        return np.array_equal(self.cells, other.cells)
-
-    def __repr__(self) -> str:
-        return f"PairwiseMatrix(n={self.n})"
-
 
 class DecisionMatrix:
     """Alternatives x criteria table of nonnegative scores."""
@@ -106,15 +98,6 @@ class DecisionMatrix:
     def shape(self) -> tuple[int, int]:
         return self.cells.shape
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DecisionMatrix):
-            return NotImplemented
-        return (
-            self.alternatives == other.alternatives
-            and self.criteria == other.criteria
-            and np.array_equal(self.cells, other.cells)
-        )
-
 
 @dataclass(frozen=True)
 class ActionRanking:
@@ -135,12 +118,6 @@ class RankingResult:
 
     def by_rank(self) -> list[ActionRanking]:
         return sorted(self.entries, key=lambda e: e.rank)
-
-    def entry(self, action: str) -> ActionRanking:
-        for e in self.entries:
-            if e.action == action:
-                return e
-        raise KeyError(action)
 
     @property
     def minimum_effort_action(self) -> str:
@@ -164,10 +141,20 @@ def rank_by_closeness(
 
     An alternative at zero distance from both ideals gets 0.5 for both shares,
     with one warning naming every such alternative. Ties in cost are broken
-    by action id.
+    by action id. A distance, or a sum of the two, that is not a finite
+    number (an overflow past the float range) raises ValueError.
     """
     definition, orientation, cost_is_d_plus = _COST_COLUMNS[engine]
-    total = d_plus + d_minus
+    with np.errstate(over="ignore"):
+        total = d_plus + d_minus
+    # the distances are nonnegative, so an inf or nan in either shows in the sum
+    overflow = ~np.isfinite(total)
+    if overflow.any():
+        names = ", ".join(repr(alternatives[i]) for i in np.flatnonzero(overflow))
+        raise ValueError(
+            f"{engine} ranking: the distances of {names} to the ideals, or "
+            "their sum, overflow the float range"
+        )
     degenerate = total == 0.0
     if degenerate.any():
         names = ", ".join(repr(alternatives[i]) for i in np.flatnonzero(degenerate))
@@ -220,11 +207,10 @@ def principal_eigen(matrix: PairwiseMatrix) -> tuple[float, np.ndarray]:
     return lambda_max, w
 
 
-def consistency_ratio(matrix: PairwiseMatrix, lambda_max: Optional[float] = None) -> float:
-    """Saaty consistency ratio CR = CI / RI; 0 for n <= 2."""
+def consistency_ratio(matrix: PairwiseMatrix, lambda_max: float) -> float:
+    """Saaty consistency ratio CR = CI / RI of a matrix whose principal
+    eigenvalue is `lambda_max`; 0 for n <= 2."""
     n = matrix.n
-    if lambda_max is None:
-        lambda_max, _ = principal_eigen(matrix)
     ri = _RANDOM_INDEX.get(n, 1.49)
     if ri == 0.0:
         return 0.0
@@ -273,7 +259,7 @@ def rank_classic(matrix: DecisionMatrix, weights: Sequence[float]) -> RankingRes
     if np.any(w < 0):
         raise ValueError("criterion weights must be nonnegative")
     if not np.isclose(w.sum(), 1.0, atol=1e-9):
-        raise ValueError(f"criterion weights must sum to 1, got {w.sum()!r}")
+        raise ValueError(f"criterion weights must sum to 1, got {float(w.sum())!r}")
 
     weighted = DecisionMatrix(
         matrix.alternatives, matrix.criteria, normalize(matrix).cells * w

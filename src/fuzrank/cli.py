@@ -139,6 +139,11 @@ def _classic_inputs(
                 raw.append(scenario.scale[spec.weight].b)
             else:
                 raw.append(float(spec.weight))
+        # scaled by the largest weight first, so weights near the float
+        # maximum do not overflow the sum
+        top = max(raw)
+        if top > 0:
+            raw = [w / top for w in raw]
         total = sum(raw)
         if total <= 0:
             raise CliError("criterion weights sum to zero; cannot weight the classic engine")

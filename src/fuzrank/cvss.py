@@ -58,10 +58,6 @@ class CvssVector:
                     f"allowed: {'/'.join(_ALLOWED[metric])}"
                 )
 
-    def to_string(self) -> str:
-        parts = [f"{m}:{getattr(self, m.lower())}" for m in BASE_METRICS]
-        return "CVSS:3.1/" + "/".join(parts)
-
 
 def parse_vector(text: str) -> CvssVector:
     """Parse a 'CVSS:3.1/AV:../..' vector string with all eight base metrics."""

@@ -13,7 +13,9 @@ the codes up in a (labels, 3) table built from the scale, so every later
 stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
 (m, n, 3), the last axis holding each cell's (a, b, c), and whose fuzzy
 weights have shape (n, 3). `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view
-of the same values, built on first use.
+of the same values, built on first use. It stays only because the
+benchmark's in-process step (`perfbench/workloads.py`) reads the pooled peaks
+through it, until ROADMAP item 3 switches that step to `values[..., 1]`.
 
 The distances end in `classic.rank_by_closeness`, the closeness-and-ranking
 skeleton both engines share; `classic` states the two cost orientations.
@@ -24,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .classic import CriterionKind, CriterionSpec, RankingResult, rank_by_closeness
-from .tfn import TFN, LinguisticScale, TriangularFuzzyNumber
+from .tfn import TFN
 
 
 def _check_ordered(t: np.ndarray) -> None:
@@ -65,7 +67,7 @@ class FuzzyDecisionMatrix:
             object.__setattr__(self, "weights", weights)
 
     @cached_property
-    def cells(self) -> tuple[tuple[TriangularFuzzyNumber, ...], ...]:
+    def cells(self) -> tuple[tuple[TFN, ...], ...]:
         """The values as TFNs, [alternative][criterion]."""
         return tuple(tuple(TFN(*abc) for abc in row) for row in self.values.tolist())
 
@@ -85,23 +87,8 @@ class RatingPanel:
     rating_codes: np.ndarray  # (k, m, n)
     weight_codes: np.ndarray  # (k, n)
 
-    def label_grids(self) -> tuple[list, list]:
-        """The labels the codes stand for: ratings as [rater][alternative][criterion]
-        and weights as [rater][criterion] nested lists."""
-        names = np.array(self.labels, dtype=object)
-        return names[self.rating_codes].tolist(), names[self.weight_codes].tolist()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatingPanel):
-            return NotImplemented
-        return (
-            (self.decision_makers, self.alternatives, self.criteria)
-            == (other.decision_makers, other.alternatives, other.criteria)
-            and self.label_grids() == other.label_grids()
-        )
-
-
-def aggregate_ratings(panel: RatingPanel, scale: LinguisticScale) -> FuzzyDecisionMatrix:
+def aggregate_ratings(panel: RatingPanel, scale: Mapping[str, TFN]) -> FuzzyDecisionMatrix:
     """Pool the raters: per cell take (min a, mean b, max c) across raters,
     and aggregate each criterion's weight labels the same way.
 
@@ -155,18 +142,12 @@ def normalize_fuzzy(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
     return FuzzyDecisionMatrix(matrix.alternatives, matrix.criteria, out, matrix.weights)
 
 
-def apply_weights(matrix: FuzzyDecisionMatrix, weights=None) -> FuzzyDecisionMatrix:
-    """Multiply each column by its criterion weight (componentwise TFN product).
-
-    `weights` is one (a, b, c) triple per criterion; by default the matrix's
-    own pooled weights.
-    """
-    w = matrix.weights if weights is None else np.asarray(weights, dtype=float)
+def apply_weights(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
+    """Multiply each column by the matrix's own criterion weight, the pooled
+    one after `aggregate_ratings` (componentwise TFN product)."""
+    w = matrix.weights
     if w is None:
-        raise ValueError("no weights supplied and the matrix carries none")
-    n = len(matrix.criteria)
-    if w.shape != (n, 3):
-        raise ValueError(f"expected {n} weights as (a, b, c) triples, got shape {w.shape}")
+        raise ValueError("the matrix carries no criterion weights")
     negative = w[:, 0] < 0
     if negative.any():
         j = int(np.argmax(negative))
@@ -200,9 +181,11 @@ def rank_fuzzy(weighted: FuzzyDecisionMatrix) -> RankingResult:
 
     d_plus / d_minus accumulate the per-criterion vertex distances to the
     ideal / anti-ideal as plain sums. Rank 1 goes to the highest cost value
-    (the closeness coefficient), ties broken by action id.
+    (the closeness coefficient), ties broken by action id. A distance that
+    overflows to inf is left to `rank_by_closeness`, which rejects it.
     """
     fpis, fnis = fuzzy_ideals(weighted)
-    d_plus = _vertex_distance(weighted.values, fpis).sum(axis=1)
-    d_minus = _vertex_distance(weighted.values, fnis).sum(axis=1)
+    with np.errstate(over="ignore"):
+        d_plus = _vertex_distance(weighted.values, fpis).sum(axis=1)
+        d_minus = _vertex_distance(weighted.values, fnis).sum(axis=1)
     return rank_by_closeness("fuzzy", weighted.alternatives, d_plus, d_minus)

@@ -100,10 +100,6 @@ class AttackGraph:
         self._check(node_id)
         return self._preds[node_id]
 
-    def successors(self, node_id: str) -> tuple[str, ...]:
-        self._check(node_id)
-        return self._succs[node_id]
-
     def _check(self, node_id: str) -> None:
         if node_id not in self.nodes:
             raise UnknownNodeError(f"unknown node id {node_id!r}")
@@ -371,9 +367,10 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(graph: AttackGraph, name: str = "attack_graph") -> str:
-    """Graphviz DOT text: circles for steps/configurations, diamonds for privileges, boxes for final exploits."""
-    lines = [f"digraph {_dot_quote(name)} {{"]
+def export_dot(graph: AttackGraph) -> str:
+    """Graphviz DOT text of a digraph named "attack_graph": circles for
+    steps/configurations, diamonds for privileges, boxes for final exploits."""
+    lines = ['digraph "attack_graph" {']
     for nid in sorted(graph.nodes):
         node = graph.nodes[nid]
         label = node.label or nid

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence
@@ -42,7 +41,7 @@ from .graph import (
     PREDEFINED_SCHEMES,
     build_graph,
 )
-from .tfn import TFN, LinguisticScale, default_scale
+from .tfn import TFN, default_scale
 from .veability import AssetProfile, VulnerabilityRecord
 
 SCHEMA_VERSION = "1"
@@ -92,11 +91,11 @@ class ScenarioAsset:
     cves: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioFile:
     schema_version: str
     title: Optional[str] = None
-    scale: LinguisticScale = field(default_factory=default_scale)
+    scale: dict[str, TFN] = field(default_factory=default_scale)
     schemes: tuple[AttackScheme, ...] = ()
     graph: Optional[AttackGraph] = None
     criteria: tuple[CriterionSpec, ...] = ()
@@ -106,13 +105,7 @@ class ScenarioFile:
     decision_matrix: Optional[DecisionMatrix] = None
     vulnerabilities: tuple[ScenarioVulnerability, ...] = ()
     assets: tuple[ScenarioAsset, ...] = ()
-    warnings: tuple[str, ...] = field(default=(), compare=False)
-
-    def vulnerability(self, cve: str) -> ScenarioVulnerability:
-        for v in self.vulnerabilities:
-            if v.cve == cve:
-                return v
-        raise KeyError(cve)
+    warnings: tuple[str, ...] = ()
 
 
 class _Collector:
@@ -260,12 +253,7 @@ def load_scenario(path: str | Path, strict: bool = False) -> ScenarioFile:
     return parse_scenario(Path(path).read_text(encoding="utf-8"), strict=strict)
 
 
-def bundled_scenario_path() -> Path:
-    """Filesystem path of the example scenario shipped with the package."""
-    return Path(str(resources.files(__package__) / "data" / "paper_s4.json"))
-
-
-def _parse_scale(col: _Collector, raw: Any) -> LinguisticScale:
+def _parse_scale(col: _Collector, raw: Any) -> dict[str, TFN]:
     if raw is None:
         return default_scale()
     if not _expect(col, "$.scale", raw, dict, "an object of label -> [a, b, c]"):
@@ -286,7 +274,7 @@ def _parse_scale(col: _Collector, raw: Any) -> LinguisticScale:
     if not entries:
         col.error("$.scale", "scale override has no valid entries")
         return default_scale()
-    return LinguisticScale(entries)
+    return entries
 
 
 def _parse_schemes(col: _Collector, raw: Any) -> tuple[AttackScheme, ...]:
@@ -308,7 +296,7 @@ def _parse_schemes(col: _Collector, raw: Any) -> tuple[AttackScheme, ...]:
 
 
 def _parse_criteria(
-    col: _Collector, raw: Any, scale: LinguisticScale
+    col: _Collector, raw: Any, scale: Mapping[str, TFN]
 ) -> tuple[CriterionSpec, ...]:
     if raw is None:
         return ()
@@ -335,7 +323,7 @@ def _parse_criteria(
                 if weight not in scale:
                     col.error(
                         f"{path}.weight",
-                        f"label {weight!r} not in the scale ({', '.join(scale.labels)})",
+                        f"label {weight!r} not in the scale ({', '.join(scale)})",
                     )
             elif _number(col, f"{path}.weight", weight, lo=0) is not None:
                 weight = float(weight)
@@ -427,7 +415,7 @@ def _parse_panel(
     raw: Any,
     actions: tuple[str, ...],
     criteria: tuple[CriterionSpec, ...],
-    scale: LinguisticScale,
+    scale: Mapping[str, TFN],
 ) -> Optional[RatingPanel]:
     if raw is None:
         return None
@@ -455,7 +443,7 @@ def _parse_panel(
     raters = tuple(raters_raw)
     crit_ids = tuple(c.id for c in criteria)
     crit_set = set(crit_ids)
-    code_of = {label: i for i, label in enumerate(scale.labels)}.__getitem__
+    code_of = {label: i for i, label in enumerate(scale)}.__getitem__
     pick = itemgetter(*crit_ids) if len(crit_ids) > 1 else lambda row: (row[crit_ids[0]],)
 
     def decode(row: dict, codes: list[int]) -> bool:
@@ -481,7 +469,7 @@ def _parse_panel(
             elif not isinstance(row[cid], str) or row[cid] not in scale:
                 col.error(
                     f"{path}.{cid}",
-                    f"label {row[cid]!r} not in the scale ({', '.join(scale.labels)})",
+                    f"label {row[cid]!r} not in the scale ({', '.join(scale)})",
                 )
 
     ratings_ok = True
@@ -538,7 +526,7 @@ def _parse_panel(
         decision_makers=raters,
         alternatives=actions,
         criteria=criteria,
-        labels=tuple(scale.labels),
+        labels=tuple(scale),
         rating_codes=np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
         weight_codes=np.array(weight_codes, dtype=np.intp).reshape(k, n),
     )
@@ -756,99 +744,6 @@ def _parse_assets(
         if ok:
             out.append(ScenarioAsset(aid, services, total, tuple(cves)))
     return tuple(out)
-
-
-# --- serialization (round-trip support) --------------------------------------
-
-
-def scenario_to_dict(scenario: ScenarioFile) -> dict[str, Any]:
-    """Plain-JSON form of a scenario; parse(serialize(s)) == s."""
-    doc: dict[str, Any] = {"schema_version": scenario.schema_version}
-    if scenario.title is not None:
-        doc["title"] = scenario.title
-    if scenario.scale != default_scale():
-        doc["scale"] = {label: list(t.as_tuple()) for label, t in scenario.scale.items()}
-    extra_schemes = [s for s in scenario.schemes if s.code not in PREDEFINED_SCHEMES]
-    if extra_schemes:
-        doc["schemes"] = [
-            {"code": s.code, "description": s.description} for s in extra_schemes
-        ]
-    if scenario.graph is not None:
-        nodes = []
-        for nid in sorted(scenario.graph.nodes):
-            node = scenario.graph.nodes[nid]
-            entry: dict[str, Any] = {"id": node.id, "kind": node.kind.value}
-            if node.label:
-                entry["label"] = node.label
-            if node.cve is not None:
-                entry["cve"] = node.cve
-            if node.scheme:
-                entry["scheme"] = node.scheme
-            nodes.append(entry)
-        doc["graph"] = {
-            "nodes": nodes,
-            "edges": [list(e) for e in sorted(scenario.graph.edges)],
-            "targets": sorted(scenario.graph.targets),
-        }
-    if scenario.criteria:
-        doc["criteria"] = [
-            {
-                "id": c.id,
-                "kind": c.kind.value,
-                **({"weight": c.weight} if c.weight is not None else {}),
-            }
-            for c in scenario.criteria
-        ]
-    if scenario.actions:
-        doc["actions"] = list(scenario.actions)
-    if scenario.panel is not None:
-        panel = scenario.panel
-        crit_ids = [c.id for c in panel.criteria]
-        raters = panel.decision_makers
-        ratings, weights = panel.label_grids()
-        doc["panel"] = {
-            "decision_makers": list(raters),
-            "ratings": {
-                dm: {a: dict(zip(crit_ids, row)) for a, row in zip(panel.alternatives, grid)}
-                for dm, grid in zip(raters, ratings)
-            },
-            "weights": {dm: dict(zip(crit_ids, row)) for dm, row in zip(raters, weights)},
-        }
-    if scenario.pairwise is not None:
-        doc["pairwise"] = [list(row) for row in scenario.pairwise.cells.tolist()]
-    if scenario.decision_matrix is not None:
-        dm_ = scenario.decision_matrix
-        doc["decision_matrix"] = {
-            action: {c.id: dm_.cells[i][j] for j, c in enumerate(dm_.criteria)}
-            for i, action in enumerate(dm_.alternatives)
-        }
-    if scenario.vulnerabilities:
-        vulns = []
-        for v in scenario.vulnerabilities:
-            entry: dict[str, Any] = {"cve": v.cve}
-            if v.vector is not None:
-                entry["vector"] = v.vector
-            if v.explicit_scores or v.vector is None:
-                entry["impact_score"] = v.impact_score
-                entry["exploitability_score"] = v.exploitability_score
-            entry["temporal_score"] = v.temporal_score
-            if v.atc_cost is not None:
-                entry["atc_cost"] = v.atc_cost
-            if v.action is not None:
-                entry["action"] = v.action
-            vulns.append(entry)
-        doc["vulnerabilities"] = vulns
-    if scenario.assets:
-        doc["assets"] = [
-            {
-                "id": a.asset_id,
-                "services_on_asset": a.services_on_asset,
-                "network_services_total": a.network_services_total,
-                "vulnerabilities": list(a.cves),
-            }
-            for a in scenario.assets
-        ]
-    return doc
 
 
 # --- bridges into the scoring modules -----------------------------------------

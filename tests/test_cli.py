@@ -1,12 +1,14 @@
 import json
-import shutil
+from importlib.resources import files
 
 import pytest
 from click.testing import CliRunner
 
 from fuzrank.cli import main
 from fuzrank.graph import enumerate_paths
-from fuzrank.scenario import bundled_scenario_path, load_scenario
+from fuzrank.scenario import load_scenario
+
+SCENARIO = files("fuzrank") / "data" / "paper_s4.json"
 
 
 @pytest.fixture()
@@ -17,7 +19,7 @@ def runner():
 @pytest.fixture()
 def scenario_file(tmp_path):
     dst = tmp_path / "scenario.json"
-    shutil.copy(bundled_scenario_path(), dst)
+    dst.write_bytes(SCENARIO.read_bytes())
     return dst
 
 
@@ -177,6 +179,57 @@ def test_rank_non_finite_number_exit_one(runner, tmp_path, section, value):
     assert f"{where}: expected a finite number" in result.output
 
 
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+@pytest.mark.parametrize(
+    "kinds", [("benefit",) * 3, ("benefit", "cost")], ids=["3-benefit", "2-mixed"]
+)
+def test_rank_fuzzy_distance_overflow_exit_one(runner, tmp_path, kinds, fmt):
+    # valid finite scale entries whose weighted distances, or their d+ + d-
+    # sum, pass the float maximum
+    crits = [f"C-{j + 1}" for j in range(len(kinds))]
+    doc = {
+        "schema_version": "1",
+        "scale": {"LO": [1, 1, 1], "HI": [1e308, 1e308, 1e308]},
+        "criteria": [{"id": c, "kind": k} for c, k in zip(crits, kinds)],
+        "actions": ["A1", "A2"],
+        "panel": {
+            "decision_makers": ["dm1"],
+            "ratings": {
+                "dm1": {"A1": dict.fromkeys(crits, "HI"), "A2": dict.fromkeys(crits, "LO")}
+            },
+            "weights": {"dm1": dict.fromkeys(crits, "HI")},
+        },
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rank", str(path), "--engine", "fuzzy", "--format", fmt])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith("Error: cannot rank scenario: fuzzy ranking:")
+    assert result.output.count("\n") == 1
+    assert "overflow the float range" in result.output
+    assert "nan" not in result.output and "inf" not in result.output
+
+
+def test_rank_classic_weights_near_float_max(runner, tmp_path):
+    def ranking(weight):
+        doc = {
+            "schema_version": "1",
+            "criteria": [{"id": "C-1", "weight": weight},
+                         {"id": "C-2", "kind": "cost", "weight": weight}],
+            "actions": ["A1", "A2", "A3"],
+            "decision_matrix": {"A1": {"C-1": 3, "C-2": 1}, "A2": {"C-1": 2, "C-2": 2},
+                                "A3": {"C-1": 1, "C-2": 5}},
+        }
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["rank", str(path), "--engine", "classic", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.output)["rankings"]
+
+    assert ranking(1e308) == ranking(1)
+
+
 CHAIN = [{"id": "c", "kind": "configuration"}, {"id": "f", "kind": "final_step"}]
 VULN = {"cve": "C", "impact_score": 5, "exploitability_score": 5, "temporal_score": 5,
         "atc_cost": 0.5}
@@ -303,7 +356,7 @@ def test_graph_exports_six_final_boxes(runner, scenario_file, tmp_path):
 def test_graph_goal_filter_matches_enumeration(runner, scenario_file):
     result = runner.invoke(main, ["graph", str(scenario_file), "--goal", "RAN-control"])
     assert result.exit_code == 0
-    scenario = load_scenario(bundled_scenario_path())
+    scenario = load_scenario(SCENARIO)
     expected = {
         nid for path in enumerate_paths(scenario.graph, "RAN-control") for nid in path
     }

