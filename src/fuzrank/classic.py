@@ -1,5 +1,6 @@
 """Crisp TOPSIS engine: pairwise-comparison weighting via the principal
-eigenvector, vector normalization, and closeness-to-ideal ranking.
+eigenvector (from `numpy.linalg.eig`), vector normalization, and
+closeness-to-ideal ranking.
 
 Both engines end in `rank_by_closeness`, the skeleton shared with the fuzzy
 engine: from each alternative's distances d_plus (to the ideal) and d_minus
@@ -24,9 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-
-EIGEN_TOL = 1e-10
-EIGEN_MAX_ITER = 10_000
 
 #: Saaty random consistency indices by matrix size.
 _RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12,
@@ -178,32 +176,25 @@ def rank_by_closeness(
 
 
 def principal_eigen(matrix: PairwiseMatrix) -> tuple[float, np.ndarray]:
-    """Dominant eigenpair by power iteration: (lambda_max, weights summing to 1).
+    """Principal eigenpair (lambda_max, weights summing to 1) by
+    `numpy.linalg.eig`: the eigenvalue of largest real part, and the absolute
+    real part of its eigenvector, normalized.
 
-    Start vector is the column-sum-normalized row average, the classic
-    pairwise-comparison approximation; Perron-Frobenius guarantees
-    convergence for positive matrices.
+    A positive reciprocal matrix has lambda_max >= n and a positive
+    eigenvector (Perron-Frobenius). Entries near the float range can break
+    both in floating point; such a result raises ConvergenceError.
     """
-    m = matrix.cells
-    col_normed = m / m.sum(axis=0, keepdims=True)
-    w = col_normed.mean(axis=1)
+    n = matrix.n
+    values, vectors = np.linalg.eig(matrix.cells)
+    k = int(np.argmax(values.real))
+    lambda_max = float(values.real[k])
+    w = np.abs(vectors[:, k].real)
     w /= w.sum()
-
-    for _ in range(EIGEN_MAX_ITER):
-        nxt = m @ w
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - w)) < EIGEN_TOL:
-            w = nxt
-            break
-        w = nxt
-    else:
-        residual = float(np.max(np.abs(m @ w - w * ((m @ w) / w).mean())))
+    if not (lambda_max >= n * (1 - 1e-9) and np.all(np.isfinite(w)) and np.all(w > 0)):
         raise ConvergenceError(
-            f"power iteration did not converge in {EIGEN_MAX_ITER} iterations "
-            f"(residual {residual:.3e})"
+            f"pairwise matrix has no positive principal eigenvector in floating "
+            f"point (lambda_max {lambda_max:.6g} for n = {n})"
         )
-
-    lambda_max = float(np.mean((m @ w) / w))
     return lambda_max, w
 
 

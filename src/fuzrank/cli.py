@@ -2,8 +2,9 @@
 validate scenario files.
 
 Exit codes: 0 success, 1 input/validation problem, 2 computation failure
-(eigen non-convergence, path-enumeration explosion). Output files are written
-atomically (temp file + rename) so failures never leave partial files behind.
+(no positive principal eigenvector, path-enumeration explosion). Output
+files are written atomically (temp file + rename) so failures never leave
+partial files behind.
 """
 
 from __future__ import annotations
@@ -60,7 +61,10 @@ def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, str]:
     p = Path(path)
     if not p.is_file():
         raise CliError(f"file not found: {path}")
-    data = p.read_bytes()
+    try:
+        data = p.read_bytes()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}")
     try:
         try:
             text = data.decode("utf-8")

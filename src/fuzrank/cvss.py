@@ -8,7 +8,6 @@ applied to the base score and, for consistent reporting, to both subscores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 BASE_METRICS = ("AV", "AC", "PR", "UI", "S", "C", "I", "A")
@@ -38,29 +37,9 @@ class CvssError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CvssVector:
-    av: str
-    ac: str
-    pr: str
-    ui: str
-    s: str
-    c: str
-    i: str
-    a: str
-
-    def __post_init__(self) -> None:
-        for metric in BASE_METRICS:
-            value = getattr(self, metric.lower())
-            if value not in _ALLOWED[metric]:
-                raise CvssError(
-                    f"illegal value {value!r} for metric {metric}; "
-                    f"allowed: {'/'.join(_ALLOWED[metric])}"
-                )
-
-
-def parse_vector(text: str) -> CvssVector:
-    """Parse a 'CVSS:3.1/AV:../..' vector string with all eight base metrics."""
+def parse_vector(text: str) -> dict[str, str]:
+    """Parse a 'CVSS:3.1/AV:../..' vector string with all eight base metrics
+    into a dict from metric to value, each value checked against its metric."""
     parts = text.strip().split("/")
     if not parts[0].startswith("CVSS:"):
         raise CvssError(f"not a CVSS vector string: {text!r}")
@@ -77,11 +56,15 @@ def parse_vector(text: str) -> CvssVector:
             raise CvssError(f"unknown metric {key!r} in {text!r} (only base metrics accepted)")
         if key in seen:
             raise CvssError(f"metric {key} appears twice in {text!r}")
+        if value not in _ALLOWED[key]:
+            raise CvssError(
+                f"illegal value {value!r} for metric {key}; allowed: {'/'.join(_ALLOWED[key])}"
+            )
         seen[key] = value
     missing = [m for m in BASE_METRICS if m not in seen]
     if missing:
         raise CvssError(f"missing base metric(s) {', '.join(missing)} in {text!r}")
-    return CvssVector(*(seen[m] for m in BASE_METRICS))
+    return seen
 
 
 def roundup(value: float) -> float:
@@ -92,29 +75,28 @@ def roundup(value: float) -> float:
     return (math.floor(scaled / 10_000) + 1) / 10.0
 
 
-def score_cvss(vector: CvssVector | str) -> dict[str, float]:
-    """Base score plus impact and exploitability subscores, each rounded up
-    to one decimal. Zero-or-negative impact yields base score 0."""
-    if isinstance(vector, str):
-        vector = parse_vector(vector)
-
-    iss = 1.0 - (1.0 - _CIA[vector.c]) * (1.0 - _CIA[vector.i]) * (1.0 - _CIA[vector.a])
-    if vector.s == "U":
+def score_cvss(vector: str) -> dict[str, float]:
+    """Base score plus impact and exploitability subscores of a vector
+    string, each rounded up to one decimal. Zero-or-negative impact yields
+    base score 0."""
+    m = parse_vector(vector)
+    iss = 1.0 - (1.0 - _CIA[m["C"]]) * (1.0 - _CIA[m["I"]]) * (1.0 - _CIA[m["A"]])
+    if m["S"] == "U":
         impact = 6.42 * iss
     else:
         impact = 7.52 * (iss - 0.029) - 3.25 * (iss - 0.02) ** 15
 
     exploitability = (
         8.22
-        * _ATTACK_VECTOR[vector.av]
-        * _ATTACK_COMPLEXITY[vector.ac]
-        * _PRIVILEGES[vector.s][vector.pr]
-        * _USER_INTERACTION[vector.ui]
+        * _ATTACK_VECTOR[m["AV"]]
+        * _ATTACK_COMPLEXITY[m["AC"]]
+        * _PRIVILEGES[m["S"]][m["PR"]]
+        * _USER_INTERACTION[m["UI"]]
     )
 
     if impact <= 0:
         base = 0.0
-    elif vector.s == "U":
+    elif m["S"] == "U":
         base = roundup(min(impact + exploitability, 10.0))
     else:
         base = roundup(min(1.08 * (impact + exploitability), 10.0))

@@ -52,21 +52,14 @@ class AttackNode:
     kind: NodeKind
     label: str = ""
     cve: Optional[str] = None
-    scheme: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class AttackScheme:
-    code: str
-    description: str
-
-
-#: Threat categories arising from MEC/5G integration; scenario files may
-#: reference these codes or declare additional ones explicitly.
+#: Threat categories arising from MEC/5G integration, code -> description;
+#: scenario nodes may reference these codes or ones the scenario declares.
 PREDEFINED_SCHEMES = {
-    "I": AttackScheme("I", "Insecure mobile backhaul network"),
-    "S": AttackScheme("S", "Shared infrastructure with third-party applications"),
-    "P": AttackScheme("P", "Privacy leakage via illegitimate access to the MEC system"),
+    "I": "Insecure mobile backhaul network",
+    "S": "Shared infrastructure with third-party applications",
+    "P": "Privacy leakage via illegitimate access to the MEC system",
 }
 
 
@@ -96,16 +89,9 @@ class AttackGraph:
     _preds: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
     _succs: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
 
-    def predecessors(self, node_id: str) -> tuple[str, ...]:
-        self._check(node_id)
-        return self._preds[node_id]
-
     def _check(self, node_id: str) -> None:
         if node_id not in self.nodes:
             raise UnknownNodeError(f"unknown node id {node_id!r}")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def build_graph(

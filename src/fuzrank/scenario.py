@@ -19,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ from .fuzzy import RatingPanel
 from .graph import (
     AttackGraph,
     AttackNode,
-    AttackScheme,
     GraphValidationError,
     NodeKind,
     PREDEFINED_SCHEMES,
@@ -79,8 +77,6 @@ class ScenarioVulnerability:
     temporal_score: float
     atc_cost: Optional[float] = None
     action: Optional[str] = None
-    vector: Optional[str] = None
-    explicit_scores: bool = True
 
 
 @dataclass(frozen=True)
@@ -93,10 +89,7 @@ class ScenarioAsset:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioFile:
-    schema_version: str
-    title: Optional[str] = None
     scale: dict[str, TFN] = field(default_factory=default_scale)
-    schemes: tuple[AttackScheme, ...] = ()
     graph: Optional[AttackGraph] = None
     criteria: tuple[CriterionSpec, ...] = ()
     actions: tuple[str, ...] = ()
@@ -201,9 +194,11 @@ def parse_scenario(text: str, strict: bool = False) -> ScenarioFile:
     """Parse and fully validate scenario JSON; raises ScenarioError with every
     problem found, each prefixed by its JSON path."""
     col = _Collector(strict)
+    # JSONDecodeError is a ValueError, as is an integer literal past the
+    # interpreter's digit limit; nesting past the recursion limit is neither
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError([f"$: invalid JSON: {exc}"]) from None
     if not isinstance(doc, dict):
         raise ScenarioError(["$: scenario document must be a JSON object"])
@@ -216,13 +211,13 @@ def parse_scenario(text: str, strict: bool = False) -> ScenarioFile:
     elif version != SCHEMA_VERSION:
         col.error("$.schema_version", f"unrecognized schema_version {version!r}; expected {SCHEMA_VERSION!r}")
 
-    title = _optional_str(col, "$.title", doc.get("title"))
+    _optional_str(col, "$.title", doc.get("title"))
 
     scale = _parse_scale(col, doc.get("scale"))
-    schemes = _parse_schemes(col, doc.get("schemes"))
+    scheme_codes = _parse_schemes(col, doc.get("schemes"))
     criteria = _parse_criteria(col, doc.get("criteria"), scale)
     actions = _parse_actions(col, doc.get("actions"))
-    graph = _parse_graph(col, doc.get("graph"), schemes)
+    graph = _parse_graph(col, doc.get("graph"), scheme_codes)
     panel = _parse_panel(col, doc.get("panel"), actions, criteria, scale)
     pairwise = _parse_pairwise(col, doc.get("pairwise"), criteria)
     decision_matrix = _parse_decision_matrix(col, doc.get("decision_matrix"), actions, criteria)
@@ -233,10 +228,7 @@ def parse_scenario(text: str, strict: bool = False) -> ScenarioFile:
         raise ScenarioError(col.errors)
 
     return ScenarioFile(
-        schema_version=SCHEMA_VERSION,
-        title=title,
         scale=scale,
-        schemes=schemes,
         graph=graph,
         criteria=criteria,
         actions=actions,
@@ -247,10 +239,6 @@ def parse_scenario(text: str, strict: bool = False) -> ScenarioFile:
         assets=assets,
         warnings=tuple(col.warnings),
     )
-
-
-def load_scenario(path: str | Path, strict: bool = False) -> ScenarioFile:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"), strict=strict)
 
 
 def _parse_scale(col: _Collector, raw: Any) -> dict[str, TFN]:
@@ -277,10 +265,12 @@ def _parse_scale(col: _Collector, raw: Any) -> dict[str, TFN]:
     return entries
 
 
-def _parse_schemes(col: _Collector, raw: Any) -> tuple[AttackScheme, ...]:
-    schemes = dict(PREDEFINED_SCHEMES)
+def _parse_schemes(col: _Collector, raw: Any) -> set[str]:
+    """The scheme codes a node may reference: the predefined ones and each
+    correctly declared one."""
+    codes = set(PREDEFINED_SCHEMES)
     if raw is None:
-        return tuple(schemes.values())
+        return codes
     for path, item, code in _objects(
         col, raw, "schemes", "scheme", _SCHEME_KEYS, key="code", duplicate="scheme code"
     ):
@@ -291,8 +281,8 @@ def _parse_schemes(col: _Collector, raw: Any) -> tuple[AttackScheme, ...]:
         if not isinstance(desc, str) or not desc:
             col.error(f"{path}.description", "scheme description must be a nonempty string")
             continue
-        schemes[code] = AttackScheme(code, desc)
-    return tuple(schemes.values())
+        codes.add(code)
+    return codes
 
 
 def _parse_criteria(
@@ -348,15 +338,12 @@ def _parse_actions(col: _Collector, raw: Any) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _parse_graph(
-    col: _Collector, raw: Any, schemes: tuple[AttackScheme, ...]
-) -> Optional[AttackGraph]:
+def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[AttackGraph]:
     if raw is None:
         return None
     if not _expect(col, "$.graph", raw, dict, "an object with nodes/edges/targets"):
         return None
     col.unknown_keys("$.graph", raw, _GRAPH_KEYS)
-    known_codes = {s.code for s in schemes}
 
     nodes: list[AttackNode] = []
     for path, item, nid in _objects(col, raw.get("nodes", []), "graph.nodes", "node", _NODE_KEYS):
@@ -373,12 +360,12 @@ def _parse_graph(
         label, cve, scheme = (
             _optional_str(col, f"{path}.{key}", item.get(key)) for key in ("label", "cve", "scheme")
         )
-        if scheme is not None and scheme not in known_codes:
+        if scheme is not None and scheme not in scheme_codes:
             col.error(
                 f"{path}.scheme",
                 f"scheme {scheme!r} is neither predefined (I, S, P) nor declared",
             )
-        nodes.append(AttackNode(nid, kind, label=label or "", cve=cve, scheme=scheme))
+        nodes.append(AttackNode(nid, kind, label=label or "", cve=cve))
 
     edges: list[tuple[str, str]] = []
     raw_edges = raw.get("edges", [])
@@ -627,13 +614,11 @@ def _parse_vulnerabilities(
         if vector is not None:
             if not isinstance(vector, str):
                 col.error(f"{path}.vector", "vector must be a string")
-                vector = None
             else:
                 try:
                     from_vector = score_cvss(vector)
                 except CvssError as exc:
                     col.error(f"{path}.vector", str(exc))
-                    vector = None
 
         impact = item.get("impact_score")
         exploitability = item.get("exploitability_score")
@@ -697,8 +682,6 @@ def _parse_vulnerabilities(
                 temporal_score=temporal,
                 atc_cost=atc_cost,
                 action=action,
-                vector=vector,
-                explicit_scores=explicit,
             )
         )
     return tuple(out)

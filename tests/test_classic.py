@@ -118,6 +118,25 @@ def test_eigen_residual_postcondition():
     assert lam >= m.n - 1e-9
 
 
+def three_by_three(a):
+    """Reciprocal matrix whose lambda_max is 1 + a^(1/3) + a^(-1/3)."""
+    return PairwiseMatrix([[1, a, a], [1 / a, 1, a], [1 / a, 1 / a, 1]])
+
+
+def test_eigen_far_from_consistent():
+    a = 1e12
+    lam, w = principal_eigen(three_by_three(a))
+    assert lam == pytest.approx(1 + a ** (1 / 3) + a ** (-1 / 3), rel=1e-6)
+    assert np.all(w > 0) and w.sum() == pytest.approx(1.0)
+
+
+def test_eigen_beyond_float_range_raises():
+    # the exact lambda_max is about 1e100, but floating point loses the
+    # 1e-300 entries and gives 1
+    with pytest.raises(ConvergenceError, match="no positive principal eigenvector"):
+        principal_eigen(three_by_three(1e300))
+
+
 def test_consistency_ratio():
     consistent = PairwiseMatrix([[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]])
     assert consistency_ratio(consistent, principal_eigen(consistent)[0]) == pytest.approx(

@@ -1,12 +1,13 @@
 import json
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from fuzrank.cli import main
 from fuzrank.graph import enumerate_paths
-from fuzrank.scenario import load_scenario
+from fuzrank.scenario import parse_scenario
 
 SCENARIO = files("fuzrank") / "data" / "paper_s4.json"
 
@@ -274,6 +275,52 @@ def test_validate_non_utf8_file_exit_one(runner, tmp_path):
     assert "scenario validation failed:\n  $: not UTF-8 text: " in result.output
 
 
+def test_unreadable_scenario_exit_one(runner, scenario_file, monkeypatch):
+    def refuse(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    result = runner.invoke(main, ["validate", str(scenario_file)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith(f"Error: cannot read {scenario_file}: ")
+    assert "Permission denied" in result.output
+
+
+@pytest.mark.parametrize(
+    "title", ["[" * 100_000 + "]" * 100_000, "9" * 5000], ids=["nested-100000", "int-5000-digits"]
+)
+def test_validate_json_beyond_decoder_limits_exit_one(runner, tmp_path, title):
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema_version": "1", "title": ' + title + "}")
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    header, line = result.output.splitlines()
+    assert header == "Error: scenario validation failed:"
+    assert line.startswith("  $: invalid JSON: ")
+
+
+def test_rank_classic_pairwise_beyond_float_range_exit_two(runner, tmp_path):
+    a = 1e300
+    crits = ["C-1", "C-2", "C-3"]
+    doc = {
+        "schema_version": "1",
+        "criteria": [{"id": c} for c in crits],
+        "actions": ["A1", "A2"],
+        "decision_matrix": {"A1": dict.fromkeys(crits, 1.0), "A2": dict.fromkeys(crits, 2.0)},
+        "pairwise": [[1, a, a], [1 / a, 1, a], [1 / a, 1 / a, 1]],
+    }
+    path = tmp_path / "extreme_pairwise.json"
+    path.write_text(json.dumps(doc))
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["rank", str(path), "--engine", "classic"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith("Error: computation failed: ")
+    assert "no positive principal eigenvector" in result.output
+
+
 def test_rank_invalid_scenario_lists_paths(runner, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{}")
@@ -356,7 +403,7 @@ def test_graph_exports_six_final_boxes(runner, scenario_file, tmp_path):
 def test_graph_goal_filter_matches_enumeration(runner, scenario_file):
     result = runner.invoke(main, ["graph", str(scenario_file), "--goal", "RAN-control"])
     assert result.exit_code == 0
-    scenario = load_scenario(SCENARIO)
+    scenario = parse_scenario(SCENARIO.read_text(encoding="utf-8"))
     expected = {
         nid for path in enumerate_paths(scenario.graph, "RAN-control") for nid in path
     }

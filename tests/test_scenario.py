@@ -10,7 +10,6 @@ from fuzrank.graph import export_dot
 from fuzrank.scenario import (
     ScenarioError,
     asset_profiles,
-    load_scenario,
     parse_scenario,
     resolve_vulnerability_records,
 )
@@ -19,6 +18,7 @@ from fuzrank.tfn import TFN
 from golden_ratings import ACTIONS, POOLED_MATRIX
 
 SCENARIO = files("fuzrank") / "data" / "paper_s4.json"
+BUNDLED_TEXT = SCENARIO.read_text(encoding="utf-8")
 
 
 def minimal(**extra):
@@ -36,19 +36,19 @@ def errors_of(text, strict=False):
 # --- bundled scenario ----------------------------------------------------------
 
 def test_bundled_scenario_strict_and_warning_free():
-    scenario = load_scenario(SCENARIO, strict=True)
+    scenario = parse_scenario(BUNDLED_TEXT, strict=True)
     assert scenario.warnings == ()
     assert scenario.actions == ("A1", "A2", "A3", "A4")
     assert [c.id for c in scenario.criteria] == ["C-1", "C-2", "C-3", "C-4"]
     assert [c.kind.value for c in scenario.criteria] == ["benefit", "benefit", "cost", "cost"]
-    assert scenario.graph is not None and len(scenario.graph) == 18
+    assert scenario.graph is not None and len(scenario.graph.nodes) == 18
     assert scenario.pairwise is not None and scenario.pairwise.n == 4
     assert len(scenario.vulnerabilities) == 6
     assert len(scenario.assets) == 6
 
 
 def test_bundled_scenario_panel_aggregates_to_pooled_matrix():
-    scenario = load_scenario(SCENARIO)
+    scenario = parse_scenario(BUNDLED_TEXT)
     agg = aggregate_ratings(scenario.panel, scenario.scale)
     for i, action in enumerate(ACTIONS):
         for j, (a, b, c) in enumerate(POOLED_MATRIX[action]):
@@ -58,7 +58,7 @@ def test_bundled_scenario_panel_aggregates_to_pooled_matrix():
 
 
 def test_bundled_graph_has_six_final_boxes_and_ran_target():
-    scenario = load_scenario(SCENARIO)
+    scenario = parse_scenario(BUNDLED_TEXT)
     finals = [n for n in scenario.graph.nodes.values() if n.kind.value == "final_step"]
     assert len(finals) == 6
     assert {n.cve for n in finals} == {
@@ -241,7 +241,6 @@ def test_vector_only_vulnerability_resolves_subscores():
     (v,) = parse_scenario(text, strict=True).vulnerabilities
     assert v.impact_score == 5.9
     assert v.exploitability_score == 3.9
-    assert v.explicit_scores is False
 
 
 def test_explicit_scores_win_over_vector_with_warning():
@@ -322,7 +321,7 @@ def test_resolve_records_explicit_cost_and_linked_action():
 
 
 def test_asset_profiles_bridge():
-    scenario = load_scenario(SCENARIO)
+    scenario = parse_scenario(BUNDLED_TEXT)
     records = resolve_vulnerability_records(
         scenario, action_costs={a: 0.5 for a in scenario.actions}
     )
@@ -342,7 +341,7 @@ def _locations(node, path=()):
             yield from _locations(child, path + (key,))
 
 
-BUNDLED = json.loads(SCENARIO.read_text(encoding="utf-8"))
+BUNDLED = json.loads(BUNDLED_TEXT)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda children: st.lists(children, max_size=3)
