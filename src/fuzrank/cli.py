@@ -60,6 +60,8 @@ class CliError(click.ClickException):
 def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, str]:
     p = Path(path)
     if not p.is_file():
+        if p.exists():
+            raise CliError(f"not a regular file: {path}")
         raise CliError(f"file not found: {path}")
     try:
         data = p.read_bytes()

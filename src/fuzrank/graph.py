@@ -18,6 +18,9 @@ kept as it is, without a subset test.
 Bit order is sorted-id order, and ``_linearize`` depends on it: among the
 ready nodes of a set it takes the smallest bit index, which is the smallest
 id, so each path is the set's smallest-id-first topological order.
+
+Validation takes cycles and the topological order from the standard library's
+``graphlib``; the cycle named is graphlib's choice over sorted-id predecessors.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Optional, Sequence
 
 
@@ -87,7 +91,6 @@ class AttackGraph:
     edges: frozenset[tuple[str, str]]
     targets: frozenset[str]
     _preds: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
-    _succs: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
 
     def _check(self, node_id: str) -> None:
         if node_id not in self.nodes:
@@ -99,7 +102,11 @@ def build_graph(
     edges: Iterable[tuple[str, str]],
     targets: Iterable[str] = (),
 ) -> AttackGraph:
-    """Validate and assemble an attack graph; collects every violation it finds."""
+    """Validate and assemble an attack graph; collects every violation it finds.
+
+    ``graphlib`` finds cycles and the topological order; the cycle it names is
+    its choice over predecessors in sorted-id order, whatever the input order.
+    """
     node_list = list(nodes)
     edge_list = list(dict.fromkeys(tuple(e) for e in edges))
     target_set = set(targets)
@@ -112,7 +119,7 @@ def build_graph(
         by_id[node.id] = node
 
     preds: dict[str, list[str]] = {nid: [] for nid in by_id}
-    succs: dict[str, list[str]] = {nid: [] for nid in by_id}
+    sources: set[str] = set()
     for src, dst in edge_list:
         if src not in by_id:
             errors.append(f"edge ({src!r} -> {dst!r}): unknown source node")
@@ -121,7 +128,7 @@ def build_graph(
             errors.append(f"edge ({src!r} -> {dst!r}): unknown destination node")
             continue
         preds[dst].append(src)
-        succs[src].append(dst)
+        sources.add(src)
 
     for nid in target_set - by_id.keys():
         errors.append(f"target {nid!r} is not a node in the graph")
@@ -129,20 +136,24 @@ def build_graph(
     for nid, node in by_id.items():
         if node.kind is NodeKind.CONFIGURATION and preds[nid]:
             errors.append(f"configuration node {nid!r} has a predecessor")
-        if node.kind is NodeKind.FINAL_STEP and succs[nid]:
+        if node.kind is NodeKind.FINAL_STEP and nid in sources:
             errors.append(f"final-step node {nid!r} has a successor")
         if node.kind in (NodeKind.ATTACK_STEP, NodeKind.PRIVILEGE) and not preds[nid]:
             errors.append(f"{node.kind.value} node {nid!r} has no predecessor")
 
-    sorted_succs = {nid: tuple(sorted(ss)) for nid, ss in succs.items()}
-    cycle = _find_cycle(sorted_succs)
-    if cycle:
-        errors.append("cycle detected: " + " -> ".join(cycle))
+    sorted_preds = {nid: tuple(sorted(preds[nid])) for nid in sorted(preds)}
+    try:
+        order = tuple(TopologicalSorter(sorted_preds).static_order())
+    except CycleError as exc:
+        errors.append("cycle detected: " + " -> ".join(exc.args[1]))
     else:
         # final steps must be reachable from some configuration node
-        reachable = _reachable_from_configurations(by_id, succs)
+        reached: set[str] = set()
+        for nid in order:
+            if by_id[nid].kind is NodeKind.CONFIGURATION or not reached.isdisjoint(sorted_preds[nid]):
+                reached.add(nid)
         for nid, node in by_id.items():
-            if node.kind is NodeKind.FINAL_STEP and nid not in reachable:
+            if node.kind is NodeKind.FINAL_STEP and nid not in reached:
                 errors.append(f"final-step node {nid!r} is unreachable from any configuration node")
 
     if errors:
@@ -152,63 +163,8 @@ def build_graph(
         nodes=by_id,
         edges=frozenset(edge_list),
         targets=frozenset(target_set),
-        _preds={nid: tuple(sorted(ps)) for nid, ps in preds.items()},
-        _succs=sorted_succs,
+        _preds=sorted_preds,
     )
-
-
-def _find_cycle(succs: dict[str, tuple[str, ...]]) -> Optional[list[str]]:
-    """Return one directed cycle as a node sequence (closed), or None.
-
-    `succs` maps every node id to its successors, already sorted."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = dict.fromkeys(succs, WHITE)
-    parent: dict[str, Optional[str]] = {}
-
-    for start in sorted(color):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        parent[start] = None
-        color[start] = GREY
-        while stack:
-            nid, idx = stack[-1]
-            children = succs[nid]
-            if idx < len(children):
-                stack[-1] = (nid, idx + 1)
-                child = children[idx]
-                if color[child] == GREY:
-                    cycle = [child, nid]
-                    cur = parent[nid]
-                    while cur is not None and cycle[-1] != child:
-                        cycle.append(cur)
-                        cur = parent[cur]
-                    if cycle[-1] != child:
-                        cycle.append(child)
-                    cycle.reverse()
-                    return cycle
-                if color[child] == WHITE:
-                    color[child] = GREY
-                    parent[child] = nid
-                    stack.append((child, 0))
-            else:
-                color[nid] = BLACK
-                stack.pop()
-    return None
-
-
-def _reachable_from_configurations(
-    by_id: dict[str, AttackNode], succs: dict[str, list[str]]
-) -> set[str]:
-    frontier = [nid for nid, n in by_id.items() if n.kind is NodeKind.CONFIGURATION]
-    seen = set(frontier)
-    while frontier:
-        nid = frontier.pop()
-        for nxt in succs[nid]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
 
 
 def enumerate_paths(
@@ -226,7 +182,10 @@ def enumerate_paths(
     ids, masks = _minimal_masks(graph, goal, cap)
     index = {nid: i for i, nid in enumerate(ids)}
     pred_masks = [sum(1 << index[p] for p in graph._preds[nid]) for nid in ids]
-    succ_bits = [[index[s] for s in graph._succs[nid]] for nid in ids]
+    succ_bits: list[list[int]] = [[] for _ in ids]
+    for i, nid in enumerate(ids):
+        for p in graph._preds[nid]:
+            succ_bits[index[p]].append(i)
     return sorted(_linearize(ids, pred_masks, succ_bits, m) for m in masks)
 
 
@@ -323,7 +282,7 @@ def _linearize(
 
     Bit order is sorted-id order, so the smallest ready bit index is the
     smallest ready id. `pred_masks[i]` holds the bits of node i's
-    predecessors and `succ_bits[i]` the bit indices of its successors.
+    predecessors and `succ_bits[i]` the bit indices of its successors, in any order.
     """
     indeg: dict[int, int] = {}
     ready: list[int] = []

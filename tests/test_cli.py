@@ -287,6 +287,17 @@ def test_unreadable_scenario_exit_one(runner, scenario_file, monkeypatch):
     assert "Permission denied" in result.output
 
 
+def test_validate_directory_is_not_a_regular_file(runner, tmp_path):
+    result = runner.invoke(main, ["validate", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output == f"Error: not a regular file: {tmp_path}\n"
+    missing = tmp_path / "missing.json"
+    result = runner.invoke(main, ["validate", str(missing)])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"Error: file not found: {missing}\n"
+
+
 @pytest.mark.parametrize(
     "title", ["[" * 100_000 + "]" * 100_000, "9" * 5000], ids=["nested-100000", "int-5000-digits"]
 )

@@ -136,17 +136,50 @@ def test_configuration_with_predecessor_rejected():
         )
 
 
+def named_cycle(nodes, edges):
+    """The one "cycle detected" error of an invalid graph, as a list of ids."""
+    with pytest.raises(GraphValidationError) as exc:
+        build_graph(nodes, edges)
+    named = [m for m in exc.value.errors if m.startswith("cycle detected: ")]
+    assert len(named) == 1, exc.value.errors
+    walk = named[0].removeprefix("cycle detected: ").split(" -> ")
+    # a closed walk along input edges
+    assert len(walk) >= 2 and walk[0] == walk[-1]
+    assert set(zip(walk, walk[1:])) <= set(edges)
+    return walk
+
+
+def assert_same_cycle_in_any_order(nodes, edges, walk):
+    assert named_cycle(nodes[::-1], edges[::-1]) == walk
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        shuffled_nodes = [nodes[i] for i in rng.permutation(len(nodes))]
+        shuffled_edges = [edges[i] for i in rng.permutation(len(edges))]
+        assert named_cycle(shuffled_nodes, shuffled_edges) == walk
+
+
 def test_cycle_is_named():
-    err = None
-    try:
-        build_graph(
-            [n("cfg", C), n("a", S), n("b", P), n("d", S)],
-            [("cfg", "a"), ("a", "b"), ("b", "d"), ("d", "b")],
-        )
-    except GraphValidationError as e:
-        err = e
-    assert err is not None
-    assert any("cycle detected" in m and "b" in m and "d" in m for m in err.errors)
+    nodes = [n("cfg", C), n("a", S), n("b", P), n("d", S)]
+    edges = [("cfg", "a"), ("a", "b"), ("b", "d"), ("d", "b")]
+    walk = named_cycle(nodes, edges)
+    assert set(walk) == {"b", "d"}
+    assert_same_cycle_in_any_order(nodes, edges, walk)
+
+
+def test_one_of_several_cycles_is_named_whatever_the_input_order():
+    # cycles b -> d -> b and y -> x -> z -> y, and a self-loop on q
+    nodes = [n("cfg", C), n("d", S), n("b", P), n("z", P), n("y", S), n("x", S), n("q", P)]
+    edges = [("cfg", "b"), ("b", "d"), ("d", "b"), ("cfg", "y"), ("y", "x"), ("x", "z"),
+             ("z", "y"), ("d", "x"), ("cfg", "q"), ("q", "q")]
+    assert_same_cycle_in_any_order(nodes, edges, named_cycle(nodes, edges))
+
+
+def test_cycle_behind_chain_deeper_than_recursion_limit():
+    depth = sys.getrecursionlimit() + 500
+    ids = [f"n{i:05d}" for i in range(depth)]
+    edges = list(zip(ids, ids[1:])) + [(ids[-1], ids[1])]
+    walk = named_cycle([n(ids[0], C)] + [n(nid, S) for nid in ids[1:]], edges)
+    assert set(walk) == set(ids[1:])
 
 
 def test_dangling_edge_and_duplicate_and_bad_target():
@@ -170,6 +203,15 @@ def test_unreachable_final_step_rejected():
 def test_attack_step_without_predecessor_rejected():
     with pytest.raises(GraphValidationError, match="attack_step node 'step' has no predecessor"):
         build_graph([n("cfg", C), n("step", S)], [])
+
+
+def test_every_structural_error_is_collected():
+    with pytest.raises(GraphValidationError) as exc:
+        build_graph([n("cfg", C), n("s", S), n("f", F)], [("s", "f")])
+    assert exc.value.errors == [
+        "attack_step node 's' has no predecessor",
+        "final-step node 'f' is unreachable from any configuration node",
+    ]
 
 
 def test_predefined_schemes():
