@@ -1,5 +1,11 @@
 """Fuzzy TOPSIS engine over triangular fuzzy ratings.
 
+This module owns the fuzzy-number format. A triangular fuzzy number (TFN) is
+a plain (a, b, c) triple: support [a, c], peak b, crisp when a == b == c. A
+scale is a label -> TFN table: `default_scale()` is the five-level one, and the
+parser reads a `scale` override into the same shape. The a <= b <= c rule
+lives only in `_check_ordered`, which the parser applies to each override entry.
+
 Multi-rater grids are aggregated per cell as (min of lower bounds, mean of
 peaks, max of upper bounds), normalized by a linear scale transformation,
 weighted by fuzzy criterion weights, and ranked by summed vertex distances to
@@ -13,9 +19,9 @@ the codes up in a (labels, 3) table built from the scale, so every later
 stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
 (m, n, 3), the last axis holding each cell's (a, b, c), and whose fuzzy
 weights have shape (n, 3). `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view
-of the same values, built on first use. It stays only because the
-benchmark's in-process step (`perfbench/workloads.py`) reads the pooled peaks
-through it, until ROADMAP item 3 switches that step to `values[..., 1]`.
+of the same values, built on first use. Only the benchmark's in-process step
+(`perfbench/workloads.py`) reads it, for the pooled peaks, until ROADMAP
+item 1 switches that step to `values[..., 1]`.
 
 The distances end in `classic.rank_by_closeness`, the closeness-and-ranking
 skeleton both engines share; `classic` states the two cost orientations.
@@ -26,12 +32,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .classic import CriterionKind, CriterionSpec, RankingResult, rank_by_closeness
-from .tfn import TFN
+
+
+class TFN(NamedTuple):
+    a: float
+    b: float
+    c: float
+
+
+def default_scale() -> dict[str, TFN]:
+    """Five-level rating scale: Very Low through Very High."""
+    return {
+        "VL": TFN(1, 1, 3),
+        "L": TFN(1, 3, 5),
+        "AV": TFN(3, 5, 7),
+        "H": TFN(5, 7, 9),
+        "VH": TFN(7, 9, 9),
+    }
 
 
 def _check_ordered(t: np.ndarray) -> None:
@@ -69,7 +91,7 @@ class FuzzyDecisionMatrix:
     @cached_property
     def cells(self) -> tuple[tuple[TFN, ...], ...]:
         """The values as TFNs, [alternative][criterion]."""
-        return tuple(tuple(TFN(*abc) for abc in row) for row in self.values.tolist())
+        return tuple(tuple(map(TFN._make, row)) for row in self.values.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +118,7 @@ def aggregate_ratings(panel: RatingPanel, scale: Mapping[str, TFN]) -> FuzzyDeci
     (0, 0.1, 0.1) average to 0.10000000000000002), so it is clamped into
     [min a, max c], where its exact value lies.
     """
-    table = np.array([scale[label].as_tuple() for label in panel.labels], dtype=float)
+    table = np.array([scale[label] for label in panel.labels], dtype=float)
     table = table.reshape(-1, 3)  # (labels, 3), also with no labels
 
     def pool(codes: np.ndarray) -> np.ndarray:

@@ -85,7 +85,7 @@ class UnknownNodeError(KeyError):
 
 @dataclass(frozen=True)
 class AttackGraph:
-    """Validated DAG of attack nodes. Immutable; construct via build_graph."""
+    """Validated DAG of attack nodes. Immutable; built by build_graph and subgraph_to_goal."""
 
     nodes: dict[str, AttackNode]
     edges: frozenset[tuple[str, str]]
@@ -266,15 +266,6 @@ def _minimal(masks: Iterable[int]) -> list[int]:
     return smaller
 
 
-def _decode(ids: Sequence[str], mask: int) -> frozenset[str]:
-    nodes = []
-    while mask:
-        low = mask & -mask
-        nodes.append(ids[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(nodes)
-
-
 def _linearize(
     ids: Sequence[str], pred_masks: Sequence[int], succ_bits: Sequence[Sequence[int]], mask: int
 ) -> tuple[str, ...]:
@@ -334,13 +325,20 @@ def subgraph_to_goal(graph: AttackGraph, goal: str, cap: int = DEFAULT_PATH_CAP)
 
     The kept nodes are the bitwise OR of the goal's minimal masks (see
     enumerate_paths for the method and for `cap`); no path is linearised.
+    The restriction is assembled without `build_graph`: a union of minimal
+    satisfying sets keeps every AND node's predecessors and one of each OR
+    node's, no cycle and no final step other than the goal, so it needs no
+    second validation.
     """
     ids, masks = _minimal_masks(graph, goal, cap)
     union = 0
     for m in masks:
         union |= m
-    keep = _decode(ids, union)
-    nodes = [graph.nodes[nid] for nid in sorted(keep)]
-    edges = [(s, d) for s, d in sorted(graph.edges) if s in keep and d in keep]
-    targets = [t for t in graph.targets if t in keep]
-    return build_graph(nodes, edges, targets)
+    keep = [nid for i, nid in enumerate(ids) if union >> i & 1]  # sorted ids
+    kept = set(keep)
+    return AttackGraph(
+        nodes={nid: graph.nodes[nid] for nid in keep},
+        edges=frozenset((s, d) for s, d in graph.edges if s in kept and d in kept),
+        targets=graph.targets & kept,
+        _preds={nid: tuple(p for p in graph._preds[nid] if p in kept) for nid in keep},
+    )

@@ -30,7 +30,7 @@ from .classic import (
     PairwiseMatrix,
 )
 from .cvss import CvssError, score_cvss
-from .fuzzy import RatingPanel
+from .fuzzy import TFN, RatingPanel, _check_ordered, default_scale
 from .graph import (
     AttackGraph,
     AttackNode,
@@ -39,7 +39,6 @@ from .graph import (
     PREDEFINED_SCHEMES,
     build_graph,
 )
-from .tfn import TFN, default_scale
 from .veability import AssetProfile, VulnerabilityRecord
 
 SCHEMA_VERSION = "1"
@@ -256,6 +255,7 @@ def _parse_scale(col: _Collector, raw: Any) -> dict[str, TFN]:
         if None in values:
             continue
         try:
+            _check_ordered(np.array(values))
             entries[label] = TFN(*values)
         except ValueError as exc:
             col.error(path, str(exc))

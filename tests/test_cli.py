@@ -1,9 +1,12 @@
 import json
+import math
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzrank.cli import main
 from fuzrank.graph import enumerate_paths
@@ -474,3 +477,140 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "fuzrank" in result.output
+
+
+# --- CLI-wide contract over mutated scenarios ------------------------------------
+
+SYNTHETIC = {
+    "schema_version": "1",
+    "criteria": [
+        {"id": "C-1", "kind": "benefit", "weight": "H"},
+        {"id": "C-2", "kind": "cost", "weight": 2.0},
+    ],
+    "actions": ["A1", "A2"],
+    "panel": {
+        "decision_makers": ["r1", "r2"],
+        "ratings": {
+            "r1": {"A1": {"C-1": "VH", "C-2": "L"}, "A2": {"C-1": "AV", "C-2": "H"}},
+            "r2": {"A1": {"C-1": "H", "C-2": "VL"}, "A2": {"C-1": "L", "C-2": "AV"}},
+        },
+        "weights": {"r1": {"C-1": "H", "C-2": "AV"}, "r2": {"C-1": "VH", "C-2": "L"}},
+    },
+    "graph": {
+        "nodes": [
+            {"id": "cfg", "kind": "configuration"},
+            {"id": "s1", "kind": "attack_step", "cve": "CVE-1"},
+            {"id": "s2", "kind": "attack_step", "cve": "CVE-2"},
+            {"id": "pv", "kind": "privilege"},
+            {"id": "goal", "kind": "final_step"},
+        ],
+        "edges": [["cfg", "s1"], ["cfg", "s2"], ["s1", "pv"], ["s2", "pv"], ["pv", "goal"]],
+        "targets": ["goal"],
+    },
+    "vulnerabilities": [
+        {"cve": "CVE-1", "vector": "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H", "action": "A1"},
+        {"cve": "CVE-2", "impact_score": 3.6, "exploitability_score": 2.8, "temporal_score": 5.0,
+         "atc_cost": 0.4},
+    ],
+    "assets": [
+        {"id": "x", "services_on_asset": 1, "network_services_total": 3,
+         "vulnerabilities": ["CVE-1"]},
+        {"id": "y", "services_on_asset": 2, "network_services_total": 3,
+         "vulnerabilities": ["CVE-2"]},
+    ],
+}
+BASES = [(json.loads(SCENARIO.read_text(encoding="utf-8")), "RAN-control"), (SYNTHETIC, "goal")]
+
+EXTREME_NUMBERS = [0, -1, 0.5, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, -1e308, 10**400]
+OTHER_STRINGS = ["VL", "VH", "A1", "C-1", "cost", "benefit", "privilege", "final_step", "", "??"]
+RETYPED = [None, True, 3, "x", [], {}]
+
+
+def _locations(doc):
+    """Every (container, key) pair in doc, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _locations(value)
+
+
+def _mutate(doc, draw):
+    """Apply one drawn edit in place: type-preserving, a scale override, or structural."""
+    op = draw(st.sampled_from(["value", "scale", "delete", "duplicate", "retype"]))
+    if op == "scale":
+        triple = st.lists(st.sampled_from(EXTREME_NUMBERS), min_size=3, max_size=3)
+        labels = st.sampled_from(["VL", "L", "AV", "H", "VH", "X"])
+        doc["scale"] = draw(st.dictionaries(labels, triple, max_size=6))
+        return
+    container, key = draw(st.sampled_from(list(_locations(doc))))
+    value = container[key]
+    if op == "delete":
+        del container[key]
+    elif op == "duplicate":  # a repeated list entry, or a field under a second name
+        copy = json.loads(json.dumps(value))
+        if isinstance(container, list):
+            container.append(copy)
+        else:
+            container[key + "_copy"] = copy
+    elif op == "retype":
+        container[key] = draw(st.sampled_from([r for r in RETYPED if type(r) is not type(value)]))
+    elif isinstance(value, str):
+        container[key] = draw(st.sampled_from(OTHER_STRINGS))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        container[key] = draw(st.sampled_from(EXTREME_NUMBERS))
+    elif isinstance(value, list):
+        value.reverse()
+
+
+def _strict_finite(text):
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    def walk(x):
+        if isinstance(x, float):
+            assert math.isfinite(x)
+        elif isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, list):
+            for v in x:
+                walk(v)
+
+    walk(json.loads(text, parse_constant=reject))
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(BASES))), st.data())
+def test_cli_contract_on_mutated_scenarios(contract_dir, base, data):
+    doc, goal = BASES[base]
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data.draw)
+    path = contract_dir / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    runner = CliRunner()
+    commands = {
+        "validate": ["validate", str(path)],
+        "rank": ["rank", str(path), "--format", "json"],
+        "veability": ["veability", str(path), "--format", "json"],
+        "graph": ["graph", str(path), "--goal", goal],
+    }
+    results = {name: runner.invoke(main, args) for name, args in commands.items()}
+    for name, result in results.items():
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            name, result.exception)
+        assert result.exit_code in (0, 1, 2), name
+        if result.exit_code:
+            assert result.stdout == "", name
+            assert result.stderr.startswith("Error: ") and result.stderr.count("Error:") == 1, name
+        elif name in ("rank", "veability"):
+            _strict_finite(result.stdout)
+    if results["validate"].exit_code == 0:
+        for result in results.values():
+            assert "scenario validation failed" not in result.output

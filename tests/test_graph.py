@@ -344,11 +344,26 @@ def test_chain_deeper_than_recursion_limit():
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_minimal_sets_and_subgraph_match_oracle(seed, data):
     g = random_typed_dag(np.random.default_rng(seed))
+    targets = data.draw(st.sets(st.sampled_from(sorted(g.nodes))))
+    g = build_graph(g.nodes.values(), g.edges, targets)
     goal = data.draw(st.sampled_from(sorted(g.nodes)))
     got = enumerate_paths(g, goal)
     assert len(got) == len(set(got))
     assert {frozenset(p) for p in got} == oracle_minimal_sets(g, goal)
-    assert set(subgraph_to_goal(g, goal).nodes) == {nid for p in got for nid in p}
+    sub = subgraph_to_goal(g, goal)
+    keep = {nid for p in got for nid in p}
+    assert set(sub.nodes) == keep
+    # the restriction is assembled directly; validating it must give the same graph
+    rebuilt = build_graph(
+        [g.nodes[nid] for nid in sorted(keep)],
+        [(s, d) for s, d in sorted(g.edges) if s in keep and d in keep],
+        [t for t in g.targets if t in keep],
+    )
+    assert list(sub.nodes.items()) == list(rebuilt.nodes.items())
+    assert sub.edges == rebuilt.edges
+    assert sub.targets == rebuilt.targets
+    assert list(sub._preds.items()) == list(rebuilt._preds.items())
+    assert export_dot(sub) == export_dot(rebuilt)
 
 
 def test_enumeration_matches_bruteforce_oracle_randomized():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuzrank.fuzzy import aggregate_ratings
+from fuzrank.fuzzy import TFN, aggregate_ratings
 from fuzrank.graph import export_dot
 from fuzrank.scenario import (
     ScenarioError,
@@ -13,7 +13,6 @@ from fuzrank.scenario import (
     parse_scenario,
     resolve_vulnerability_records,
 )
-from fuzrank.tfn import TFN
 
 from golden_ratings import ACTIONS, POOLED_MATRIX
 
@@ -153,7 +152,7 @@ def test_panel_coverage_errors(panel, expected):
 
 def test_scale_override_applies_to_labels():
     text = minimal(
-        scale={"LO": [0, 0, 1], "HI": [1, 2, 2]},
+        scale={"LO": [0, 0, 1], "HI": [1, 2, 2], "CRISP": [2, 2, 2]},
         criteria=[{"id": "C-1"}],
         actions=["A1"],
         panel={
@@ -164,13 +163,16 @@ def test_scale_override_applies_to_labels():
     )
     scenario = parse_scenario(text, strict=True)
     assert scenario.scale["HI"] == TFN(1, 2, 2)
+    assert scenario.scale["CRISP"] == (2.0, 2.0, 2.0)  # a degenerate triple is a crisp value
     agg = aggregate_ratings(scenario.panel, scenario.scale)
     assert agg.cells[0][0] == TFN(1, 2, 2)
 
 
 def test_scale_override_rejects_bad_triples():
-    errs = errors_of(minimal(scale={"X": [3, 2, 1]}))
-    assert any("$.scale.X" in e for e in errs)
+    assert errors_of(minimal(scale={"X": [3, 2, 1]})) == [
+        "$.scale.X: TFN components must satisfy a <= b <= c, got (3.0, 2.0, 1.0)",
+        "$.scale: scale override has no valid entries",
+    ]
     assert errors_of(minimal(scale={})) == ["$.scale: scale override has no valid entries"]
 
 

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzrank.fuzzy import _vertex_distance
-from fuzrank.tfn import TFN, default_scale
+from fuzrank.fuzzy import TFN, _vertex_distance, default_scale
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -15,17 +14,10 @@ def tfns(values=finite):
     return st.tuples(values, values, values).map(sorted).map(lambda v: TFN(*v))
 
 
-def test_construction_rejects_unordered():
-    with pytest.raises(ValueError, match="a <= b <= c"):
-        TFN(5, 2, 3)
-    with pytest.raises(ValueError):
-        TFN(1, 4, 3)
-
-
 # --- vertex distance, as the fuzzy engine computes it ----------------------------
 
 def distance(t1, t2):
-    return float(_vertex_distance(np.array(t1.as_tuple()), np.array(t2.as_tuple())))
+    return float(_vertex_distance(np.array(t1), np.array(t2)))
 
 
 def test_distance_examples():
@@ -43,7 +35,7 @@ def test_distance_symmetric_nonnegative(t1, t2):
     assert d >= 0.0
     assert d == distance(t2, t1)
     if d == 0.0:
-        assert t1.as_tuple() == t2.as_tuple()
+        assert t1 == t2
 
 
 @given(finite, finite)
