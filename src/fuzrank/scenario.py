@@ -11,13 +11,18 @@ This parser is the format's only statement. The `_*_KEYS` sets list each
 object's fields (any other key draws an "unknown field" warning), and each
 `_parse_*` function checks the types, ranges and cross-references of its
 section. Every problem is reported as `<json-path>: <message>`.
+
+The parser builds the scoring types itself: each vulnerability becomes a
+`VulnerabilityRecord` and each asset an `AssetProfile` of those records, with
+their ranges checked here. The two bridges at the end only fill a record's
+`atc_cost` from the ranking and swap the resolved records into the profiles.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
@@ -68,24 +73,6 @@ class ScenarioError(ValueError):
         super().__init__("\n".join(self.errors))
 
 
-@dataclass(frozen=True)
-class ScenarioVulnerability:
-    cve: str
-    impact_score: float
-    exploitability_score: float
-    temporal_score: float
-    atc_cost: Optional[float] = None
-    action: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ScenarioAsset:
-    asset_id: str
-    services_on_asset: int
-    network_services_total: int
-    cves: tuple[str, ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioFile:
     scale: dict[str, TFN] = field(default_factory=default_scale)
@@ -95,8 +82,8 @@ class ScenarioFile:
     panel: Optional[RatingPanel] = None
     pairwise: Optional[PairwiseMatrix] = None
     decision_matrix: Optional[DecisionMatrix] = None
-    vulnerabilities: tuple[ScenarioVulnerability, ...] = ()
-    assets: tuple[ScenarioAsset, ...] = ()
+    vulnerabilities: tuple[VulnerabilityRecord, ...] = ()
+    assets: tuple[AssetProfile, ...] = ()
     warnings: tuple[str, ...] = ()
 
 
@@ -251,7 +238,7 @@ def _parse_scale(col: _Collector, raw: Any) -> dict[str, TFN]:
         if not (isinstance(triple, list) and len(triple) == 3):
             col.error(path, "expected a [a, b, c] triple")
             continue
-        values = [_number(col, f"{path}[{i}]", x) for i, x in enumerate(triple)]
+        values = [_number(col, f"{path}[{i}]", x, lo=0) for i, x in enumerate(triple)]
         if None in values:
             continue
         try:
@@ -601,10 +588,10 @@ def _parse_decision_matrix(
 
 def _parse_vulnerabilities(
     col: _Collector, raw: Any, actions: tuple[str, ...]
-) -> tuple[ScenarioVulnerability, ...]:
+) -> tuple[VulnerabilityRecord, ...]:
     if raw is None:
         return ()
-    out: list[ScenarioVulnerability] = []
+    out: list[VulnerabilityRecord] = []
     for path, item, cve in _objects(
         col, raw, "vulnerabilities", "vulnerability", _VULN_KEYS,
         key="cve", what="cve", duplicate="vulnerability",
@@ -674,26 +661,17 @@ def _parse_vulnerabilities(
             col.error(f"{path}.action", f"unknown action {action!r}")
             continue
 
-        out.append(
-            ScenarioVulnerability(
-                cve=cve,
-                impact_score=impact,
-                exploitability_score=exploitability,
-                temporal_score=temporal,
-                atc_cost=atc_cost,
-                action=action,
-            )
-        )
+        out.append(VulnerabilityRecord(cve, impact, exploitability, temporal, atc_cost, action))
     return tuple(out)
 
 
 def _parse_assets(
-    col: _Collector, raw: Any, vulnerabilities: tuple[ScenarioVulnerability, ...]
-) -> tuple[ScenarioAsset, ...]:
+    col: _Collector, raw: Any, vulnerabilities: tuple[VulnerabilityRecord, ...]
+) -> tuple[AssetProfile, ...]:
     if raw is None:
         return ()
-    known_cves = {v.cve for v in vulnerabilities}
-    out: list[ScenarioAsset] = []
+    known = {v.cve: v for v in vulnerabilities}
+    out: list[AssetProfile] = []
     for path, item, aid in _objects(col, raw, "assets", "asset", _ASSET_KEYS, duplicate="asset id"):
         services = item.get("services_on_asset", 0)
         total = item.get("network_services_total", 1)
@@ -703,18 +681,19 @@ def _parse_assets(
         if not isinstance(total, int) or isinstance(total, bool):
             col.error(f"{path}.network_services_total", "expected an integer")
             continue
-        cves: list[str] = []
+        records: dict[str, VulnerabilityRecord] = {}
         refs = item.get("vulnerabilities", [])
         ok = _expect(col, f"{path}.vulnerabilities", refs, list, "a list of vulnerability ids")
         for j, cve in enumerate(refs if ok else ()):
-            if not isinstance(cve, str) or cve not in known_cves:
-                col.error(
-                    f"{path}.vulnerabilities[{j}]",
-                    f"unknown vulnerability reference {cve!r}",
-                )
-                ok = False
+            if not isinstance(cve, str) or cve not in known:
+                problem = "unknown"
+            elif cve in records:
+                problem = "duplicate"
             else:
-                cves.append(cve)
+                records[cve] = known[cve]
+                continue
+            col.error(f"{path}.vulnerabilities[{j}]", f"{problem} vulnerability reference {cve!r}")
+            ok = False
         if total < 1:
             col.error(f"{path}.network_services_total", "must be at least 1")
             ok = False
@@ -725,35 +704,28 @@ def _parse_assets(
             )
             ok = False
         if ok:
-            out.append(ScenarioAsset(aid, services, total, tuple(cves)))
+            out.append(AssetProfile(aid, tuple(records.values()), services, total))
     return tuple(out)
 
 
 # --- bridges into the scoring modules -----------------------------------------
+# The parser built the records; these only fill atc_cost and swap them in.
 
 
 def resolve_vulnerability_records(
     scenario: ScenarioFile, action_costs: Optional[Mapping[str, float]] = None
 ) -> dict[str, VulnerabilityRecord]:
-    """Turn scenario vulnerabilities into scoring records, filling each record's
-    attacker-cost from its explicit value or from the linked action's ranking."""
+    """Each scenario vulnerability by CVE, its atc_cost taken from the explicit
+    value or else from the linked action's closeness in the ranking."""
     records: dict[str, VulnerabilityRecord] = {}
     for v in scenario.vulnerabilities:
-        if v.atc_cost is not None:
-            cost = v.atc_cost
-        elif v.action is not None and action_costs and v.action in action_costs:
-            cost = action_costs[v.action]
-        else:
-            raise ValueError(
-                f"vulnerability {v.cve} has no atc_cost and no ranked action to take it from"
-            )
-        records[v.cve] = VulnerabilityRecord(
-            cve=v.cve,
-            impact_score=v.impact_score,
-            exploitability_score=v.exploitability_score,
-            temporal_score=v.temporal_score,
-            atc_cost=cost,
-        )
+        if v.atc_cost is None:
+            if v.action is None or not action_costs or v.action not in action_costs:
+                raise ValueError(
+                    f"vulnerability {v.cve} has no atc_cost and no ranked action to take it from"
+                )
+            v = replace(v, atc_cost=action_costs[v.action])
+        records[v.cve] = v
     return records
 
 
@@ -761,11 +733,6 @@ def asset_profiles(
     scenario: ScenarioFile, records: Mapping[str, VulnerabilityRecord]
 ) -> list[AssetProfile]:
     return [
-        AssetProfile(
-            asset_id=a.asset_id,
-            vulnerabilities=tuple(records[cve] for cve in a.cves),
-            services_on_asset=a.services_on_asset,
-            network_services_total=a.network_services_total,
-        )
+        replace(a, vulnerabilities=tuple(records[v.cve] for v in a.vulnerabilities))
         for a in scenario.assets
     ]

@@ -6,13 +6,17 @@ The Attackability dimension is driven by the attacker-action closeness values
 produced by the ranking engines: A = 10 x mean closeness over the asset's
 vulnerabilities. The mean (rather than a sum) keeps the dimension inside
 [0, 10] for any vulnerability count.
+
+The scenario parser builds every `VulnerabilityRecord` and `AssetProfile` and
+checks their input ranges, with JSON-path messages; only the output,
+`AssetScore`, is range-checked here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 
 def _require_range(name: str, value: float, lo: float, hi: float) -> None:
@@ -26,13 +30,8 @@ class VulnerabilityRecord:
     impact_score: float
     exploitability_score: float
     temporal_score: float
-    atc_cost: float
-
-    def __post_init__(self) -> None:
-        _require_range("impact_score", self.impact_score, 0, 10)
-        _require_range("exploitability_score", self.exploitability_score, 0, 10)
-        _require_range("temporal_score", self.temporal_score, 0, 10)
-        _require_range("atc_cost", self.atc_cost, 0, 1)
+    atc_cost: Optional[float] = None  # None until resolved from the ranking
+    action: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -41,14 +40,6 @@ class AssetProfile:
     vulnerabilities: tuple[VulnerabilityRecord, ...] = ()
     services_on_asset: int = 0
     network_services_total: int = 1
-
-    def __post_init__(self) -> None:
-        if self.network_services_total < 1:
-            raise ValueError("network_services_total must be at least 1")
-        if not (0 <= self.services_on_asset <= self.network_services_total):
-            raise ValueError(
-                "services_on_asset must be between 0 and network_services_total"
-            )
 
 
 @dataclass(frozen=True)

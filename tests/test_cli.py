@@ -397,6 +397,19 @@ def test_veability_unrankable_panel_exit_one(runner, tmp_path):
     assert "cannot rank scenario: benefit criterion 'C-1'" in result.output
 
 
+def test_veability_asset_repeating_a_vulnerability_exit_one(runner, tmp_path):
+    # scored as two vulnerabilities, the repeat would lower the asset's score
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps({"schema_version": "1", "vulnerabilities": [VULN],
+                                "assets": [{"id": "h", "vulnerabilities": ["C", "C"]}]}))
+    for args in (["veability"], ["validate", "--strict"]):
+        result = runner.invoke(main, [*args, str(path)])
+        assert result.exit_code == 1, result.output
+        assert "  $.assets[0].vulnerabilities[1]: duplicate vulnerability reference 'C'\n" in (
+            result.output
+        )
+
+
 def test_veability_requires_assets(runner, tmp_path):
     path = tmp_path / "no_assets.json"
     path.write_text(json.dumps({"schema_version": "1"}))

@@ -176,6 +176,14 @@ def test_scale_override_rejects_bad_triples():
     assert errors_of(minimal(scale={})) == ["$.scale: scale override has no valid entries"]
 
 
+def test_scale_override_rejects_negative_components():
+    # Chen's fuzzy TOPSIS is defined on positive TFNs
+    assert errors_of(minimal(scale={"N": [-2, -1, 1], "P": [1, 2, 3]})) == [
+        "$.scale.N[0]: value -2.0 outside [0, None]",
+        "$.scale.N[1]: value -1.0 outside [0, None]",
+    ]
+
+
 def test_graph_errors_carry_graph_path():
     text = minimal(
         graph={
@@ -303,6 +311,41 @@ def test_asset_service_counts_validated():
     assert any("between 0 and network_services_total" in e for e in errs)
 
 
+VULN = {"cve": "C", "impact_score": 5, "exploitability_score": 5, "temporal_score": 5}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vulnerabilities": [{**VULN, "impact_score": 11}]},
+         "$.vulnerabilities[0].impact_score: value 11.0 outside [0, 10]"),
+        ({"vulnerabilities": [{**VULN, "exploitability_score": -1}]},
+         "$.vulnerabilities[0].exploitability_score: value -1.0 outside [0, 10]"),
+        ({"vulnerabilities": [{**VULN, "temporal_score": 10.5}]},
+         "$.vulnerabilities[0].temporal_score: value 10.5 outside [0, 10]"),
+        ({"vulnerabilities": [{**VULN, "atc_cost": 1.2}]},
+         "$.vulnerabilities[0].atc_cost: value 1.2 outside [0, 1]"),
+        ({"assets": [{"id": "h", "network_services_total": 0}]},
+         "$.assets[0].network_services_total: must be at least 1"),
+        ({"assets": [{"id": "h", "services_on_asset": -1, "network_services_total": 2}]},
+         "$.assets[0].services_on_asset: must be between 0 and network_services_total (2)"),
+    ],
+    ids=["impact", "exploitability", "temporal", "atc-cost", "services-total", "services"],
+)
+def test_veability_ranges_checked_by_parser(doc, message):
+    """The scoring records do not check their ranges; the parser does, one
+    document per rule since it skips the rest of a vulnerability after its
+    first range error."""
+    assert errors_of(minimal(**doc)) == [message]
+
+
+def test_asset_repeating_a_vulnerability_rejected():
+    text = minimal(vulnerabilities=[VULN], assets=[{"id": "h", "vulnerabilities": ["C", "C"]}])
+    assert errors_of(text) == [
+        "$.assets[0].vulnerabilities[1]: duplicate vulnerability reference 'C'"
+    ]
+
+
 def test_resolve_records_explicit_cost_and_linked_action():
     text = minimal(
         actions=["A1"],
@@ -313,11 +356,16 @@ def test_resolve_records_explicit_cost_and_linked_action():
             {"cve": "CVE-2", "impact_score": 5, "exploitability_score": 5,
              "temporal_score": 5, "action": "A1"},
         ],
+        assets=[{"id": "h", "vulnerabilities": ["CVE-2", "CVE-1"]}],
     )
     scenario = parse_scenario(text, strict=True)
     records = resolve_vulnerability_records(scenario, action_costs={"A1": 0.25})
+    assert records["CVE-1"] is scenario.vulnerabilities[0]  # already costed
     assert records["CVE-1"].atc_cost == 0.7
     assert records["CVE-2"].atc_cost == 0.25
+    (profile,) = asset_profiles(scenario, records)
+    assert [v.atc_cost for v in profile.vulnerabilities] == [0.25, 0.7]
+    assert scenario.assets[0].vulnerabilities[0].atc_cost is None
     with pytest.raises(ValueError, match="CVE-2 has no atc_cost"):
         resolve_vulnerability_records(scenario)
 

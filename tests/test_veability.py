@@ -27,22 +27,6 @@ def asset(vulns=(), services=1, total=2):
     return AssetProfile("asset-x", tuple(vulns), services, total)
 
 
-def test_record_range_validation():
-    with pytest.raises(ValueError, match="impact_score"):
-        vuln(impact=11)
-    with pytest.raises(ValueError, match="atc_cost"):
-        vuln(atc=1.2)
-    with pytest.raises(ValueError, match="temporal_score"):
-        vuln(temporal=-0.1)
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError, match="network_services_total"):
-        AssetProfile("a", (), 0, 0)
-    with pytest.raises(ValueError, match="services_on_asset"):
-        AssetProfile("a", (), 5, 2)
-
-
 def test_severity_is_mean_of_impact_and_temporal():
     assert severity(vuln(impact=10, temporal=8)) == 9.0
     assert severity(vuln(impact=0, temporal=0)) == 0.0
