@@ -142,8 +142,87 @@ def test_rating_with_unknown_label():
                 "$.panel.ratings.dm1.A1: missing rating for criterion 'C-1'",
             ],
         ),
+        (
+            {
+                "decision_makers": ["dm1", "dm2", "dm3"],
+                "ratings": {
+                    "dm1": {"A1": {"C-1": "H"}},
+                    "dm2": {"A9": {"C-1": "H"}, "A1": {"C-1": "L"}},
+                    "dm3": {"A1": {"C-1": "VH"}},
+                },
+                "weights": {"dm1": {"C-1": "H"}, "dm2": {"C-1": "H"}, "dm3": {"C-1": "H"}},
+            },
+            ["$.panel.ratings.dm2.A9: unknown action 'A9'"],
+        ),
+        (
+            {
+                "decision_makers": ["dm1", "dm2"],
+                "ratings": {"dm1": {"A1": {"C-1": "H"}}, "dm2": {}},
+                "weights": {"dm1": {"C-1": "H"}, "dm2": {"C-1": "H"}},
+            },
+            ["$.panel.ratings.dm2.A1: missing ratings for action 'A1'"],
+        ),
+        (
+            {
+                "decision_makers": ["dm1", "dm2"],
+                "ratings": {"dm1": {"A1": ["H"]}, "dm2": {"A1": {"C-1": "H"}}},
+                "weights": {"dm1": {"C-1": "H"}, "dm2": ["H"]},
+            },
+            [
+                "$.panel.ratings.dm1.A1: missing ratings for action 'A1'",
+                "$.panel.weights.dm2: missing criterion weight labels for decision maker 'dm2'",
+            ],
+        ),
+        (
+            {
+                "decision_makers": ["dm1", "dm2"],
+                "ratings": {"dm1": {"A1": {"C-1": "H"}}, "dm2": {"A1": {"C-1": 3}}},
+                "weights": {"dm1": {"C-1": None}, "dm2": {"C-1": ["H"]}},
+            },
+            [
+                "$.panel.ratings.dm2.A1.C-1: label 3 not in the scale (VL, L, AV, H, VH)",
+                "$.panel.weights.dm1.C-1: label None not in the scale (VL, L, AV, H, VH)",
+                "$.panel.weights.dm2.C-1: label ['H'] not in the scale (VL, L, AV, H, VH)",
+            ],
+        ),
+        (
+            {
+                "decision_makers": ["dm1", "dm2"],
+                "ratings": {
+                    "ghost": {"A1": {"C-1": "H"}},
+                    "dm1": {"A1": {"C-1": "H"}},
+                    "dm2": {"A1": {"C-1": "L"}},
+                },
+                "weights": {"dm1": {"C-1": "H"}, "dm2": {"C-1": "H"}},
+            },
+            ["$.panel.ratings.ghost: rating grid for undeclared rater 'ghost'"],
+        ),
+        (
+            {
+                "decision_makers": ["dm1", "dm2", "dm3"],
+                "ratings": {
+                    "dm1": {"A1": {"C-1": "H"}},
+                    "dm2": {"A9": 1, "A1": {"C-9": "H", "C-1": True}, "A8": {}},
+                    "zed": None,
+                },
+                "weights": {"dm1": {"C-1": "H"}, "dm2": {}, "dm3": {"C-1": "VL", "C-2": "L"}},
+            },
+            [
+                "$.panel.ratings.dm2.A9: unknown action 'A9'",
+                "$.panel.ratings.dm2.A8: unknown action 'A8'",
+                "$.panel.ratings.dm2.A1.C-9: unknown criterion 'C-9'",
+                "$.panel.ratings.dm2.A1.C-1: label True not in the scale (VL, L, AV, H, VH)",
+                "$.panel.ratings.dm3: missing rating grid for decision maker 'dm3'",
+                "$.panel.ratings.zed: rating grid for undeclared rater 'zed'",
+                "$.panel.weights.dm2: missing weight label for criterion 'C-1'",
+                "$.panel.weights.dm3.C-2: unknown criterion 'C-2'",
+            ],
+        ),
     ],
-    ids=["no-raters", "no-grid", "row-misses-criterion"],
+    ids=[
+        "no-raters", "no-grid", "row-misses-criterion", "unknown-action", "missing-row",
+        "list-rows", "non-string-labels", "undeclared-rater", "one-grid-many-errors",
+    ],
 )
 def test_panel_coverage_errors(panel, expected):
     text = minimal(criteria=[{"id": "C-1"}], actions=["A1"], panel=panel)
