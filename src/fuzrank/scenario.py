@@ -12,6 +12,11 @@ object's fields (any other key draws an "unknown field" warning), and each
 `_parse_*` function checks the types, ranges and cross-references of its
 section. Every problem is reported as `<json-path>: <message>`.
 
+The rating panel is decoded in one pass over the whole panel, with no
+Python-level call per row; it accepts a panel only when every rater, action,
+criterion and label is exactly where it should be. The per-row walk runs only
+to explain a panel that pass refused, and reports every problem found.
+
 The parser builds the scoring types itself: each vulnerability becomes a
 `VulnerabilityRecord` and each asset an `AssetProfile` of those records, with
 their ranges checked here. The two bridges at the end only fill a record's
@@ -23,8 +28,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from operator import itemgetter
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -391,6 +397,13 @@ def _parse_panel(
     criteria: tuple[CriterionSpec, ...],
     scale: Mapping[str, TFN],
 ) -> Optional[RatingPanel]:
+    """The rating panel as label codes, or None with the reasons in `col`.
+
+    A well-formed panel is decoded in one pass with no Python-level call per
+    row (`_decode_panel`). Only when that pass refuses the panel does the
+    per-row walk below run, to explain the refusal: it reports every problem
+    and decodes nothing.
+    """
     if raw is None:
         return None
     if not _expect(col, "$.panel", raw, dict, "an object"):
@@ -416,24 +429,26 @@ def _parse_panel(
         return None
     raters = tuple(raters_raw)
     crit_ids = tuple(c.id for c in criteria)
-    crit_set = set(crit_ids)
-    code_of = {label: i for i, label in enumerate(scale)}.__getitem__
-    pick = itemgetter(*crit_ids) if len(crit_ids) > 1 else lambda row: (row[crit_ids[0]],)
+    ratings = raw.get("ratings")
+    if not _expect(col, "$.panel.ratings", ratings, dict, "an object keyed by rater"):
+        return None
+    weights = raw.get("weights")
+    if isinstance(weights, dict):
+        codes = _decode_panel(ratings, weights, raters, actions, crit_ids, scale)
+        if codes is not None:
+            return RatingPanel(
+                decision_makers=raters,
+                alternatives=actions,
+                criteria=criteria,
+                labels=tuple(scale),
+                rating_codes=codes[0],
+                weight_codes=codes[1],
+            )
 
-    def decode(row: dict, codes: list[int]) -> bool:
-        """Append the label codes of a valid criterion row to codes. False
-        leaves the row for check_row to explain; the panel is then invalid
-        and codes, possibly half-extended, is discarded."""
-        if row.keys() != crit_set:
-            return False
-        try:
-            codes += map(code_of, pick(row))
-        except (KeyError, TypeError):  # a label outside the scale, or unhashable
-            return False
-        return True
+    # The panel is refused: walk it row by row to say why.
+    crit_set = set(crit_ids)
 
     def check_row(path: str, row: dict, what: str) -> None:
-        """Report every problem of a criterion row that decode refused."""
         for cid in row:
             if cid not in crit_set:
                 col.error(f"{path}.{cid}", f"unknown criterion {cid!r}")
@@ -446,63 +461,87 @@ def _parse_panel(
                     f"label {row[cid]!r} not in the scale ({', '.join(scale)})",
                 )
 
-    ratings_ok = True
-    ratings = raw.get("ratings")
-    if not _expect(col, "$.panel.ratings", ratings, dict, "an object keyed by rater"):
-        return None
     action_set = set(actions)
-    rating_codes: list[int] = []
     for dm in raters:
         grid = ratings.get(dm)
         path = f"$.panel.ratings.{dm}"
         if not isinstance(grid, dict):
             col.error(path, f"missing rating grid for decision maker {dm!r}")
-            ratings_ok = False
             continue
         for alt in grid:
             if alt not in action_set:
                 col.error(f"{path}.{alt}", f"unknown action {alt!r}")
-                ratings_ok = False
         for alt in actions:
             row = grid.get(alt)
-            if not isinstance(row, dict):
-                col.error(f"{path}.{alt}", f"missing ratings for action {alt!r}")
-                ratings_ok = False
-                continue
-            if not decode(row, rating_codes):
+            if isinstance(row, dict):
                 check_row(f"{path}.{alt}", row, "rating")
-                ratings_ok = False
+            else:
+                col.error(f"{path}.{alt}", f"missing ratings for action {alt!r}")
     rater_set = set(raters)
     for dm in ratings:
         if dm not in rater_set:
             col.error(f"$.panel.ratings.{dm}", f"rating grid for undeclared rater {dm!r}")
-            ratings_ok = False
 
-    weights = raw.get("weights")
     if not _expect(col, "$.panel.weights", weights, dict, "an object keyed by rater"):
         return None
-    weight_codes: list[int] = []
     for dm in raters:
         row = weights.get(dm)
         path = f"$.panel.weights.{dm}"
-        if not isinstance(row, dict):
-            col.error(path, f"missing criterion weight labels for decision maker {dm!r}")
-            ratings_ok = False
-            continue
-        if not decode(row, weight_codes):
+        if isinstance(row, dict):
             check_row(path, row, "weight label")
-            ratings_ok = False
+        else:
+            col.error(path, f"missing criterion weight labels for decision maker {dm!r}")
+    for dm in weights:
+        if dm not in rater_set:
+            col.error(
+                f"$.panel.weights.{dm}", f"criterion weight labels for undeclared rater {dm!r}"
+            )
+    return None
 
-    if not ratings_ok:
-        return None
+
+def _pick(keys: tuple[str, ...]) -> Callable[[Any], tuple]:
+    """itemgetter(*keys), but a tuple also for one key."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    key = keys[0]
+    return lambda obj: (obj[key],)
+
+
+def _decode_panel(
+    ratings: dict,
+    weights: dict,
+    raters: tuple[str, ...],
+    actions: tuple[str, ...],
+    crit_ids: tuple[str, ...],
+    scale: Mapping[str, TFN],
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The (k, m, n) rating codes and (k, n) weight codes of a well-formed
+    panel, or None for any other. Well-formed: `ratings` and `weights` hold
+    exactly the k raters, each grid exactly the m actions, each row exactly
+    the n criteria, and each label is in the scale. A missing key, a grid or
+    row that is not an object, and a label outside the scale or unhashable
+    each raise KeyError or TypeError. Given the length checks, keys that are
+    all found are all the keys."""
     k, m, n = len(raters), len(actions), len(crit_ids)
-    return RatingPanel(
-        decision_makers=raters,
-        alternatives=actions,
-        criteria=criteria,
-        labels=tuple(scale),
-        rating_codes=np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
-        weight_codes=np.array(weight_codes, dtype=np.intp).reshape(k, n),
+    if len(ratings) != k or len(weights) != k:
+        return None
+    by_rater, by_crit = _pick(raters), _pick(crit_ids)
+    code_of = {label: i for i, label in enumerate(scale)}.__getitem__
+    try:
+        grids = by_rater(ratings)
+        if set(map(len, grids)) != {m}:
+            return None
+        rows = list(chain.from_iterable(map(_pick(actions), grids)))
+        weight_rows = by_rater(weights)
+        if set(map(len, rows)) != {n} or set(map(len, weight_rows)) != {n}:
+            return None
+        rating_codes = list(map(code_of, chain.from_iterable(map(by_crit, rows))))
+        weight_codes = list(map(code_of, chain.from_iterable(map(by_crit, weight_rows))))
+    except (KeyError, TypeError):
+        return None
+    return (
+        np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
+        np.array(weight_codes, dtype=np.intp).reshape(k, n),
     )
 
 

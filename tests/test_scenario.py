@@ -229,6 +229,22 @@ def test_panel_coverage_errors(panel, expected):
     assert errors_of(text) == expected
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_weights_for_undeclared_rater_rejected(strict):
+    text = minimal(
+        criteria=[{"id": "C1"}, {"id": "C2"}],
+        actions=["A1"],
+        panel={
+            "decision_makers": ["d1"],
+            "ratings": {"d1": {"A1": {"C1": "H", "C2": "L"}}},
+            "weights": {"d1": {"C1": "H", "C2": "AV"}, "ghost": {"C1": "VL", "C2": 7}},
+        },
+    )
+    assert errors_of(text, strict=strict) == [
+        "$.panel.weights.ghost: criterion weight labels for undeclared rater 'ghost'"
+    ]
+
+
 def test_scale_override_applies_to_labels():
     text = minimal(
         scale={"LO": [0, 0, 1], "HI": [1, 2, 2], "CRISP": [2, 2, 2]},
@@ -499,3 +515,99 @@ def test_one_replaced_value_is_parsed_or_rejected(location, value):
         return
     if scenario.graph is not None:
         export_dot(scenario.graph)
+
+
+SCALE_LABELS = ["VL", "L", "AV", "H", "VH"]
+NEW_KEYS = ["dm0", "dm9", "A0", "A9", "C0", "C9"]
+# fresh lists and objects each draw, since later edits may write into them
+NOT_A_CONTAINER = st.sampled_from(["H", None]) | st.builds(lambda: ["H"])
+BAD_LABELS = (
+    st.sampled_from([3, True, None, "HUGE", "vh"]) | st.builds(lambda: ["H"]) | st.builds(dict)
+)
+
+
+def _edit_panel(draw, panel):
+    """One edit inside the panel: a grid, row or label replaced, or a key
+    added or deleted, in the ratings, the weights or any object below them."""
+    objects, stack = [], [panel["ratings"], panel["weights"]]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, dict):
+            objects.append(obj)
+            stack.extend(obj.values())
+    obj = draw(st.sampled_from(objects))
+    edit = draw(st.sampled_from(["replace", "add", "delete", "label"]))
+    if edit == "add":
+        obj[draw(st.sampled_from(NEW_KEYS))] = draw(st.sampled_from(SCALE_LABELS) | NOT_A_CONTAINER)
+    elif obj and edit == "delete":
+        del obj[draw(st.sampled_from(list(obj)))]
+    elif obj:
+        value = NOT_A_CONTAINER if edit == "replace" else BAD_LABELS
+        obj[draw(st.sampled_from(list(obj)))] = draw(value)
+
+
+@st.composite
+def panel_documents(draw):
+    """A well-formed k x m x n panel, each of k, m, n in 1..3, with 0-3 edits."""
+    k, m, n = (draw(st.integers(1, 3)) for _ in range(3))
+    raters = [f"dm{i}" for i in range(k)]
+    actions = [f"A{i}" for i in range(m)]
+    crits = [f"C{j}" for j in range(n)]
+    label = st.sampled_from(SCALE_LABELS)
+    panel = {
+        "decision_makers": raters,
+        "ratings": {r: {a: {c: draw(label) for c in crits} for a in actions} for r in raters},
+        "weights": {r: {c: draw(label) for c in crits} for r in raters},
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        _edit_panel(draw, panel)
+    return {
+        "schema_version": "1",
+        "criteria": [{"id": c} for c in crits],
+        "actions": actions,
+        "panel": panel,
+    }
+
+
+def _oracle_codes(doc):
+    """Each cell's label index, looked up one cell at a time, or None unless
+    the panel holds exactly the raters' grids of the actions' rows of the
+    criteria's labels, all from the scale."""
+    raters, actions = doc["panel"]["decision_makers"], doc["actions"]
+    crits = [c["id"] for c in doc["criteria"]]
+    ratings, weights = doc["panel"]["ratings"], doc["panel"]["weights"]
+
+    def row_codes(row):
+        if not isinstance(row, dict) or set(row) != set(crits):
+            return None
+        if not all(isinstance(row[c], str) and row[c] in SCALE_LABELS for c in crits):
+            return None
+        return [SCALE_LABELS.index(row[c]) for c in crits]
+
+    if set(ratings) != set(raters) or set(weights) != set(raters):
+        return None
+    grids = [ratings[r] for r in raters]
+    if not all(isinstance(grid, dict) and set(grid) == set(actions) for grid in grids):
+        return None
+    rating_codes = [[row_codes(grid[a]) for a in actions] for grid in grids]
+    weight_codes = [row_codes(weights[r]) for r in raters]
+    if None in weight_codes or any(None in rows for rows in rating_codes):
+        return None
+    return rating_codes, weight_codes
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+@given(panel_documents())
+def test_panel_decode_matches_per_cell_oracle(doc):
+    """The parser accepts exactly the panels the per-cell oracle decodes, with
+    the same codes, and says why it refused any other under $.panel."""
+    expected = _oracle_codes(doc)
+    try:
+        scenario = parse_scenario(json.dumps(doc))
+    except ScenarioError as exc:
+        assert expected is None
+        assert any(e.startswith("$.panel") for e in exc.errors)
+        return
+    panel = scenario.panel
+    assert panel is not None and expected is not None
+    assert (panel.rating_codes.tolist(), panel.weight_codes.tolist()) == expected
