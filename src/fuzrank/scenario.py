@@ -397,7 +397,8 @@ def _parse_panel(
     criteria: tuple[CriterionSpec, ...],
     scale: Mapping[str, TFN],
 ) -> Optional[RatingPanel]:
-    """The rating panel as label codes, or None with the reasons in `col`.
+    """The rating panel as label codes, or None when it is absent or refused
+    (the reasons then in `col`).
 
     A well-formed panel is decoded in one pass with no Python-level call per
     row (`_decode_panel`). Only when that pass refuses the panel does the
@@ -500,7 +501,8 @@ def _parse_panel(
 
 
 def _pick(keys: tuple[str, ...]) -> Callable[[Any], tuple]:
-    """itemgetter(*keys), but a tuple also for one key."""
+    """itemgetter(*keys), but a tuple also for one key; that case is a
+    Python-level call per item."""
     if len(keys) > 1:
         return itemgetter(*keys)
     key = keys[0]
