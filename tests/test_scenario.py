@@ -321,14 +321,80 @@ def test_pairwise_reciprocity_enforced():
     assert any("$.pairwise" in e and "not reciprocal" in e for e in errs)
 
 
-def test_decision_matrix_requires_full_grid():
+ROW = {"C-1": 1, "C-2": 2.5}
+
+
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        (
+            {"A1": ROW, "A2": ROW, "A9": ROW},
+            ["$.decision_matrix.A9: unknown action 'A9'"],
+        ),
+        ({"A1": ROW}, ["$.decision_matrix.A2: missing row for action 'A2'"]),
+        (
+            {"A1": [1, 2.5], "A2": None},
+            [
+                "$.decision_matrix.A1: missing row for action 'A1'",
+                "$.decision_matrix.A2: missing row for action 'A2'",
+            ],
+        ),
+        (
+            {"A1": {**ROW, "C-9": 3}, "A2": ROW},
+            ["$.decision_matrix.A1.C-9: unknown criterion 'C-9'"],
+        ),
+        (
+            {"A1": {"C-1": 3.0}, "A2": ROW},
+            ["$.decision_matrix.A1: missing value for criterion 'C-2'"],
+        ),
+        (
+            {"A1": ROW, "A2": {"C-1": True, "C-2": 1}},
+            ["$.decision_matrix.A2.C-1: expected a number, got bool"],
+        ),
+        (
+            {"A1": {"C-1": 1, "C-2": "3"}, "A2": ROW},
+            ["$.decision_matrix.A1.C-2: expected a number, got str"],
+        ),
+        (
+            {"A1": {"C-1": -1, "C-2": 1}, "A2": ROW},
+            ["$.decision_matrix.A1.C-1: value -1.0 outside [0, None]"],
+        ),
+        (
+            {"A1": ROW, "A2": {"C-1": 1, "C-2": 10**400}},
+            ["$.decision_matrix.A2.C-2: expected a finite number, got inf"],
+        ),
+        (
+            {"A1": ROW, "A2": {"C-1": float("nan"), "C-2": 1}},
+            ["$.decision_matrix.A2.C-1: expected a finite number, got nan"],
+        ),
+        (
+            {
+                "A0": 1,
+                "A1": {"C-9": 1, "C-2": None},
+                "A9": ROW,
+                "A2": {"C-2": -0.5, "C-1": [1]},
+            },
+            [
+                "$.decision_matrix.A0: unknown action 'A0'",
+                "$.decision_matrix.A9: unknown action 'A9'",
+                "$.decision_matrix.A1.C-9: unknown criterion 'C-9'",
+                "$.decision_matrix.A1: missing value for criterion 'C-1'",
+                "$.decision_matrix.A1.C-2: expected a number, got NoneType",
+                "$.decision_matrix.A2.C-1: expected a number, got list",
+                "$.decision_matrix.A2.C-2: value -0.5 outside [0, None]",
+            ],
+        ),
+    ],
+    ids=[
+        "unknown-action", "missing-row", "list-and-null-rows", "unknown-criterion",
+        "requires-full-grid", "bool", "string", "negative", "int-1e400", "nan", "many-errors",
+    ],
+)
+def test_decision_matrix_errors(matrix, expected):
     text = minimal(
-        criteria=[{"id": "C-1"}, {"id": "C-2"}],
-        actions=["A1"],
-        decision_matrix={"A1": {"C-1": 3.0}},
+        criteria=[{"id": "C-1"}, {"id": "C-2"}], actions=["A1", "A2"], decision_matrix=matrix
     )
-    errs = errors_of(text)
-    assert any("missing value for criterion 'C-2'" in e for e in errs)
+    assert errors_of(text) == expected
 
 
 # --- vulnerabilities / assets -----------------------------------------------------
