@@ -12,10 +12,12 @@ object's fields (any other key draws an "unknown field" warning), and each
 `_parse_*` function checks the types, ranges and cross-references of its
 section. Every problem is reported as `<json-path>: <message>`.
 
-The rating panel is decoded in one pass over the whole panel, with no
-Python-level call per row; it accepts a panel only when every rater, action,
-criterion and label is exactly where it should be. The per-row walk runs only
-to explain a panel that pass refused, and reports every problem found.
+The panel's ratings and weights and the decision matrix are keyed grids:
+objects keyed by ids, whose rows are keyed by criterion id. Every keyed grid is
+decoded in one pass by `_leaves`, with no Python-level call per row, and is
+accepted only when every key and cell is exactly where it should be.
+`_explain_grid` runs only to explain a grid that pass refused, and reports
+every problem found.
 
 The parser builds the scoring types itself: each vulnerability becomes a
 `VulnerabilityRecord` and each asset an `AssetProfile` of those records, with
@@ -69,6 +71,9 @@ _VULN_KEYS = {
 }
 _ASSET_KEYS = {"id", "services_on_asset", "network_services_total", "vulnerabilities"}
 _SCHEME_KEYS = {"code", "description"}
+# The largest service count a float holds exactly, with every count below it;
+# services_on_asset may not exceed network_services_total, so this bounds both.
+_MAX_SERVICES = 2**53
 
 
 class ScenarioError(ValueError):
@@ -400,10 +405,10 @@ def _parse_panel(
     """The rating panel as label codes, or None when it is absent or refused
     (the reasons then in `col`).
 
-    A well-formed panel is decoded in one pass with no Python-level call per
-    row (`_decode_panel`). Only when that pass refuses the panel does the
-    per-row walk below run, to explain the refusal: it reports every problem
-    and decodes nothing.
+    The ratings and the weights are keyed grids, each decoded in one pass by
+    `_leaves`, with no Python-level call per row; a label outside the scale
+    fails the code lookup. Only for a refused panel does `_explain_grid` run,
+    to report every problem.
     """
     if raw is None:
         return None
@@ -434,69 +439,49 @@ def _parse_panel(
     if not _expect(col, "$.panel.ratings", ratings, dict, "an object keyed by rater"):
         return None
     weights = raw.get("weights")
-    if isinstance(weights, dict):
-        codes = _decode_panel(ratings, weights, raters, actions, crit_ids, scale)
-        if codes is not None:
-            return RatingPanel(
-                decision_makers=raters,
-                alternatives=actions,
-                criteria=criteria,
-                labels=tuple(scale),
-                rating_codes=codes[0],
-                weight_codes=codes[1],
-            )
+    code_of = {label: i for i, label in enumerate(scale)}.__getitem__
+    try:
+        rating_codes = list(map(code_of, _leaves(ratings, raters, actions, crit_ids)))
+        weight_codes = list(map(code_of, _leaves(weights, raters, crit_ids)))
+    except (KeyError, TypeError):
+        pass
+    else:
+        k, m, n = len(raters), len(actions), len(crit_ids)
+        return RatingPanel(
+            decision_makers=raters,
+            alternatives=actions,
+            criteria=criteria,
+            labels=tuple(scale),
+            rating_codes=np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
+            weight_codes=np.array(weight_codes, dtype=np.intp).reshape(k, n),
+        )
 
-    # The panel is refused: walk it row by row to say why.
-    crit_set = set(crit_ids)
+    # The panel is refused: say why.
+    def check_label(path: str, label: Any) -> None:
+        if not isinstance(label, str) or label not in scale:
+            col.error(path, f"label {label!r} not in the scale ({', '.join(scale)})")
 
-    def check_row(path: str, row: dict, what: str) -> None:
-        for cid in row:
-            if cid not in crit_set:
-                col.error(f"{path}.{cid}", f"unknown criterion {cid!r}")
-        for cid in crit_ids:
-            if cid not in row:
-                col.error(path, f"missing {what} for criterion {cid!r}")
-            elif not isinstance(row[cid], str) or row[cid] not in scale:
-                col.error(
-                    f"{path}.{cid}",
-                    f"label {row[cid]!r} not in the scale ({', '.join(scale)})",
-                )
-
-    action_set = set(actions)
     for dm in raters:
         grid = ratings.get(dm)
         path = f"$.panel.ratings.{dm}"
         if not isinstance(grid, dict):
             col.error(path, f"missing rating grid for decision maker {dm!r}")
             continue
-        for alt in grid:
-            if alt not in action_set:
-                col.error(f"{path}.{alt}", f"unknown action {alt!r}")
-        for alt in actions:
-            row = grid.get(alt)
-            if isinstance(row, dict):
-                check_row(f"{path}.{alt}", row, "rating")
-            else:
-                col.error(f"{path}.{alt}", f"missing ratings for action {alt!r}")
-    rater_set = set(raters)
-    for dm in ratings:
-        if dm not in rater_set:
-            col.error(f"$.panel.ratings.{dm}", f"rating grid for undeclared rater {dm!r}")
+        _unknown_ids(col, path, grid, actions, "unknown action")
+        _explain_grid(
+            col, path, grid, actions, crit_ids, "ratings for action", "rating", check_label
+        )
+    _unknown_ids(col, "$.panel.ratings", ratings, raters, "rating grid for undeclared rater")
 
     if not _expect(col, "$.panel.weights", weights, dict, "an object keyed by rater"):
         return None
-    for dm in raters:
-        row = weights.get(dm)
-        path = f"$.panel.weights.{dm}"
-        if isinstance(row, dict):
-            check_row(path, row, "weight label")
-        else:
-            col.error(path, f"missing criterion weight labels for decision maker {dm!r}")
-    for dm in weights:
-        if dm not in rater_set:
-            col.error(
-                f"$.panel.weights.{dm}", f"criterion weight labels for undeclared rater {dm!r}"
-            )
+    _explain_grid(
+        col, "$.panel.weights", weights, raters, crit_ids,
+        "criterion weight labels for decision maker", "weight label", check_label,
+    )
+    _unknown_ids(
+        col, "$.panel.weights", weights, raters, "criterion weight labels for undeclared rater"
+    )
     return None
 
 
@@ -509,42 +494,56 @@ def _pick(keys: tuple[str, ...]) -> Callable[[Any], tuple]:
     return lambda obj: (obj[key],)
 
 
-def _decode_panel(
-    ratings: dict,
-    weights: dict,
-    raters: tuple[str, ...],
-    actions: tuple[str, ...],
+def _leaves(obj: Any, *levels: tuple[str, ...]) -> Iterator[Any]:
+    """The leaves of a keyed grid, in key order and lazily at the last level.
+    `obj` must hold exactly the keys of `levels[0]`, each of its values
+    exactly those of `levels[1]`, and so on; given the length checks, keys
+    that are all found are all the keys. Any other grid raises KeyError or
+    TypeError, at the latest while the leaves are read."""
+    leaves: Iterator[Any] = iter((obj,))
+    for keys in levels:
+        items = list(leaves)
+        if set(map(len, items)) != {len(keys)}:
+            raise KeyError(keys)
+        leaves = chain.from_iterable(map(_pick(keys), items))
+    return leaves
+
+
+def _unknown_ids(
+    col: _Collector, path: str, obj: Mapping[str, Any], known: Sequence[str], message: str
+) -> None:
+    """Report each key of `obj` outside `known`, in the object's order."""
+    known_set = set(known)
+    for key in obj:
+        if key not in known_set:
+            col.error(f"{path}.{key}", f"{message} {key!r}")
+
+
+def _explain_grid(
+    col: _Collector,
+    path: str,
+    grid: Mapping[str, Any],
+    row_ids: tuple[str, ...],
     crit_ids: tuple[str, ...],
-    scale: Mapping[str, TFN],
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The (k, m, n) rating codes and (k, n) weight codes of a well-formed
-    panel, or None for any other. Well-formed: `ratings` and `weights` hold
-    exactly the k raters, each grid exactly the m actions, each row exactly
-    the n criteria, and each label is in the scale. A missing key, a grid or
-    row that is not an object, and a label outside the scale or unhashable
-    each raise KeyError or TypeError. Given the length checks, keys that are
-    all found are all the keys."""
-    k, m, n = len(raters), len(actions), len(crit_ids)
-    if len(ratings) != k or len(weights) != k:
-        return None
-    by_rater, by_crit = _pick(raters), _pick(crit_ids)
-    code_of = {label: i for i, label in enumerate(scale)}.__getitem__
-    try:
-        grids = by_rater(ratings)
-        if set(map(len, grids)) != {m}:
-            return None
-        rows = list(chain.from_iterable(map(_pick(actions), grids)))
-        weight_rows = by_rater(weights)
-        if set(map(len, rows)) != {n} or set(map(len, weight_rows)) != {n}:
-            return None
-        rating_codes = list(map(code_of, chain.from_iterable(map(by_crit, rows))))
-        weight_codes = list(map(code_of, chain.from_iterable(map(by_crit, weight_rows))))
-    except (KeyError, TypeError):
-        return None
-    return (
-        np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
-        np.array(weight_codes, dtype=np.intp).reshape(k, n),
-    )
+    row_noun: str,
+    cell_noun: str,
+    check_cell: Callable[[str, Any], Any],
+) -> None:
+    """Report each row of `row_ids` that is missing or not an object, each
+    unknown or missing criterion in a row, and each cell through
+    `check_cell(path, value)`. The caller reports unknown row ids."""
+    for rid in row_ids:
+        row = grid.get(rid)
+        row_path = f"{path}.{rid}"
+        if not isinstance(row, dict):
+            col.error(row_path, f"missing {row_noun} {rid!r}")
+            continue
+        _unknown_ids(col, row_path, row, crit_ids, "unknown criterion")
+        for cid in crit_ids:
+            if cid in row:
+                check_cell(f"{row_path}.{cid}", row[cid])
+            else:
+                col.error(row_path, f"missing {cell_noun} for criterion {cid!r}")
 
 
 def _parse_pairwise(
@@ -580,6 +579,13 @@ def _parse_decision_matrix(
     actions: tuple[str, ...],
     criteria: tuple[CriterionSpec, ...],
 ) -> Optional[DecisionMatrix]:
+    """The crisp decision matrix, or None when it is absent or refused (the
+    reasons then in `col`).
+
+    The matrix is a keyed grid of nonnegative finite numbers (not bools),
+    decoded in one pass by `_leaves`. Only for a refused matrix does
+    `_explain_grid` run, to report every problem.
+    """
     if raw is None:
         return None
     if not _expect(col, "$.decision_matrix", raw, dict, "an object keyed by action id"):
@@ -587,44 +593,22 @@ def _parse_decision_matrix(
     if not actions or not criteria:
         col.error("$.decision_matrix", "requires top-level 'actions' and 'criteria' lists")
         return None
-    ok = True
-    action_set = set(actions)
-    crit_set = {c.id for c in criteria}
-    for action in raw:
-        if action not in action_set:
-            col.error(f"$.decision_matrix.{action}", f"unknown action {action!r}")
-            ok = False
-    rows: list[list[float]] = []
-    for action in actions:
-        row = raw.get(action)
-        path = f"$.decision_matrix.{action}"
-        if not isinstance(row, dict):
-            col.error(path, f"missing row for action {action!r}")
-            ok = False
-            continue
-        for cid in row:
-            if cid not in crit_set:
-                col.error(f"{path}.{cid}", f"unknown criterion {cid!r}")
-                ok = False
-        vals: list[float] = []
-        for c in criteria:
-            if c.id not in row:
-                col.error(path, f"missing value for criterion {c.id!r}")
-                ok = False
-                continue
-            x = _number(col, f"{path}.{c.id}", row[c.id], lo=0)
-            if x is None:
-                ok = False
-            else:
-                vals.append(x)
-        rows.append(vals)
-    if not ok:
-        return None
+    crit_ids = tuple(c.id for c in criteria)
     try:
-        return DecisionMatrix(list(actions), list(criteria), rows)
-    except ValueError as exc:
-        col.error("$.decision_matrix", str(exc))
-        return None
+        values = list(_leaves(raw, actions, crit_ids))
+        if set(map(type, values)) <= {int, float}:
+            cells = np.array(values, float).reshape(len(actions), len(crit_ids))
+            return DecisionMatrix(actions, criteria, cells)
+    except (KeyError, TypeError, OverflowError, ValueError):
+        pass
+
+    # The matrix is refused: say why.
+    _unknown_ids(col, "$.decision_matrix", raw, actions, "unknown action")
+    _explain_grid(
+        col, "$.decision_matrix", raw, actions, crit_ids, "row for action", "value",
+        lambda path, x: _number(col, path, x, lo=0),
+    )
+    return None
 
 
 def _parse_vulnerabilities(
@@ -737,6 +721,11 @@ def _parse_assets(
             ok = False
         if total < 1:
             col.error(f"{path}.network_services_total", "must be at least 1")
+            ok = False
+        elif total > _MAX_SERVICES:
+            col.error(
+                f"{path}.network_services_total", f"must be at most 2**53 ({_MAX_SERVICES})"
+            )
             ok = False
         elif not (0 <= services <= total):
             col.error(

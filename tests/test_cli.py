@@ -532,7 +532,22 @@ SYNTHETIC = {
          "vulnerabilities": ["CVE-2"]},
     ],
 }
-BASES = [(json.loads(SCENARIO.read_text(encoding="utf-8")), "RAN-control"), (SYNTHETIC, "goal")]
+CRISP = {
+    "schema_version": "1",
+    "criteria": [
+        {"id": "C-1", "kind": "benefit", "weight": 3},
+        {"id": "C-2", "kind": "cost", "weight": "AV"},
+    ],
+    "actions": ["A1", "A2"],
+    "pairwise": [[1, 3], [0.3333333333333333, 1]],
+    "decision_matrix": {"A1": {"C-1": 7, "C-2": 2.5}, "A2": {"C-1": 4.0, "C-2": 1}},
+}
+# (document, graph goal, rank engine): CRISP has no panel for the fuzzy engine
+BASES = [
+    (json.loads(SCENARIO.read_text(encoding="utf-8")), "RAN-control", "both"),
+    (SYNTHETIC, "goal", "both"),
+    (CRISP, "goal", "classic"),
+]
 
 EXTREME_NUMBERS = [0, -1, 0.5, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, -1e308, 10**400]
 OTHER_STRINGS = ["VL", "VH", "A1", "C-1", "cost", "benefit", "privilege", "final_step", "", "??"]
@@ -601,7 +616,7 @@ def contract_dir(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(range(len(BASES))), st.data())
 def test_cli_contract_on_mutated_scenarios(contract_dir, base, data):
-    doc, goal = BASES[base]
+    doc, goal, engine = BASES[base]
     doc = json.loads(json.dumps(doc))
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(doc, data.draw)
@@ -610,7 +625,7 @@ def test_cli_contract_on_mutated_scenarios(contract_dir, base, data):
     runner = CliRunner()
     commands = {
         "validate": ["validate", str(path)],
-        "rank": ["rank", str(path), "--format", "json"],
+        "rank": ["rank", str(path), "--engine", engine, "--format", "json"],
         "veability": ["veability", str(path), "--format", "json"],
         "graph": ["graph", str(path), "--goal", goal],
     }

@@ -1,4 +1,5 @@
 import json
+import math
 from importlib.resources import files
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fuzrank.fuzzy import TFN, aggregate_ratings
 from fuzrank.graph import export_dot
+from fuzrank.veability import exploitability_dim
 from fuzrank.scenario import (
     ScenarioError,
     asset_profiles,
@@ -490,14 +492,29 @@ VULN = {"cve": "C", "impact_score": 5, "exploitability_score": 5, "temporal_scor
          "$.assets[0].network_services_total: must be at least 1"),
         ({"assets": [{"id": "h", "services_on_asset": -1, "network_services_total": 2}]},
          "$.assets[0].services_on_asset: must be between 0 and network_services_total (2)"),
+        ({"assets": [{"id": "h", "services_on_asset": 10**400, "network_services_total": 10**400}]},
+         "$.assets[0].network_services_total: must be at most 2**53 (9007199254740992)"),
+        ({"assets": [{"id": "h", "services_on_asset": 10**308, "network_services_total": 10**308}]},
+         "$.assets[0].network_services_total: must be at most 2**53 (9007199254740992)"),
     ],
-    ids=["impact", "exploitability", "temporal", "atc-cost", "services-total", "services"],
+    ids=[
+        "impact", "exploitability", "temporal", "atc-cost", "services-total", "services",
+        "services-int-1e400", "services-int-1e308",
+    ],
 )
 def test_veability_ranges_checked_by_parser(doc, message):
     """The scoring records do not check their ranges; the parser does, one
     document per rule since it skips the rest of a vulnerability after its
     first range error."""
     assert errors_of(minimal(**doc)) == [message]
+
+
+def test_service_counts_up_to_2_53_keep_the_pooled_exploitability():
+    n = 2**53
+    asset = {"id": "h", "services_on_asset": n, "network_services_total": n,
+             "vulnerabilities": ["C"]}
+    (profile,) = parse_scenario(minimal(vulnerabilities=[VULN], assets=[asset])).assets
+    assert exploitability_dim(profile) == 5.0
 
 
 def test_asset_repeating_a_vulnerability_rejected():
@@ -592,10 +609,11 @@ BAD_LABELS = (
 )
 
 
-def _edit_panel(draw, panel):
-    """One edit inside the panel: a grid, row or label replaced, or a key
-    added or deleted, in the ratings, the weights or any object below them."""
-    objects, stack = [], [panel["ratings"], panel["weights"]]
+def _edit_grid(draw, roots, good, bad):
+    """One edit inside the keyed grids `roots`: a row or cell replaced by a
+    non-object or a `bad` cell, or a key added (with a `good` cell or a
+    non-object) or deleted, in any object below them."""
+    objects, stack = [], list(roots)
     while stack:
         obj = stack.pop()
         if isinstance(obj, dict):
@@ -604,11 +622,11 @@ def _edit_panel(draw, panel):
     obj = draw(st.sampled_from(objects))
     edit = draw(st.sampled_from(["replace", "add", "delete", "label"]))
     if edit == "add":
-        obj[draw(st.sampled_from(NEW_KEYS))] = draw(st.sampled_from(SCALE_LABELS) | NOT_A_CONTAINER)
+        obj[draw(st.sampled_from(NEW_KEYS))] = draw(good | NOT_A_CONTAINER)
     elif obj and edit == "delete":
         del obj[draw(st.sampled_from(list(obj)))]
     elif obj:
-        value = NOT_A_CONTAINER if edit == "replace" else BAD_LABELS
+        value = NOT_A_CONTAINER if edit == "replace" else bad
         obj[draw(st.sampled_from(list(obj)))] = draw(value)
 
 
@@ -626,7 +644,7 @@ def panel_documents(draw):
         "weights": {r: {c: draw(label) for c in crits} for r in raters},
     }
     for _ in range(draw(st.integers(0, 3))):
-        _edit_panel(draw, panel)
+        _edit_grid(draw, [panel["ratings"], panel["weights"]], label, BAD_LABELS)
     return {
         "schema_version": "1",
         "criteria": [{"id": c} for c in crits],
@@ -677,3 +695,73 @@ def test_panel_decode_matches_per_cell_oracle(doc):
     panel = scenario.panel
     assert panel is not None and expected is not None
     assert (panel.rating_codes.tolist(), panel.weight_codes.tolist()) == expected
+
+
+CELL_VALUES = [0, -0.0, 1, 2.5, 2**53 + 1, 1e308]
+BAD_CELLS = st.sampled_from(
+    [-1, -0.5, 10**400, float("nan"), float("inf"), True, None, "3"]
+) | st.builds(lambda: [1]) | st.builds(dict)
+
+
+@st.composite
+def matrix_documents(draw):
+    """A well-formed m x n decision matrix, each of m, n in 1..3, with 0-3 edits."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    actions = [f"A{i}" for i in range(m)]
+    crits = [f"C{j}" for j in range(n)]
+    value = st.sampled_from(CELL_VALUES)
+    matrix = {a: {c: draw(value) for c in crits} for a in actions}
+    for _ in range(draw(st.integers(0, 3))):
+        _edit_grid(draw, [matrix], value, BAD_CELLS)
+    return {
+        "schema_version": "1",
+        "criteria": [{"id": c} for c in crits],
+        "actions": actions,
+        "decision_matrix": matrix,
+    }
+
+
+def _oracle_cell(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:  # an integer past the float range
+        return None
+    return x if math.isfinite(x) and x >= 0 else None
+
+
+def _oracle_cells(doc):
+    """Each cell as float(x), read one cell at a time, or None unless the
+    matrix holds exactly the actions' rows of the criteria's cells, each a
+    nonnegative finite number."""
+    actions, crits = doc["actions"], [c["id"] for c in doc["criteria"]]
+    matrix = doc["decision_matrix"]
+    if set(matrix) != set(actions):
+        return None
+    rows = []
+    for a in actions:
+        row = matrix[a]
+        if not isinstance(row, dict) or set(row) != set(crits):
+            return None
+        rows.append([_oracle_cell(row[c]) for c in crits])
+    return None if any(None in row for row in rows) else rows
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+@given(matrix_documents())
+def test_decision_matrix_decode_matches_per_cell_oracle(doc):
+    """The parser accepts exactly the matrices the per-cell oracle reads, with
+    the same cells, and says why it refused any other under $.decision_matrix."""
+    expected = _oracle_cells(doc)
+    try:
+        scenario = parse_scenario(json.dumps(doc))
+    except ScenarioError as exc:
+        assert expected is None
+        assert any(e.startswith("$.decision_matrix") for e in exc.errors)
+        return
+    matrix = scenario.decision_matrix
+    assert matrix is not None and expected is not None
+    assert matrix.cells.dtype == float
+    # repr also tells -0.0 from 0.0
+    assert repr(matrix.cells.tolist()) == repr(expected)
