@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from fuzrank.fuzzy import TFN, aggregate_ratings
 from fuzrank.graph import export_dot
-from fuzrank.veability import exploitability_dim
 from fuzrank.scenario import (
     ScenarioError,
     asset_profiles,
     parse_scenario,
     resolve_vulnerability_records,
 )
+from fuzrank.veability import exploitability_dim
 
 from golden_ratings import ACTIONS, POOLED_MATRIX
 
