@@ -153,6 +153,50 @@ def test_pooling_keeps_tfn_ordered(rater_rows):
         assert (v[..., 0] <= v[..., 1]).all() and (v[..., 1] <= v[..., 2]).all()
 
 
+def pool_reference(table, codes):
+    """Gather-then-reduce pooling: look every code up as a whole (a, b, c)
+    row, then reduce strided views of the (k, ..., 3) result."""
+    tfns = table[codes]
+    a = tfns[..., 0].min(axis=0)
+    c = tfns[..., 2].max(axis=0)
+    return np.stack([a, np.clip(tfns[..., 1].mean(axis=0), a, c), c], axis=-1)
+
+
+# fractions as well as the extremes, where the default scale has small integers
+COMPONENT = st.sampled_from([0.0, 1e-300, 1e300]) | st.floats(0, 10) | st.floats(0, 1e300)
+
+
+@st.composite
+def coded_panels(draw):
+    """A scale of 1-6 labels with ordered non-integer components, and a panel
+    of 1-5 raters over 1-4 alternatives and 1-4 criteria coding into it."""
+    scale = draw(
+        st.lists(st.tuples(COMPONENT, COMPONENT, COMPONENT).map(sorted), min_size=1, max_size=6)
+    )
+    k, m, n = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    code = st.integers(0, len(scale) - 1)
+    rating_codes = draw(st.lists(code, min_size=k * m * n, max_size=k * m * n))
+    weight_codes = draw(st.lists(code, min_size=k * n, max_size=k * n))
+    panel = RatingPanel(
+        decision_makers=tuple(f"dm{r}" for r in range(k)),
+        alternatives=tuple(f"A{i}" for i in range(m)),
+        criteria=specs([B] * n),
+        labels=tuple(f"T{i}" for i in range(len(scale))),
+        rating_codes=np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
+        weight_codes=np.array(weight_codes, dtype=np.intp).reshape(k, n),
+    )
+    return panel, {label: TFN(*t) for label, t in zip(panel.labels, scale)}
+
+
+@given(coded_panels())
+def test_pooling_matches_gather_then_reduce_bit_for_bit(case):
+    panel, scale = case
+    table = np.array([scale[label] for label in panel.labels], dtype=float)
+    pooled = aggregate_ratings(panel, scale)
+    assert pooled.values.tobytes() == pool_reference(table, panel.rating_codes).tobytes()
+    assert pooled.weights.tobytes() == pool_reference(table, panel.weight_codes).tobytes()
+
+
 # --- normalization ---------------------------------------------------------------
 
 def test_normalize_benefit_column_golden():
