@@ -15,7 +15,8 @@ Array layout. A `RatingPanel` carries its linguistic labels as integer codes
 into `panel.labels`: `rating_codes` has shape (k, m, n) for k raters, m
 alternatives and n criteria, `weight_codes` has shape (k, n). Only the
 scenario parser builds these codes, while it validates the panel. Pooling looks
-the codes up in a (labels, 3) table built from the scale, so every later
+the codes up in one column per component (every label's a, its b, its c) built
+from the scale, and reduces each column on its own, so every later
 stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
 (m, n, 3), the last axis holding each cell's (a, b, c), and whose fuzzy
 weights have shape (n, 3). `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view
@@ -119,13 +120,13 @@ def aggregate_ratings(panel: RatingPanel, scale: Mapping[str, TFN]) -> FuzzyDeci
     [min a, max c], where its exact value lies.
     """
     table = np.array([scale[label] for label in panel.labels], dtype=float)
-    table = table.reshape(-1, 3)  # (labels, 3), also with no labels
+    # one contiguous column per component, also with no labels
+    ta, tb, tc = np.ascontiguousarray(table.reshape(-1, 3).T)
 
     def pool(codes: np.ndarray) -> np.ndarray:
-        tfns = table[codes]  # (k, ..., 3)
-        a = tfns[..., 0].min(axis=0)
-        c = tfns[..., 2].max(axis=0)
-        return np.stack([a, np.clip(tfns[..., 1].mean(axis=0), a, c), c], axis=-1)
+        a = ta[codes].min(axis=0)
+        c = tc[codes].max(axis=0)
+        return np.stack([a, np.clip(tb[codes].mean(axis=0), a, c), c], axis=-1)
 
     return FuzzyDecisionMatrix(
         alternatives=panel.alternatives,

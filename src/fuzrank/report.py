@@ -11,14 +11,81 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from json.encoder import encode_basestring_ascii as _ascii
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 from .classic import RankingResult
 from .veability import AssetScore
 
 REPORT_VERSION = "1"
+
+# The JSON report in the layout of json.dumps(indent=2): the header, one
+# block per ranking, one row per ranked action and one per asset.
+_HEADER = """{
+  "report_version": %s,
+  "tool_version": %s,
+  "scenario_fingerprint": %s,
+  "warnings": %s"""
+_RANKING = """    {
+      "engine": %s,
+      "cost_definition": %s,
+      "cost_orientation": %s,
+      "minimum_effort_action": %s,
+      "actions": [
+%s
+      ]
+    }"""
+_ACTION = """        {
+          "action": %s,
+          "d_plus": %s,
+          "d_minus": %s,
+          "cost": %s,
+          "benefit": %s,
+          "rank": %s
+        }"""
+_ASSET = """    {
+      "asset": %s,
+      "V": %s,
+      "E": %s,
+      "A": %s,
+      "veability": %s
+    }"""
+
+
+def _floats(values: tuple[float, ...]) -> Iterator[str]:
+    """Each float as json.dumps writes it; like json.dumps(allow_nan=False),
+    refuse a NaN or infinity with ValueError."""
+    if not all(map(math.isfinite, values)):
+        bad = next(x for x in values if not math.isfinite(x))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return map(float.__repr__, values)
+
+
+def _strings(values: tuple[str, ...]) -> Iterator[str]:
+    return map(_ascii, values)
+
+
+def _ints(values: tuple[int, ...]) -> Iterator[str]:
+    return map(int.__repr__, values)
+
+
+_Format = Callable[[tuple], Iterator[str]]
+_ACTION_FIELDS = attrgetter("action", "d_plus", "d_minus", "cost", "benefit", "rank")
+_ACTION_FORMATS: tuple[_Format, ...] = (_strings, _floats, _floats, _floats, _floats, _ints)
+_ASSET_FIELDS = attrgetter(
+    "asset_id", "vulnerability", "exploitability", "attackability", "veability"
+)
+_ASSET_FORMATS: tuple[_Format, ...] = (_strings, _floats, _floats, _floats, _floats)
+
+
+def _rows(template: str, items: Iterable, fields: attrgetter, formats: tuple[_Format, ...]) -> str:
+    """`template` filled once per item, joined by ",\\n". The fields are read
+    and formatted a column at a time: formats[i] writes column i."""
+    columns = zip(*map(fields, items))
+    return ",\n".join(map(template.__mod__, zip(*(f(c) for f, c in zip(formats, columns)))))
 
 
 def fingerprint(data: bytes) -> str:
@@ -33,49 +100,41 @@ class RunReport:
     assets: tuple[AssetScore, ...] = ()
     warnings: tuple[str, ...] = field(default=())
 
-    def to_json_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "report_version": REPORT_VERSION,
-            "tool_version": self.tool_version,
-            "scenario_fingerprint": self.scenario_fingerprint,
-            "warnings": list(self.warnings),
-        }
+    def to_json(self) -> str:
+        """The report as JSON, laid out by hand from the templates above.
+
+        Its bytes equal `json.dumps(doc, indent=2, allow_nan=False) + "\\n"`
+        of the same document: strings are escaped by the encoder's own
+        `encode_basestring_ascii`, floats written by `float.__repr__`, and a
+        NaN or infinity raises ValueError. `rankings` and `assets` appear
+        only when nonempty.
+        """
+        warnings = ",\n    ".join(map(_ascii, self.warnings))
+        sections = [
+            _HEADER % (
+                _ascii(REPORT_VERSION),
+                _ascii(self.tool_version),
+                _ascii(self.scenario_fingerprint),
+                f"[\n    {warnings}\n  ]" if warnings else "[]",
+            )
+        ]
         if self.rankings:
-            doc["rankings"] = [
-                {
-                    "engine": r.engine,
-                    "cost_definition": r.cost_definition,
-                    "cost_orientation": r.cost_orientation,
-                    "minimum_effort_action": r.minimum_effort_action,
-                    "actions": [
-                        {
-                            "action": e.action,
-                            "d_plus": e.d_plus,
-                            "d_minus": e.d_minus,
-                            "cost": e.cost,
-                            "benefit": e.benefit,
-                            "rank": e.rank,
-                        }
-                        for e in r.entries
-                    ],
-                }
+            blocks = [
+                _RANKING % (
+                    _ascii(r.engine),
+                    _ascii(r.cost_definition),
+                    _ascii(r.cost_orientation),
+                    _ascii(r.minimum_effort_action),
+                    _rows(_ACTION, r.entries, _ACTION_FIELDS, _ACTION_FORMATS),
+                )
                 for r in self.rankings
             ]
+            sections.append(',\n  "rankings": [\n%s\n  ]' % ",\n".join(blocks))
         if self.assets:
-            doc["assets"] = [
-                {
-                    "asset": a.asset_id,
-                    "V": a.vulnerability,
-                    "E": a.exploitability,
-                    "A": a.attackability,
-                    "veability": a.veability,
-                }
-                for a in self.assets
-            ]
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
+            rows = _rows(_ASSET, self.assets, _ASSET_FIELDS, _ASSET_FORMATS)
+            sections.append(',\n  "assets": [\n%s\n  ]' % rows)
+        sections.append("\n}\n")
+        return "".join(sections)
 
     def to_table(self) -> str:
         lines: list[str] = []

@@ -138,7 +138,8 @@ def _number(col: _Collector, path: str, value: Any, lo=None, hi=None) -> Optiona
         col.error(path, f"expected a finite number, got {x!r}")
         return None
     if lo is not None and x < lo or hi is not None and x > hi:
-        col.error(path, f"value {x!r} outside [{lo}, {hi}]")
+        upper = "inf)" if hi is None else f"{hi}]"
+        col.error(path, f"value {x!r} outside [{lo}, {upper}")
         return None
     return x
 
@@ -406,8 +407,8 @@ def _parse_panel(
     (the reasons then in `col`).
 
     The ratings and the weights are keyed grids, each decoded in one pass by
-    `_leaves`, with no Python-level call per row; a label outside the scale
-    fails the code lookup. Only for a refused panel does `_explain_grid` run,
+    `_leaves`, with no Python-level call per row, its label codes streamed
+    into the array; a label outside the scale fails the code lookup. Only for a refused panel does `_explain_grid` run,
     to report every problem.
     """
     if raw is None:
@@ -440,20 +441,22 @@ def _parse_panel(
         return None
     weights = raw.get("weights")
     code_of = {label: i for i, label in enumerate(scale)}.__getitem__
+    k, m, n = len(raters), len(actions), len(crit_ids)
     try:
-        rating_codes = list(map(code_of, _leaves(ratings, raters, actions, crit_ids)))
-        weight_codes = list(map(code_of, _leaves(weights, raters, crit_ids)))
+        rating_codes = np.fromiter(
+            map(code_of, _leaves(ratings, raters, actions, crit_ids)), np.intp, k * m * n
+        )
+        weight_codes = np.fromiter(map(code_of, _leaves(weights, raters, crit_ids)), np.intp, k * n)
     except (KeyError, TypeError):
         pass
     else:
-        k, m, n = len(raters), len(actions), len(crit_ids)
         return RatingPanel(
             decision_makers=raters,
             alternatives=actions,
             criteria=criteria,
             labels=tuple(scale),
-            rating_codes=np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
-            weight_codes=np.array(weight_codes, dtype=np.intp).reshape(k, n),
+            rating_codes=rating_codes.reshape(k, m, n),
+            weight_codes=weight_codes.reshape(k, n),
         )
 
     # The panel is refused: say why.

@@ -276,8 +276,8 @@ def test_scale_override_rejects_bad_triples():
 def test_scale_override_rejects_negative_components():
     # Chen's fuzzy TOPSIS is defined on positive TFNs
     assert errors_of(minimal(scale={"N": [-2, -1, 1], "P": [1, 2, 3]})) == [
-        "$.scale.N[0]: value -2.0 outside [0, None]",
-        "$.scale.N[1]: value -1.0 outside [0, None]",
+        "$.scale.N[0]: value -2.0 outside [0, inf)",
+        "$.scale.N[1]: value -1.0 outside [0, inf)",
     ]
 
 
@@ -359,7 +359,7 @@ ROW = {"C-1": 1, "C-2": 2.5}
         ),
         (
             {"A1": {"C-1": -1, "C-2": 1}, "A2": ROW},
-            ["$.decision_matrix.A1.C-1: value -1.0 outside [0, None]"],
+            ["$.decision_matrix.A1.C-1: value -1.0 outside [0, inf)"],
         ),
         (
             {"A1": ROW, "A2": {"C-1": 1, "C-2": 10**400}},
@@ -383,7 +383,7 @@ ROW = {"C-1": 1, "C-2": 2.5}
                 "$.decision_matrix.A1: missing value for criterion 'C-1'",
                 "$.decision_matrix.A1.C-2: expected a number, got NoneType",
                 "$.decision_matrix.A2.C-1: expected a number, got list",
-                "$.decision_matrix.A2.C-2: value -0.5 outside [0, None]",
+                "$.decision_matrix.A2.C-2: value -0.5 outside [0, inf)",
             ],
         ),
     ],
