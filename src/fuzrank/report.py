@@ -4,6 +4,12 @@ Reports are deterministic for identical input files: the scenario content
 hash is embedded, numeric table output is fixed at three decimals, and JSON
 carries full precision. Every ranking block states the formula behind its
 cost column, because the two engines orient their cost values oppositely.
+
+The JSON is laid out by hand from one template per header, ranking block,
+action row and asset row, not by `json.dumps`, whose `indent` always takes the
+pure-Python encoder. Its bytes equal `json.dumps(doc, indent=2,
+allow_nan=False) + "\\n"` of the same document, which `tests/test_report.py`
+checks against the document built as plain dicts.
 """
 
 from __future__ import annotations

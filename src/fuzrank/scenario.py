@@ -407,9 +407,9 @@ def _parse_panel(
     (the reasons then in `col`).
 
     The ratings and the weights are keyed grids, each decoded in one pass by
-    `_leaves`, with no Python-level call per row, its label codes streamed
-    into the array; a label outside the scale fails the code lookup. Only for a refused panel does `_explain_grid` run,
-    to report every problem.
+    `_leaves`, with no Python-level call per row, the label codes streamed
+    into the array; a label outside the scale fails the code lookup. Only for
+    a refused panel does `_explain_grid` run, to report every problem.
     """
     if raw is None:
         return None
