@@ -19,9 +19,8 @@ Reports label each cost column with its defining formula.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +35,7 @@ class CriterionKind(Enum):
     COST = "cost"
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
+class CriterionSpec(NamedTuple):
     id: str
     kind: CriterionKind = CriterionKind.BENEFIT
     weight: Optional[object] = None  # numeric for crisp runs, label for fuzzy runs
@@ -97,8 +95,7 @@ class DecisionMatrix:
         return self.cells.shape
 
 
-@dataclass(frozen=True)
-class ActionRanking:
+class ActionRanking(NamedTuple):
     action: str
     d_plus: float
     d_minus: float
@@ -107,8 +104,7 @@ class ActionRanking:
     rank: int
 
 
-@dataclass(frozen=True)
-class RankingResult:
+class RankingResult(NamedTuple):
     engine: str
     cost_definition: str
     cost_orientation: str

@@ -5,13 +5,20 @@ Exit codes: 0 success, 1 input/validation problem, 2 computation failure
 (no positive principal eigenvector, path-enumeration explosion). Output
 files are written atomically (temp file + rename) so failures never leave
 partial files behind.
+
+Start-up bounds a call, so each command loads only what it uses. All load
+click, numpy and the parse, rank, score and export modules; numpy and click
+stay at the top because the benchmark's import-time probe (`perfbench/run.py`)
+expects `import fuzrank.cli` to load both. Only `rank` and `veability` load
+`report` (with `hashlib`, and `csv` for `--format csv`); `tempfile` loads only
+for `-o`. No fuzrank module uses `dataclasses`, which generates each class's
+methods by `exec` at import: records are NamedTuples or plain classes.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Optional
@@ -35,7 +42,6 @@ from .fuzzy import (
     rank_fuzzy,
 )
 from .graph import DEFAULT_PATH_CAP, PathExplosionError, export_dot, subgraph_to_goal
-from .report import RunReport, fingerprint
 from .scenario import (
     ScenarioError,
     ScenarioFile,
@@ -57,7 +63,7 @@ class CliError(click.ClickException):
         self.exit_code = exit_code
 
 
-def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, str]:
+def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, bytes]:
     p = Path(path)
     if not p.is_file():
         if p.exists():
@@ -77,13 +83,15 @@ def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, str]:
         raise CliError(
             "scenario validation failed:\n" + "\n".join(f"  {e}" for e in exc.errors)
         )
-    return scenario, fingerprint(data)
+    return scenario, data
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None:
         click.echo(text, nl=False)
         return
+    import tempfile
+
     target = Path(out)
     try:
         fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=".fuzrank-")
@@ -96,6 +104,21 @@ def _write_output(text: str, out: Optional[str]) -> None:
             raise
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc}")
+
+
+def _write_report(
+    data: bytes, scenario: ScenarioFile, caught: list, fmt: str, out: Optional[str], **parts
+) -> None:
+    """Render the run's report over the scenario bytes `data`. CSV has no place
+    for warnings, so with `--format csv` they go to stderr, as in `validate`."""
+    from .report import RunReport, fingerprint
+
+    warned = tuple(scenario.warnings) + tuple(str(w.message) for w in caught)
+    report = RunReport(fingerprint(data), __version__, warnings=warned, **parts)
+    if fmt == "csv":
+        for w in report.warnings:
+            click.echo(f"warning: {w}", err=True)
+    _write_output(report.render(fmt), out)
 
 
 def _path_cap() -> int:
@@ -195,17 +218,11 @@ def main() -> None:
 @click.option("-o", "--output", help="Write the report to this path instead of stdout.")
 def rank(scenario_path: str, engine: str, fmt: str, strict: bool, output: Optional[str]) -> None:
     """Rank attacker actions by cost/benefit closeness."""
-    scenario, digest = _read_scenario(scenario_path, strict)
+    scenario, data = _read_scenario(scenario_path, strict)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rankings = _run_engines(scenario, engine)
-    report = RunReport(
-        scenario_fingerprint=digest,
-        tool_version=__version__,
-        rankings=tuple(rankings),
-        warnings=tuple(scenario.warnings) + tuple(str(w.message) for w in caught),
-    )
-    _write_output(report.render(fmt), output)
+    _write_report(data, scenario, caught, fmt, output, rankings=tuple(rankings))
 
 
 @main.command()
@@ -216,7 +233,7 @@ def rank(scenario_path: str, engine: str, fmt: str, strict: bool, output: Option
 @click.option("-o", "--output", help="Write the report to this path instead of stdout.")
 def veability(scenario_path: str, fmt: str, strict: bool, output: Optional[str]) -> None:
     """Score each asset's VEA-bility (higher = more secure)."""
-    scenario, digest = _read_scenario(scenario_path, strict)
+    scenario, data = _read_scenario(scenario_path, strict)
     if not scenario.assets:
         raise CliError("scenario has no 'assets' section to score")
 
@@ -235,14 +252,7 @@ def veability(scenario_path: str, fmt: str, strict: bool, output: Optional[str])
         except (ValueError, KeyError) as exc:
             raise CliError(f"cannot score assets: {exc}")
         scores = tuple(veability_score(p) for p in profiles)
-
-    report = RunReport(
-        scenario_fingerprint=digest,
-        tool_version=__version__,
-        assets=scores,
-        warnings=tuple(scenario.warnings) + tuple(str(w.message) for w in caught),
-    )
-    _write_output(report.render(fmt), output)
+    _write_report(data, scenario, caught, fmt, output, assets=scores)
 
 
 @main.command()

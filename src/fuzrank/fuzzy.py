@@ -19,8 +19,13 @@ the codes up in one column per component (every label's a, its b, its c) built
 from the scale, and reduces each column on its own, so every later
 stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
 (m, n, 3), the last axis holding each cell's (a, b, c), and whose fuzzy
-weights have shape (n, 3). `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view
-of the same values, built on first use. Only the benchmark's in-process step
+weights have shape (n, 3).
+
+Record types. `TFN`, like every value record in fuzrank, is a NamedTuple;
+`RatingPanel` and `FuzzyDecisionMatrix` are plain classes, whose `__init__`
+checks a matrix's shapes and a <= b <= c. None generates code at import, as
+`dataclasses` would. `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view of the
+values, built on first use; only the benchmark's in-process step
 (`perfbench/workloads.py`) reads it, for the pooled peaks, until ROADMAP
 item 1 switches that step to `values[..., 1]`.
 
@@ -31,7 +36,6 @@ skeleton both engines share; `classic` states the two cost orientations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
@@ -65,29 +69,24 @@ def _check_ordered(t: np.ndarray) -> None:
         raise ValueError(f"TFN components must satisfy a <= b <= c, got ({a}, {b}, {c})")
 
 
-@dataclass(frozen=True, eq=False)
 class FuzzyDecisionMatrix:
     """Alternatives x criteria grid of TFNs plus per-criterion fuzzy weights."""
 
-    alternatives: tuple[str, ...]
-    criteria: tuple[CriterionSpec, ...]
-    values: np.ndarray  # (m, n, 3): [alternative, criterion, (a, b, c)]
-    weights: Optional[np.ndarray] = None  # (n, 3)
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 3 or values.shape[0] != len(self.alternatives):
+    def __init__(self, alternatives: tuple[str, ...], criteria: tuple[CriterionSpec, ...],
+                 values: np.ndarray, weights: Optional[np.ndarray] = None):
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 3 or values.shape[0] != len(alternatives):
             raise ValueError("one cell row per alternative required")
-        if values.shape[1:] != (len(self.criteria), 3):
+        if values.shape[1:] != (len(criteria), 3):
             raise ValueError("one cell per criterion required in every row")
         _check_ordered(values)
-        object.__setattr__(self, "values", values)
-        if self.weights is not None:
-            weights = np.asarray(self.weights, dtype=float)
-            if weights.shape != (len(self.criteria), 3):
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != (len(criteria), 3):
                 raise ValueError("one weight per criterion required")
             _check_ordered(weights)
-            object.__setattr__(self, "weights", weights)
+        self.alternatives, self.criteria, self.values, self.weights = (
+            alternatives, criteria, values, weights)
 
     @cached_property
     def cells(self) -> tuple[tuple[TFN, ...], ...]:
@@ -95,7 +94,6 @@ class FuzzyDecisionMatrix:
         return tuple(tuple(map(TFN._make, row)) for row in self.values.tolist())
 
 
-@dataclass(frozen=True, eq=False)
 class RatingPanel:
     """Linguistic rating grids from k decision makers over m alternatives and
     n criteria, plus each rater's criterion-weight labels, held as integer
@@ -103,12 +101,12 @@ class RatingPanel:
     and checks every label while it validates the document.
     """
 
-    decision_makers: tuple[str, ...]
-    alternatives: tuple[str, ...]
-    criteria: tuple[CriterionSpec, ...]
-    labels: tuple[str, ...]
-    rating_codes: np.ndarray  # (k, m, n)
-    weight_codes: np.ndarray  # (k, n)
+    def __init__(self, decision_makers: tuple[str, ...], alternatives: tuple[str, ...],
+                 criteria: tuple[CriterionSpec, ...], labels: tuple[str, ...],
+                 rating_codes: np.ndarray, weight_codes: np.ndarray):
+        self.decision_makers, self.alternatives, self.criteria = (
+            decision_makers, alternatives, criteria)
+        self.labels, self.rating_codes, self.weight_codes = labels, rating_codes, weight_codes
 
 
 def aggregate_ratings(panel: RatingPanel, scale: Mapping[str, TFN]) -> FuzzyDecisionMatrix:

@@ -26,10 +26,9 @@ Validation takes cycles and the topological order from the standard library's
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 DEFAULT_PATH_CAP = 10_000
@@ -50,8 +49,7 @@ _DOT_SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class AttackNode:
+class AttackNode(NamedTuple):
     id: str
     kind: NodeKind
     label: str = ""
@@ -83,18 +81,14 @@ class UnknownNodeError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
 class AttackGraph:
-    """Validated DAG of attack nodes. Immutable; built by build_graph and subgraph_to_goal."""
+    """Validated DAG of attack nodes. Built by build_graph and subgraph_to_goal;
+    `_preds` maps each node id to its predecessors in sorted-id order."""
 
-    nodes: dict[str, AttackNode]
-    edges: frozenset[tuple[str, str]]
-    targets: frozenset[str]
-    _preds: dict[str, tuple[str, ...]] = field(repr=False, default_factory=dict)
-
-    def _check(self, node_id: str) -> None:
-        if node_id not in self.nodes:
-            raise UnknownNodeError(f"unknown node id {node_id!r}")
+    def __init__(self, nodes: dict[str, AttackNode], edges: frozenset[tuple[str, str]],
+                 targets: frozenset[str], _preds: Optional[dict[str, tuple[str, ...]]] = None):
+        self.nodes, self.edges, self.targets = nodes, edges, targets
+        self._preds = {} if _preds is None else _preds
 
 
 def build_graph(
@@ -191,7 +185,8 @@ def enumerate_paths(
 
 def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], list[int]]:
     """The sorted node ids and the antichain of minimal masks satisfying `goal`."""
-    graph._check(goal)
+    if goal not in graph.nodes:
+        raise UnknownNodeError(f"unknown node id {goal!r}")
     ids = sorted(graph.nodes)
     bit = {nid: 1 << i for i, nid in enumerate(ids)}
     families: dict[str, list[int]] = {}

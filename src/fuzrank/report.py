@@ -14,14 +14,12 @@ checks against the document built as plain dicts.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _ascii
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .classic import RankingResult
 from .veability import AssetScore
@@ -98,13 +96,12 @@ def fingerprint(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     scenario_fingerprint: str
     tool_version: str
     rankings: tuple[RankingResult, ...] = ()
     assets: tuple[AssetScore, ...] = ()
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
     def to_json(self) -> str:
         """The report as JSON, laid out by hand from the templates above.
@@ -171,6 +168,8 @@ class RunReport:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
+        import csv  # only this format needs it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if self.rankings:

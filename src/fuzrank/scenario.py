@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
@@ -84,18 +83,20 @@ class ScenarioError(ValueError):
         super().__init__("\n".join(self.errors))
 
 
-@dataclass(frozen=True, eq=False)
 class ScenarioFile:
-    scale: dict[str, TFN] = field(default_factory=default_scale)
-    graph: Optional[AttackGraph] = None
-    criteria: tuple[CriterionSpec, ...] = ()
-    actions: tuple[str, ...] = ()
-    panel: Optional[RatingPanel] = None
-    pairwise: Optional[PairwiseMatrix] = None
-    decision_matrix: Optional[DecisionMatrix] = None
-    vulnerabilities: tuple[VulnerabilityRecord, ...] = ()
-    assets: tuple[AssetProfile, ...] = ()
-    warnings: tuple[str, ...] = ()
+    """A validated scenario: every section the document carries, parsed."""
+
+    def __init__(self, scale: Optional[dict[str, TFN]] = None,
+                 graph: Optional[AttackGraph] = None, criteria: tuple[CriterionSpec, ...] = (),
+                 actions: tuple[str, ...] = (), panel: Optional[RatingPanel] = None,
+                 pairwise: Optional[PairwiseMatrix] = None,
+                 decision_matrix: Optional[DecisionMatrix] = None,
+                 vulnerabilities: tuple[VulnerabilityRecord, ...] = (),
+                 assets: tuple[AssetProfile, ...] = (), warnings: tuple[str, ...] = ()):
+        self.scale = default_scale() if scale is None else scale
+        self.graph, self.criteria, self.actions, self.panel = graph, criteria, actions, panel
+        self.pairwise, self.decision_matrix = pairwise, decision_matrix
+        self.vulnerabilities, self.assets, self.warnings = vulnerabilities, assets, warnings
 
 
 class _Collector:
@@ -757,7 +758,7 @@ def resolve_vulnerability_records(
                 raise ValueError(
                     f"vulnerability {v.cve} has no atc_cost and no ranked action to take it from"
                 )
-            v = replace(v, atc_cost=action_costs[v.action])
+            v = v._replace(atc_cost=action_costs[v.action])
         records[v.cve] = v
     return records
 
@@ -766,6 +767,6 @@ def asset_profiles(
     scenario: ScenarioFile, records: Mapping[str, VulnerabilityRecord]
 ) -> list[AssetProfile]:
     return [
-        replace(a, vulnerabilities=tuple(records[v.cve] for v in a.vulnerabilities))
+        a._replace(vulnerabilities=tuple(records[v.cve] for v in a.vulnerabilities))
         for a in scenario.assets
     ]

@@ -15,17 +15,10 @@ checks their input ranges, with JSON-path messages; only the output,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
-def _require_range(name: str, value: float, lo: float, hi: float) -> None:
-    if not (lo <= value <= hi):
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
-
-
-@dataclass(frozen=True)
-class VulnerabilityRecord:
+class VulnerabilityRecord(NamedTuple):
     cve: str
     impact_score: float
     exploitability_score: float
@@ -34,25 +27,32 @@ class VulnerabilityRecord:
     action: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class AssetProfile:
+class AssetProfile(NamedTuple):
     asset_id: str
     vulnerabilities: tuple[VulnerabilityRecord, ...] = ()
     services_on_asset: int = 0
     network_services_total: int = 1
 
 
-@dataclass(frozen=True)
-class AssetScore:
+class _AssetScoreFields(NamedTuple):
     asset_id: str
     vulnerability: float
     exploitability: float
     attackability: float
     veability: float
 
-    def __post_init__(self) -> None:
-        for name in ("vulnerability", "exploitability", "attackability", "veability"):
-            _require_range(name, getattr(self, name), 0, 10)
+
+class AssetScore(_AssetScoreFields):
+    """One asset's three dimensions and its score, each checked into [0, 10]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> AssetScore:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields[1:], self[1:]):
+            if not (0 <= value <= 10):
+                raise ValueError(f"{name} must be in [0, 10], got {value!r}")
+        return self
 
 
 def severity(vuln: VulnerabilityRecord) -> float:

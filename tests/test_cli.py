@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -8,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzrank
 from fuzrank.cli import main
 from fuzrank.graph import enumerate_paths
 from fuzrank.scenario import parse_scenario
@@ -490,6 +494,75 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "fuzrank" in result.output
+
+
+@pytest.mark.parametrize("command", ["rank", "veability"])
+def test_csv_warnings_go_to_stderr(runner, scenario_file, tmp_path, command):
+    doc = json.loads(scenario_file.read_text())
+    doc["bogus"] = 1
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(doc))
+    clean = runner.invoke(main, [command, str(scenario_file), "--format", "csv"])
+    warned = runner.invoke(main, [command, str(path), "--format", "csv"])
+    assert clean.exit_code == warned.exit_code == 0
+    assert warned.stdout == clean.stdout
+    assert clean.stderr == ""
+    assert warned.stderr == "warning: $.bogus: unknown field\n"
+
+
+def test_csv_inconsistent_pairwise_warning_goes_to_stderr(runner, tmp_path):
+    crits = ["C-1", "C-2", "C-3"]
+    doc = {
+        "schema_version": "1",
+        "criteria": [{"id": c} for c in crits],
+        "actions": ["A1", "A2"],
+        "decision_matrix": {"A1": dict(zip(crits, (1, 2, 3))), "A2": dict(zip(crits, (3, 2, 1)))},
+        "pairwise": [[1, 9, 1 / 9], [1 / 9, 1, 9], [9, 1 / 9, 1]],
+    }
+    path = tmp_path / "inconsistent.json"
+    path.write_text(json.dumps(doc))
+    args = ["rank", str(path), "--engine", "classic", "--format"]
+    (expected,) = json.loads(runner.invoke(main, args + ["json"]).stdout)["warnings"]
+    assert expected.startswith("pairwise comparisons are inconsistent (CR = ")
+    result = runner.invoke(main, args + ["csv"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith("engine,action,")
+    assert result.stderr == f"warning: {expected}\n"
+
+
+def _loaded_in_child(code: str, names: tuple[str, ...]) -> list[str]:
+    """Which of `names` are in sys.modules after a fresh interpreter, with
+    this fuzrank's source directory on PYTHONPATH, runs `code`."""
+    probe = code + (
+        "\nimport sys\n"
+        f"print(*[n for n in {names!r} if n in sys.modules], file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fuzrank.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stderr.splitlines()[-1].split()
+
+
+def test_import_generates_no_dataclass_code():
+    assert _loaded_in_child("import fuzrank.cli", ("dataclasses",)) == []
+
+
+@pytest.mark.parametrize(
+    "args", [["graph", "{s}"], ["graph", "{s}", "--goal", "RAN-control"], ["validate", "{s}"]]
+)
+def test_commands_without_report_do_not_load_it(scenario_file, args):
+    argv = ["fuzrank"] + [a.format(s=scenario_file) for a in args]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('fuzrank.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+    )
+    assert _loaded_in_child(code, ("fuzrank.report", "csv", "dataclasses")) == []
 
 
 # --- CLI-wide contract over mutated scenarios ------------------------------------

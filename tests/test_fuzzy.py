@@ -566,3 +566,58 @@ def test_scaling_every_fuzzy_weight_keeps_closeness(doc, k):
     got = rank_fuzzy(apply_weights(scaled))
     want = rank_fuzzy(apply_weights(normed))
     assert_same_ranking(got, want, fields=("cost", "benefit"))
+
+
+@given(panel_docs(), st.floats(1e-3, 1e3))
+def test_scaling_every_scale_tfn_keeps_fuzzy_closeness(doc, k):
+    """Normalization divides the ratings' factor out, and the weights' factor
+    scales both distances alike."""
+    panel = panel_of(doc)
+    scaled = {label: TFN(*(k * x for x in t)) for label, t in default_scale().items()}
+    want = rank_panel(panel, default_scale())
+    assert_same_ranking(rank_panel(panel, scaled), want, fields=("cost", "benefit"))
+
+
+# --- dominance -----------------------------------------------------------------
+
+POSITIVE_TFN = st.tuples(*[st.floats(0.01, 100)] * 3).map(sorted)
+
+
+@st.composite
+def dominance_cases(draw):
+    """A pooled matrix of 2-5 alternatives over 1-4 criteria with positive
+    weights, in which the first alternative is no worse than the second on
+    every criterion, component by component: at least as high on a benefit
+    criterion, at most as high on a cost criterion."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from([B, CO]), min_size=n, max_size=n))
+    cells = np.array(draw(st.lists(POSITIVE_TFN, min_size=m * n, max_size=m * n)))
+    cells = cells.reshape(m, n, 3)
+    other = np.array(draw(st.lists(POSITIVE_TFN, min_size=n, max_size=n)))
+    # the componentwise max (min) of two ordered triples is ordered
+    for j, kind in enumerate(kinds):
+        better = np.maximum if kind is B else np.minimum
+        cells[0, j] = better(cells[1, j], other[j])
+    weights = np.array(draw(st.lists(POSITIVE_TFN, min_size=n, max_size=n)))
+    return fdm(cells, kinds, weights)
+
+
+def assert_no_less_close(x: float, y: float) -> None:
+    assert x >= y - 4 * math.ulp(y), (x, y)
+
+
+@pytest.mark.filterwarnings("ignore:.*at zero distance from both ideals")
+@given(dominance_cases())
+def test_dominating_action_is_never_less_close(pooled):
+    """Distances to column-wise ideals move one way in each component, and a
+    fuzzy cost cell normalizes through its own upper bound alone, so the
+    dominating action's closeness d_minus / (d_plus + d_minus) is never lower.
+    Closeness, not rank: ties break by action id. The classic engine reads
+    the peaks, as `fuzrank rank` does without a decision matrix."""
+    fuzzy = rank_fuzzy(apply_weights(normalize_fuzzy(pooled)))
+    assert_no_less_close(fuzzy.entries[0].cost, fuzzy.entries[1].cost)
+
+    peaks = pooled.weights[:, 1]
+    crisp = DecisionMatrix(pooled.alternatives, pooled.criteria, pooled.values[..., 1])
+    classic = rank_classic(crisp, peaks / peaks.sum())
+    assert_no_less_close(classic.entries[0].benefit, classic.entries[1].benefit)

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -105,7 +104,7 @@ def test_json_is_the_stdlib_layout(report):
 def test_json_refuses_non_finite_floats(field, value):
     report = paper_like_report()
     ranking = report.rankings[0]
-    entries = (ranking.entries[0], replace(ranking.entries[1], **{field: value}))
-    bad = replace(ranking, entries=entries)
+    entries = (ranking.entries[0], ranking.entries[1]._replace(**{field: value}))
+    bad = ranking._replace(entries=entries)
     with pytest.raises(ValueError, match="not JSON compliant"):
-        replace(report, rankings=(bad,)).to_json()
+        report._replace(rankings=(bad,)).to_json()
