@@ -7,12 +7,14 @@ files are written atomically (temp file + rename) so failures never leave
 partial files behind.
 
 Start-up bounds a call, so each command loads only what it uses. All load
-click, numpy and the parse, rank, score and export modules; numpy and click
-stay at the top because the benchmark's import-time probe (`perfbench/run.py`)
+click, numpy and the parse, rank and export modules; numpy and click stay at
+the top because the benchmark's import-time probe (`perfbench/run.py`)
 expects `import fuzrank.cli` to load both. Only `rank` and `veability` load
-`report` (with `hashlib`, and `csv` for `--format csv`); `tempfile` loads only
-for `-o`. No fuzrank module uses `dataclasses`, which generates each class's
-methods by `exec` at import: records are NamedTuples or plain classes.
+`report` (with `hashlib`, and `csv` for `--format csv`); the VEA-bility and
+CVSS modules load only for `veability`, or for a scenario with
+`vulnerabilities` or `assets`; `tempfile` loads only for `-o`. No fuzrank
+module uses `dataclasses`, which generates each class's methods by `exec` at
+import: records are NamedTuples or plain classes.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .scenario import (
     parse_scenario,
     resolve_vulnerability_records,
 )
-from .veability import veability_score
 
 PATH_CAP_ENV = "FUZRANK_PATH_CAP"
 
@@ -251,6 +252,8 @@ def veability(scenario_path: str, fmt: str, strict: bool, output: Optional[str])
             profiles = asset_profiles(scenario, records)
         except (ValueError, KeyError) as exc:
             raise CliError(f"cannot score assets: {exc}")
+        from .veability import veability_score
+
         scores = tuple(veability_score(p) for p in profiles)
     _write_report(data, scenario, caught, fmt, output, assets=scores)
 

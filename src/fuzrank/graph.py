@@ -11,24 +11,35 @@ bitmasks (bit i is node ``sorted(graph.nodes)[i]``; k is a subset of m iff
 ``k & ~m == 0``). An OR node unites its predecessors' families, an AND node
 joins them pairwise with ``|``, and after every merge only the
 inclusion-minimal masks are kept (absorption), so each node's family is an
-antichain and no global superset prune is needed. Distinct masks of one
-popcount already form an antichain, so a merged family of one popcount is
-kept as it is, without a subset test.
+antichain and no global superset prune is needed.
+
+Each node's family is kept factored, as ``(base, masks, size, union)``: its
+sets are ``base | m`` for each ``m`` in ``masks``, no mask holds a base bit,
+``size`` is the popcount all the sets share (0 if they do not share one), and
+``union`` is the OR of the masks. So an AND node over one predecessor adds its
+own bit to the predecessor's base and shares its mask list, copying nothing;
+family lists are shared and never changed in place. Distinct sets of one
+popcount already form an antichain, so an OR node whose predecessors all have
+the same nonzero ``size`` keeps its candidates without a subset test.
 
 Bit order is sorted-id order, and ``_linearize`` depends on it: among the
 ready nodes of a set it takes the smallest bit index, which is the smallest
 id, so each path is the set's smallest-id-first topological order.
 
-Validation takes cycles and the topological order from the standard library's
-``graphlib``; the cycle named is graphlib's choice over sorted-id predecessors.
+Validation orders the nodes with Kahn's algorithm over sorted-id
+predecessors. Only when that leaves nodes unplaced does the standard
+library's ``graphlib`` run, to name a cycle: the cycle named is graphlib's
+choice over sorted-id predecessors.
 """
 
 from __future__ import annotations
 
 import heapq
 from enum import Enum
+from functools import reduce
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import or_
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 
 DEFAULT_PATH_CAP = 10_000
@@ -98,8 +109,9 @@ def build_graph(
 ) -> AttackGraph:
     """Validate and assemble an attack graph; collects every violation it finds.
 
-    ``graphlib`` finds cycles and the topological order; the cycle it names is
-    its choice over predecessors in sorted-id order, whatever the input order.
+    Kahn's algorithm gives the topological order. If it leaves nodes unplaced,
+    ``graphlib`` names a cycle: its choice over predecessors in sorted-id
+    order, whatever the input order.
     """
     node_list = list(nodes)
     edge_list = list(dict.fromkeys(tuple(e) for e in edges))
@@ -136,10 +148,22 @@ def build_graph(
             errors.append(f"{node.kind.value} node {nid!r} has no predecessor")
 
     sorted_preds = {nid: tuple(sorted(preds[nid])) for nid in sorted(preds)}
-    try:
-        order = tuple(TopologicalSorter(sorted_preds).static_order())
-    except CycleError as exc:
-        errors.append("cycle detected: " + " -> ".join(exc.args[1]))
+    indegree = {nid: len(ps) for nid, ps in sorted_preds.items()}
+    succs: dict[str, list[str]] = {nid: [] for nid in sorted_preds}
+    for nid, ps in sorted_preds.items():
+        for p in ps:
+            succs[p].append(nid)
+    order = [nid for nid, d in indegree.items() if not d]
+    for nid in order:  # Kahn's algorithm: the list grows as nodes become ready
+        for s in succs[nid]:
+            indegree[s] -= 1
+            if not indegree[s]:
+                order.append(s)
+    if len(order) < len(sorted_preds):
+        try:
+            TopologicalSorter(sorted_preds).prepare()
+        except CycleError as exc:
+            errors.append("cycle detected: " + " -> ".join(exc.args[1]))
     else:
         # final steps must be reachable from some configuration node
         reached: set[str] = set()
@@ -173,23 +197,35 @@ def enumerate_paths(
     that exceeds it raises PathExplosionError. Output order is deterministic:
     sequences sorted lexicographically.
     """
-    ids, masks = _minimal_masks(graph, goal, cap)
+    ids, (base, masks, _, _) = _minimal_masks(graph, goal, cap)
     index = {nid: i for i, nid in enumerate(ids)}
     pred_masks = [sum(1 << index[p] for p in graph._preds[nid]) for nid in ids]
     succ_bits: list[list[int]] = [[] for _ in ids]
     for i, nid in enumerate(ids):
         for p in graph._preds[nid]:
             succ_bits[index[p]].append(i)
-    return sorted(_linearize(ids, pred_masks, succ_bits, m) for m in masks)
+    return sorted(_linearize(ids, pred_masks, succ_bits, base | m) for m in masks)
 
 
-def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], list[int]]:
-    """The sorted node ids and the antichain of minimal masks satisfying `goal`."""
+_Family = tuple[int, Collection[int], int, int]  # (base, masks, size, union)
+
+
+def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], _Family]:
+    """The sorted node ids and the factored antichain of minimal sets satisfying `goal`.
+
+    Each family is ``(base, masks, size, union)``: the sets are ``base | m``
+    for each ``m`` in ``masks``, no mask holds a base bit, ``size`` is the
+    popcount every set shares (0 if they do not share one) and ``union`` is
+    the OR of the masks. Mask lists are shared between families (an AND node
+    over one predecessor reuses its predecessor's list), so none is ever
+    changed in place. Each node's candidate count, which `cap` bounds, is the
+    number of distinct sets its predecessors' families give before absorption.
+    """
     if goal not in graph.nodes:
         raise UnknownNodeError(f"unknown node id {goal!r}")
     ids = sorted(graph.nodes)
     bit = {nid: 1 << i for i, nid in enumerate(ids)}
-    families: dict[str, list[int]] = {}
+    families: dict[str, _Family] = {}
     stack = [goal]
     while stack:  # post-order over the goal's ancestors, first predecessor first
         nid = stack[-1]
@@ -205,25 +241,43 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
         own = bit[nid]
         kind = graph.nodes[nid].kind
         if kind is NodeKind.CONFIGURATION or not preds:
-            families[nid] = [own]
+            families[nid] = (own, [0], 1, 0)
         elif kind is NodeKind.PRIVILEGE:
-            candidates = {m | own for p in preds for m in families[p]}
+            fams = [families[p] for p in preds]
+            candidates = {b | m for b, masks, _, _ in fams for m in masks}
             if len(candidates) > cap:
                 raise _explosion(nid, cap)
-            families[nid] = _minimal(candidates)
-        else:  # AND: ATTACK_STEP and FINAL_STEP
-            combos = families[preds[0]]
+            size = fams[0][2]
+            if size and all(f[2] == size for f in fams):
+                # distinct sets of one popcount: already an antichain
+                union = reduce(or_, [b | u for b, _, _, u in fams])
+                families[nid] = (own, candidates, size + 1, union)
+            else:
+                families[nid] = _family(own, _minimal(candidates))
+        elif len(preds) == 1:  # AND over one predecessor: share its masks
+            base, masks, size, union = families[preds[0]]
+            # own is no ancestor of itself in a DAG, so no mask holds its bit
+            families[nid] = (base | own, masks, size + 1 if size else 0, union)
+        else:  # AND over several predecessors: ATTACK_STEP and FINAL_STEP
+            base, masks, _, _ = families[preds[0]]
+            combos = [base | m for m in masks]
             for p in preds[1:]:
-                branch = families[p]
+                base, masks, _, _ = families[p]
                 candidates = set()
                 for c in combos:
-                    candidates.update(map(c.__or__, branch))
+                    candidates.update(map((c | base).__or__, masks))
                     if len(candidates) > cap:
                         raise _explosion(nid, cap)
                 combos = _minimal(candidates)
-            # own is no ancestor of itself in a DAG, so this stays an antichain
-            families[nid] = [c | own for c in combos]
+            families[nid] = _family(own, combos)
     return ids, families[goal]
+
+
+def _family(base: int, masks: Collection[int]) -> _Family:
+    """The factored family of the sets ``base | m``; no mask may hold a base bit."""
+    sizes = set(map(int.bit_count, masks))
+    size = base.bit_count() + sizes.pop() if len(sizes) == 1 else 0
+    return base, masks, size, reduce(or_, masks, 0)
 
 
 def _explosion(node_id: str, cap: int) -> PathExplosionError:
@@ -233,16 +287,17 @@ def _explosion(node_id: str, cap: int) -> PathExplosionError:
     )
 
 
-def _minimal(masks: Iterable[int]) -> list[int]:
+def _minimal(masks: Collection[int]) -> list[int]:
     """Inclusion-minimal masks of a deduplicated family.
 
     Distinct masks of equal popcount are never subsets of one another, so a
-    family of one popcount is returned as it is (sorted), and otherwise each
-    mask is tested only against kept masks of strictly smaller popcount.
+    family of one popcount is returned as it is, found without a sort; and
+    otherwise each mask is tested only against kept masks of strictly smaller
+    popcount.
     """
+    if len(set(map(int.bit_count, masks))) < 2:
+        return list(masks)
     ordered = sorted(masks, key=int.bit_count)
-    if not ordered or ordered[0].bit_count() == ordered[-1].bit_count():
-        return ordered
     smaller: list[int] = []
     level: list[int] = []
     size = ordered[0].bit_count()
@@ -318,17 +373,16 @@ def export_dot(graph: AttackGraph) -> str:
 def subgraph_to_goal(graph: AttackGraph, goal: str, cap: int = DEFAULT_PATH_CAP) -> AttackGraph:
     """Restriction of the graph to nodes on some minimal path to `goal`.
 
-    The kept nodes are the bitwise OR of the goal's minimal masks (see
-    enumerate_paths for the method and for `cap`); no path is linearised.
+    The kept nodes are the bitwise OR of the goal's minimal masks, read off
+    its factored family as ``base | union`` (see enumerate_paths for the
+    method and for `cap`); no path is linearised.
     The restriction is assembled without `build_graph`: a union of minimal
     satisfying sets keeps every AND node's predecessors and one of each OR
     node's, no cycle and no final step other than the goal, so it needs no
     second validation.
     """
-    ids, masks = _minimal_masks(graph, goal, cap)
-    union = 0
-    for m in masks:
-        union |= m
+    ids, (base, _, _, union) = _minimal_masks(graph, goal, cap)
+    union |= base
     keep = [nid for i, nid in enumerate(ids) if union >> i & 1]  # sorted ids
     kept = set(keep)
     return AttackGraph(

@@ -21,8 +21,10 @@ every problem found.
 
 The parser builds the scoring types itself: each vulnerability becomes a
 `VulnerabilityRecord` and each asset an `AssetProfile` of those records, with
-their ranges checked here. The two bridges at the end only fill a record's
-`atc_cost` from the ranking and swap the resolved records into the profiles.
+their ranges checked here. The `cvss` and `veability` modules load only when
+a document has one of those two sections. The two bridges at the end only
+fill a record's `atc_cost` from the ranking and swap the resolved records
+into the profiles.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import math
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .classic import (
     DecisionMatrix,
     PairwiseMatrix,
 )
-from .cvss import CvssError, score_cvss
 from .fuzzy import TFN, RatingPanel, _check_ordered, default_scale
 from .graph import (
     AttackGraph,
@@ -51,7 +52,9 @@ from .graph import (
     PREDEFINED_SCHEMES,
     build_graph,
 )
-from .veability import AssetProfile, VulnerabilityRecord
+
+if TYPE_CHECKING:
+    from .veability import AssetProfile, VulnerabilityRecord
 
 SCHEMA_VERSION = "1"
 
@@ -70,6 +73,7 @@ _VULN_KEYS = {
 }
 _ASSET_KEYS = {"id", "services_on_asset", "network_services_total", "vulnerabilities"}
 _SCHEME_KEYS = {"code", "description"}
+_NODE_KINDS = {k.value: k for k in NodeKind}
 # The largest service count a float holds exactly, with every count below it;
 # services_on_asset may not exceed network_services_total, so this bounds both.
 _MAX_SERVICES = 2**53
@@ -348,18 +352,17 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
     nodes: list[AttackNode] = []
     for path, item, nid in _objects(col, raw.get("nodes", []), "graph.nodes", "node", _NODE_KEYS):
         kind_raw = item.get("kind")
-        try:
-            kind = NodeKind(kind_raw)
-        except ValueError:
+        kind = _NODE_KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
+        if kind is None:
             col.error(
                 f"{path}.kind",
                 f"unknown node kind {kind_raw!r}; use one of "
-                f"{', '.join(k.value for k in NodeKind)}",
+                f"{', '.join(_NODE_KINDS)}",
             )
             continue
-        label, cve, scheme = (
-            _optional_str(col, f"{path}.{key}", item.get(key)) for key in ("label", "cve", "scheme")
-        )
+        label = _optional_str(col, f"{path}.label", item.get("label"))
+        cve = _optional_str(col, f"{path}.cve", item.get("cve"))
+        scheme = _optional_str(col, f"{path}.scheme", item.get("scheme"))
         if scheme is not None and scheme not in scheme_codes:
             col.error(
                 f"{path}.scheme",
@@ -367,7 +370,8 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
             )
         nodes.append(AttackNode(nid, kind, label=label or "", cve=cve))
 
-    edges: list[tuple[str, str]] = []
+    # build_graph drops repeats silently; here each one draws a warning
+    edges: dict[tuple[str, str], None] = {}
     raw_edges = raw.get("edges", [])
     if _expect(col, "$.graph.edges", raw_edges, list, "a list of [from, to] pairs"):
         for i, item in enumerate(raw_edges):
@@ -378,16 +382,21 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
             ):
                 col.error(f"$.graph.edges[{i}]", "expected a [from, to] pair of node ids")
                 continue
-            edges.append((item[0], item[1]))
+            edge = (item[0], item[1])
+            if edge in edges:
+                col.warn(f"$.graph.edges[{i}]", f"duplicate edge {edge[0]!r} -> {edge[1]!r}")
+            edges[edge] = None
 
-    targets: list[str] = []
+    targets: dict[str, None] = {}
     raw_targets = raw.get("targets", [])
     if _expect(col, "$.graph.targets", raw_targets, list, "a list of node ids"):
         for i, item in enumerate(raw_targets):
             if not isinstance(item, str):
                 col.error(f"$.graph.targets[{i}]", "expected a node id string")
                 continue
-            targets.append(item)
+            if item in targets:
+                col.warn(f"$.graph.targets[{i}]", f"duplicate target {item!r}")
+            targets[item] = None
 
     try:
         return build_graph(nodes, edges, targets)
@@ -620,6 +629,9 @@ def _parse_vulnerabilities(
 ) -> tuple[VulnerabilityRecord, ...]:
     if raw is None:
         return ()
+    from .cvss import CvssError, score_cvss
+    from .veability import VulnerabilityRecord
+
     out: list[VulnerabilityRecord] = []
     for path, item, cve in _objects(
         col, raw, "vulnerabilities", "vulnerability", _VULN_KEYS,
@@ -699,6 +711,8 @@ def _parse_assets(
 ) -> tuple[AssetProfile, ...]:
     if raw is None:
         return ()
+    from .veability import AssetProfile
+
     known = {v.cve: v for v in vulnerabilities}
     out: list[AssetProfile] = []
     for path, item, aid in _objects(col, raw, "assets", "asset", _ASSET_KEYS, duplicate="asset id"):

@@ -565,6 +565,18 @@ def test_commands_without_report_do_not_load_it(scenario_file, args):
     assert _loaded_in_child(code, ("fuzrank.report", "csv", "dataclasses")) == []
 
 
+def test_graph_only_commands_do_not_load_scoring_modules(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"schema_version": "1", "graph": {"nodes": CHAIN,
+                                "edges": [["c", "f"]], "targets": ["f"]}}))
+    code = (
+        "from fuzrank.cli import main\n"
+        f"main(['graph', {str(path)!r}, '--goal', 'f'], standalone_mode=False)\n"
+        f"main(['validate', {str(path)!r}], standalone_mode=False)\n"
+    )
+    assert _loaded_in_child(code, ("fuzrank.cvss", "fuzrank.veability")) == []
+
+
 # --- CLI-wide contract over mutated scenarios ------------------------------------
 
 SYNTHETIC = {

@@ -1,5 +1,6 @@
 import re
 import sys
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 import pytest
@@ -411,6 +412,168 @@ def test_minimal_matches_antichain_oracle(family):
     got = _minimal(family)
     assert len(got) == len(set(got))
     assert set(got) == oracle_minimal(family)
+
+
+# --- references: the search and the validation before the factored rewrite ------
+# The search kept each node's family as a plain list of full masks and sorted
+# every merged family by popcount; validation took the order from graphlib's
+# static_order. Both pin what must not change: each node's candidate count
+# (so which PathExplosionError fires, word for word), the minimal sets, and
+# every validation error, the cycle named included.
+
+def reference_minimal(masks):
+    ordered = sorted(masks, key=int.bit_count)
+    if not ordered or ordered[0].bit_count() == ordered[-1].bit_count():
+        return ordered
+    smaller, level, size = [], [], ordered[0].bit_count()
+    for m in ordered:
+        if m.bit_count() != size:
+            smaller += level
+            level = []
+            size = m.bit_count()
+        if not any(not k & ~m for k in smaller):
+            level.append(m)
+    return smaller + level
+
+
+def reference_minimal_masks(graph, goal, cap):
+    ids = sorted(graph.nodes)
+    bit = {nid: 1 << i for i, nid in enumerate(ids)}
+    families = {}
+    stack = [goal]
+    while stack:
+        nid = stack[-1]
+        if nid in families:
+            stack.pop()
+            continue
+        preds = graph._preds[nid]
+        pending = [p for p in preds if p not in families]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        own = bit[nid]
+        kind = graph.nodes[nid].kind
+        if kind is C or not preds:
+            families[nid] = [own]
+        elif kind is P:
+            candidates = {m | own for p in preds for m in families[p]}
+            if len(candidates) > cap:
+                raise _explosion(nid, cap)
+            families[nid] = reference_minimal(candidates)
+        else:
+            combos = families[preds[0]]
+            for p in preds[1:]:
+                candidates = set()
+                for c in combos:
+                    candidates.update(map(c.__or__, families[p]))
+                    if len(candidates) > cap:
+                        raise _explosion(nid, cap)
+                combos = reference_minimal(candidates)
+            families[nid] = [c | own for c in combos]
+    return ids, families[goal]
+
+
+def _explosion(node_id, cap):
+    return PathExplosionError(
+        f"more than {cap} candidate paths while expanding {node_id!r}; "
+        "raise the cap to enumerate anyway"
+    )
+
+
+def reference_validation_errors(nodes, edges, targets=()):
+    edge_list = list(dict.fromkeys(tuple(e) for e in edges))
+    errors, by_id = [], {}
+    for node in nodes:
+        if node.id in by_id:
+            errors.append(f"duplicate node id {node.id!r}")
+        by_id[node.id] = node
+    preds, sources = {nid: [] for nid in by_id}, set()
+    for src, dst in edge_list:
+        if src not in by_id:
+            errors.append(f"edge ({src!r} -> {dst!r}): unknown source node")
+        elif dst not in by_id:
+            errors.append(f"edge ({src!r} -> {dst!r}): unknown destination node")
+        else:
+            preds[dst].append(src)
+            sources.add(src)
+    for nid in set(targets) - by_id.keys():
+        errors.append(f"target {nid!r} is not a node in the graph")
+    for nid, node in by_id.items():
+        if node.kind is C and preds[nid]:
+            errors.append(f"configuration node {nid!r} has a predecessor")
+        if node.kind is F and nid in sources:
+            errors.append(f"final-step node {nid!r} has a successor")
+        if node.kind in (S, P) and not preds[nid]:
+            errors.append(f"{node.kind.value} node {nid!r} has no predecessor")
+    sorted_preds = {nid: tuple(sorted(preds[nid])) for nid in sorted(preds)}
+    try:
+        order = tuple(TopologicalSorter(sorted_preds).static_order())
+    except CycleError as exc:
+        errors.append("cycle detected: " + " -> ".join(exc.args[1]))
+    else:
+        reached = set()
+        for nid in order:
+            if by_id[nid].kind is C or not reached.isdisjoint(sorted_preds[nid]):
+                reached.add(nid)
+        for nid, node in by_id.items():
+            if node.kind is F and nid not in reached:
+                errors.append(f"final-step node {nid!r} is unreachable from any configuration node")
+    return errors
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_search_matches_reference_at_every_cap(seed, data):
+    g = random_typed_dag(np.random.default_rng(seed))
+    goal = data.draw(st.sampled_from(sorted(g.nodes)))
+    for cap in range(1, 13):
+        try:
+            ids, masks = reference_minimal_masks(g, goal, cap)
+        except PathExplosionError as exc:
+            for search in (enumerate_paths, subgraph_to_goal):
+                with pytest.raises(PathExplosionError) as got:
+                    search(g, goal, cap)
+                assert str(got.value) == str(exc)
+            continue
+        sets = {frozenset(ids[i] for i in range(len(ids)) if m >> i & 1) for m in masks}
+        paths = enumerate_paths(g, goal, cap)
+        assert len(paths) == len(masks)
+        assert {frozenset(p) for p in paths} == sets
+        assert set(subgraph_to_goal(g, goal, cap).nodes) == set().union(*sets)
+
+
+def test_or_node_over_mixed_size_families_still_absorbs():
+    # Minimal sets at p1: {c1}, {c2, s2}; at p2: {c2}, {c1, p1}. Neither
+    # family has one popcount, so g must still absorb: p2's {c1, p1, p2, g}
+    # holds p1's {c1, p1, g}.
+    g = build_graph(
+        [n("c1", C), n("c2", C), n("s2", S), n("p1", P), n("p2", P), n("g", P)],
+        [("c2", "s2"), ("c1", "p1"), ("s2", "p1"), ("p1", "p2"), ("c2", "p2"),
+         ("p1", "g"), ("p2", "g")],
+    )
+    assert enumerate_paths(g, "g") == [
+        ("c1", "p1", "g"), ("c2", "p2", "g"), ("c2", "s2", "p1", "g"),
+    ]
+    assert {frozenset(p) for p in enumerate_paths(g, "g")} == oracle_minimal_sets(g, "g")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_back_edge_errors_match_graphlib_reference(seed, data):
+    g = random_typed_dag(np.random.default_rng(seed))
+    # an edge from a node back to one of its ancestors, or to itself, closes a cycle
+    tail = head = data.draw(st.sampled_from(sorted(nid for nid in g.nodes if g._preds[nid])))
+    for _ in range(data.draw(st.integers(0, 4))):
+        if not g._preds[head]:
+            break
+        head = data.draw(st.sampled_from(g._preds[head]))
+    nodes = data.draw(st.permutations(list(g.nodes.values())))
+    edges = data.draw(st.permutations(sorted(g.edges) + [(tail, head)]))
+    with pytest.raises(GraphValidationError) as exc:
+        build_graph(nodes, edges)
+    assert exc.value.errors == reference_validation_errors(nodes, edges)
+    assert any(e.startswith("cycle detected: ") for e in exc.value.errors)
 
 
 # --- DOT export ---------------------------------------------------------------

@@ -293,6 +293,27 @@ def test_graph_errors_carry_graph_path():
     assert any(e.startswith("$.graph:") and "unknown destination node" in e for e in errs)
 
 
+def test_duplicate_edges_and_targets_warn_lax_and_error_strict():
+    text = minimal(
+        graph={
+            "nodes": [{"id": "c", "kind": "configuration"}, {"id": "s", "kind": "attack_step"},
+                      {"id": "f", "kind": "final_step"}],
+            "edges": [["c", "s"], ["s", "f"], ["c", "s"], ["s", "f"]],
+            "targets": ["f", "f"],
+        }
+    )
+    expected = [
+        "$.graph.edges[2]: duplicate edge 'c' -> 's'",
+        "$.graph.edges[3]: duplicate edge 's' -> 'f'",
+        "$.graph.targets[1]: duplicate target 'f'",
+    ]
+    scenario = parse_scenario(text)
+    assert list(scenario.warnings) == expected
+    assert scenario.graph.edges == {("c", "s"), ("s", "f")}
+    assert scenario.graph.targets == {"f"}
+    assert errors_of(text, strict=True) == [f"{e} (strict mode)" for e in expected]
+
+
 def test_repeated_scheme_code_rejected_even_lax():
     text = minimal(schemes=[{"code": "X", "description": "a"}, {"code": "X", "description": "b"}])
     assert errors_of(text) == ["$.schemes[1].code: duplicate scheme code 'X'"]
