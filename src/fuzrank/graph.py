@@ -16,11 +16,26 @@ antichain and no global superset prune is needed.
 Each node's family is kept factored, as ``(base, masks, size, union)``: its
 sets are ``base | m`` for each ``m`` in ``masks``, no mask holds a base bit,
 ``size`` is the popcount all the sets share (0 if they do not share one), and
-``union`` is the OR of the masks. So an AND node over one predecessor adds its
-own bit to the predecessor's base and shares its mask list, copying nothing;
-family lists are shared and never changed in place. Distinct sets of one
-popcount already form an antichain, so an OR node whose predecessors all have
-the same nonzero ``size`` keeps its candidates without a subset test.
+``union`` is the OR of the masks. So a node with one predecessor, AND or OR,
+adds its own bit to the predecessor's base and shares its masks, copying
+nothing; families are shared and never changed in place.
+
+An OR node whose predecessors' families all have the same nonzero ``size``
+keeps its masks unmaterialised, as a ``_Union`` of the parts ``(base,
+masks)`` of those families. Its branches are disjoint, because each
+predecessor's own bit is private to its part (the private-bit rule, which
+equal sizes imply, so it needs no test): every set of predecessor p holds
+p's bit, and a minimal set of another predecessor q that held p would
+contain one of p's sets and q besides, so it would be larger than
+``size``. So no set occurs in two parts; the node's count, which the cap bounds, is the sum of the parts'
+counts, the same number of distinct candidates that uniting them as sets
+gives; and sets of one popcount are an antichain, so none is absorbed. Only
+the consumers of the sets expand a union, into one flat list
+(``_expand``): an AND join over several predecessors, an OR node over
+predecessors of mixed sizes, and ``enumerate_paths``. ``subgraph_to_goal``
+reads ``base | union`` off the goal's family and expands nothing, so on a
+graph of disjoint OR alternatives its cost grows with nodes times branches,
+not with the number of minimal sets.
 
 Bit order is sorted-id order, and ``_linearize`` depends on it: among the
 ready nodes of a set it takes the smallest bit index, which is the smallest
@@ -204,10 +219,25 @@ def enumerate_paths(
     for i, nid in enumerate(ids):
         for p in graph._preds[nid]:
             succ_bits[index[p]].append(i)
-    return sorted(_linearize(ids, pred_masks, succ_bits, base | m) for m in masks)
+    return sorted(_linearize(ids, pred_masks, succ_bits, m) for m in _expand(base, masks))
 
 
-_Family = tuple[int, Collection[int], int, int]  # (base, masks, size, union)
+class _Union:
+    """The unmaterialised masks of an OR node over disjoint branches: ``b | m``
+    for each part ``(b, masks)`` and each ``m`` in its ``masks``, which may be
+    a `_Union` itself. No mask occurs in two parts, so ``len`` is the sum of
+    the parts' lengths."""
+
+    __slots__ = ("parts", "count")
+
+    def __init__(self, parts: list[tuple[int, "Collection[int] | _Union"]], count: int):
+        self.parts, self.count = parts, count
+
+    def __len__(self) -> int:
+        return self.count
+
+
+_Family = tuple[int, "Collection[int] | _Union", int, int]  # (base, masks, size, union)
 
 
 def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], _Family]:
@@ -216,8 +246,12 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
     Each family is ``(base, masks, size, union)``: the sets are ``base | m``
     for each ``m`` in ``masks``, no mask holds a base bit, ``size`` is the
     popcount every set shares (0 if they do not share one) and ``union`` is
-    the OR of the masks. Mask lists are shared between families (an AND node
-    over one predecessor reuses its predecessor's list), so none is ever
+    the OR of the masks. ``masks`` is a list or set, or the `_Union` of an OR
+    node whose predecessors' families share one nonzero size: its branches
+    are disjoint (the private-bit rule in the module docstring), so its
+    length is the sum of its parts' and it is expanded only where the sets
+    themselves are needed (`_expand`). Masks are shared between families (a
+    node over one predecessor reuses its predecessor's), so none is ever
     changed in place. Each node's candidate count, which `cap` bounds, is the
     number of distinct sets its predecessors' families give before absorption.
     """
@@ -242,35 +276,71 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
         kind = graph.nodes[nid].kind
         if kind is NodeKind.CONFIGURATION or not preds:
             families[nid] = (own, [0], 1, 0)
-        elif kind is NodeKind.PRIVILEGE:
-            fams = [families[p] for p in preds]
-            candidates = {b | m for b, masks, _, _ in fams for m in masks}
-            if len(candidates) > cap:
-                raise _explosion(nid, cap)
-            size = fams[0][2]
-            if size and all(f[2] == size for f in fams):
-                # distinct sets of one popcount: already an antichain
-                union = reduce(or_, [b | u for b, _, _, u in fams])
-                families[nid] = (own, candidates, size + 1, union)
-            else:
-                families[nid] = _family(own, _minimal(candidates))
-        elif len(preds) == 1:  # AND over one predecessor: share its masks
+        elif len(preds) == 1:  # one predecessor, AND or OR: share its masks
             base, masks, size, union = families[preds[0]]
+            if kind is NodeKind.PRIVILEGE and len(masks) > cap:  # only when cap < 1
+                raise _explosion(nid, cap)
             # own is no ancestor of itself in a DAG, so no mask holds its bit
             families[nid] = (base | own, masks, size + 1 if size else 0, union)
+        elif kind is NodeKind.PRIVILEGE:
+            fams = [families[p] for p in preds]
+            size = fams[0][2]
+            if size and all(f[2] == size for f in fams):
+                # disjoint branches of one popcount (see the module docstring):
+                # kept as their union, with no set built or compared
+                count = sum(len(f[1]) for f in fams)
+                if count > cap:
+                    raise _explosion(nid, cap)
+                parts = [(b, masks) for b, masks, _, _ in fams]
+                union = reduce(or_, [b | u for b, _, _, u in fams])
+                families[nid] = (own, _Union(parts, count), size + 1, union)
+            else:
+                candidates: set[int] = set()
+                for b, masks, _, _ in fams:
+                    candidates.update(_expand(b, masks))
+                if len(candidates) > cap:
+                    raise _explosion(nid, cap)
+                families[nid] = _family(own, _minimal(candidates))
         else:  # AND over several predecessors: ATTACK_STEP and FINAL_STEP
             base, masks, _, _ = families[preds[0]]
-            combos = [base | m for m in masks]
+            combos = _expand(base, masks)
             for p in preds[1:]:
                 base, masks, _, _ = families[p]
+                sets = _expand(base, masks)
                 candidates = set()
                 for c in combos:
-                    candidates.update(map((c | base).__or__, masks))
+                    candidates.update(map(c.__or__, sets))
                     if len(candidates) > cap:
                         raise _explosion(nid, cap)
                 combos = _minimal(candidates)
             families[nid] = _family(own, combos)
     return ids, families[goal]
+
+
+def _expand(base: int, masks: Collection[int] | _Union) -> list[int]:
+    """The sets ``base | m`` of a family as one flat list, its unions expanded.
+
+    Each `_Union` is expanded once, after the unions its parts hold, and its
+    list is reused by every part that shares it; the walk is iterative, as
+    unions nest as deep as the chain of OR nodes.
+    """
+    flat: dict[int, list[int]] = {}  # id of a _Union -> its masks, expanded
+    stack = [masks]
+    while stack:
+        union = stack[-1]
+        if type(union) is not _Union or id(union) in flat:
+            stack.pop()
+            continue
+        pending = [ms for _, ms in union.parts if type(ms) is _Union and id(ms) not in flat]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        out: list[int] = []
+        for b, ms in union.parts:
+            out += map(b.__or__, flat[id(ms)] if type(ms) is _Union else ms)
+        flat[id(union)] = out
+    return list(map(base.__or__, flat[id(masks)] if type(masks) is _Union else masks))
 
 
 def _family(base: int, masks: Collection[int]) -> _Family:
@@ -375,7 +445,10 @@ def subgraph_to_goal(graph: AttackGraph, goal: str, cap: int = DEFAULT_PATH_CAP)
 
     The kept nodes are the bitwise OR of the goal's minimal masks, read off
     its factored family as ``base | union`` (see enumerate_paths for the
-    method and for `cap`); no path is linearised.
+    method and for `cap`); no mask of a `_Union` family is expanded and no
+    path is linearised, so a goal behind disjoint OR alternatives costs
+    nodes times branches, not one step per minimal set. The cap still bounds
+    each node's count, so the same PathExplosionError is raised.
     The restriction is assembled without `build_graph`: a union of minimal
     satisfying sets keeps every AND node's predecessors and one of each OR
     node's, no cycle and no final step other than the goal, so it needs no

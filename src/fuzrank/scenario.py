@@ -349,8 +349,10 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
         return None
     col.unknown_keys("$.graph", raw, _GRAPH_KEYS)
 
-    nodes: list[AttackNode] = []
-    for path, item, nid in _objects(col, raw.get("nodes", []), "graph.nodes", "node", _NODE_KEYS):
+    nodes: dict[str, AttackNode] = {}
+    for path, item, nid in _objects(
+        col, raw.get("nodes", []), "graph.nodes", "node", _NODE_KEYS, duplicate="node id"
+    ):
         kind_raw = item.get("kind")
         kind = _NODE_KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
         if kind is None:
@@ -368,38 +370,51 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
                 f"{path}.scheme",
                 f"scheme {scheme!r} is neither predefined (I, S, P) nor declared",
             )
-        nodes.append(AttackNode(nid, kind, label=label or "", cve=cve))
+        nodes[nid] = AttackNode(nid, kind, label=label or "", cve=cve)
 
-    # build_graph drops repeats silently; here each one draws a warning
-    edges: dict[tuple[str, str], None] = {}
+    # build_graph drops repeats silently and reports unknown ends and targets
+    # without their index; here each is located
+    seen: set[tuple[str, str]] = set()
+    edges: list[tuple[str, str]] = []
     raw_edges = raw.get("edges", [])
     if _expect(col, "$.graph.edges", raw_edges, list, "a list of [from, to] pairs"):
         for i, item in enumerate(raw_edges):
+            path = f"$.graph.edges[{i}]"
             if (
                 not isinstance(item, list)
                 or len(item) != 2
                 or not all(isinstance(x, str) for x in item)
             ):
-                col.error(f"$.graph.edges[{i}]", "expected a [from, to] pair of node ids")
+                col.error(path, "expected a [from, to] pair of node ids")
                 continue
-            edge = (item[0], item[1])
-            if edge in edges:
-                col.warn(f"$.graph.edges[{i}]", f"duplicate edge {edge[0]!r} -> {edge[1]!r}")
-            edges[edge] = None
+            src, dst = item
+            if (src, dst) in seen:
+                col.warn(path, f"duplicate edge {src!r} -> {dst!r}")
+                continue
+            seen.add((src, dst))
+            if src not in nodes:
+                col.error(path, f"edge ({src!r} -> {dst!r}): unknown source node")
+            elif dst not in nodes:
+                col.error(path, f"edge ({src!r} -> {dst!r}): unknown destination node")
+            else:
+                edges.append((src, dst))
 
-    targets: dict[str, None] = {}
+    targets: set[str] = set()
     raw_targets = raw.get("targets", [])
     if _expect(col, "$.graph.targets", raw_targets, list, "a list of node ids"):
         for i, item in enumerate(raw_targets):
+            path = f"$.graph.targets[{i}]"
             if not isinstance(item, str):
-                col.error(f"$.graph.targets[{i}]", "expected a node id string")
+                col.error(path, "expected a node id string")
                 continue
             if item in targets:
-                col.warn(f"$.graph.targets[{i}]", f"duplicate target {item!r}")
-            targets[item] = None
+                col.warn(path, f"duplicate target {item!r}")
+            elif item not in nodes:
+                col.error(path, f"target {item!r} is not a node in the graph")
+            targets.add(item)
 
     try:
-        return build_graph(nodes, edges, targets)
+        return build_graph(nodes.values(), edges, targets & nodes.keys())
     except GraphValidationError as exc:
         for msg in exc.errors:
             col.error("$.graph", msg)

@@ -476,6 +476,20 @@ def test_graph_path_cap_env(runner, scenario_file):
     assert "FUZRANK_PATH_CAP" in bad.output
 
 
+def test_graph_goal_on_twelve_layers_needs_a_raised_cap(runner, tmp_path):
+    from test_graph import layered_doc
+
+    path = tmp_path / "l12w3.json"
+    path.write_text(json.dumps({"schema_version": "1", "graph": layered_doc(12, 3)}))
+    args = ["graph", str(path), "--goal", "goal-L12"]
+    capped = runner.invoke(main, args)
+    assert capped.exit_code == 2
+    assert "more than 10000 candidate paths while expanding 'priv-9'" in capped.output
+    raised = runner.invoke(main, args, env={"FUZRANK_PATH_CAP": "1000000"})
+    assert raised.exit_code == 0, raised.output
+    assert sum(" [shape=" in line for line in raised.output.splitlines()) == 50
+
+
 def test_validate_ok_and_strict(runner, scenario_file, tmp_path):
     ok = runner.invoke(main, ["validate", str(scenario_file), "--strict"])
     assert ok.exit_code == 0

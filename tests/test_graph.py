@@ -558,6 +558,110 @@ def test_or_node_over_mixed_size_families_still_absorbs():
     assert {frozenset(p) for p in enumerate_paths(g, "g")} == oracle_minimal_sets(g, "g")
 
 
+# --- OR nodes over disjoint branches ------------------------------------------
+# An OR node whose predecessors' families share one popcount keeps them as an
+# unexpanded union; these graphs take that path at every privilege, and the
+# variants below break it so that the set path runs instead.
+
+def layered_doc(layers, width):
+    """The graph section of a layered scenario, laid out as the benchmark's
+    graph workloads are: layer k (from 1) has `width` attack steps, each an AND
+    over the previous privilege (the foothold for k = 1), OR'd into privilege
+    k, and a final step needs the last privilege. width**layers minimal sets
+    and layers * (width + 1) + 2 nodes."""
+    nodes = [{"id": "cfg-entry", "kind": "configuration"}]
+    edges, prev = [], "cfg-entry"
+    for layer in range(1, layers + 1):
+        priv = f"priv-{layer}"
+        for s in range(width):
+            step = f"step-{layer}-{s}"
+            nodes.append({"id": step, "kind": "attack_step"})
+            edges += [[prev, step], [step, priv]]
+        nodes.append({"id": priv, "kind": "privilege"})
+        prev = priv
+    goal = f"goal-L{layers}"
+    nodes.append({"id": goal, "kind": "final_step"})
+    edges.append([prev, goal])
+    return {"nodes": nodes, "edges": edges, "targets": [goal]}
+
+
+def layered(layers, width, extra_nodes=(), extra_edges=()):
+    doc = layered_doc(layers, width)
+    nodes = [n(x["id"], NodeKind(x["kind"])) for x in doc["nodes"]] + list(extra_nodes)
+    edges = [tuple(e) for e in doc["edges"]] + list(extra_edges)
+    return build_graph(nodes, edges, doc["targets"])
+
+
+def assert_matches_reference(g, goal, cap):
+    """enumerate_paths and subgraph_to_goal give the reference search's sets
+    and union, or its exact PathExplosionError text; True if no error."""
+    try:
+        ids, masks = reference_minimal_masks(g, goal, cap)
+    except PathExplosionError as exc:
+        for search in (enumerate_paths, subgraph_to_goal):
+            with pytest.raises(PathExplosionError) as got:
+                search(g, goal, cap)
+            assert str(got.value) == str(exc)
+        return False
+    sets = {frozenset(ids[i] for i in range(len(ids)) if m >> i & 1) for m in masks}
+    paths = enumerate_paths(g, goal, cap)
+    assert len(paths) == len(masks)
+    assert {frozenset(p) for p in paths} == sets
+    assert set(subgraph_to_goal(g, goal, cap).nodes) == set().union(*sets)
+    return True
+
+
+@pytest.mark.parametrize("layers", range(1, 6))
+@pytest.mark.parametrize("width", range(1, 5))
+def test_layered_unions_match_reference_at_the_cap_edge(layers, width):
+    g = layered(layers, width)
+    goal = f"goal-L{layers}"
+    assert assert_matches_reference(g, goal, width**layers)
+    assert len(enumerate_paths(g, goal, width**layers)) == width**layers
+    assert not assert_matches_reference(g, goal, width**layers - 1)
+
+
+@pytest.mark.parametrize("layers", range(2, 6))
+@pytest.mark.parametrize("width", range(2, 5))
+def test_layered_variants_that_break_disjointness_match_reference(layers, width):
+    goal, mid = f"goal-L{layers}", layers // 2 + 1
+    variants = [
+        # a second predecessor shared by two steps of one layer: their sets
+        # grow by one, so that layer's privilege mixes popcounts (not at
+        # width 2, where both steps share it and the branches stay disjoint)
+        layered(layers, width, [n("cfg-shared", C)],
+                [("cfg-shared", f"step-{mid}-0"), ("cfg-shared", f"step-{mid}-1")]),
+        # one OR branch an ancestor of another: priv-(mid-1) also reaches
+        # priv-mid directly, and its smaller sets absorb every step branch
+        layered(layers, width, [], [(f"priv-{mid - 1}", f"priv-{mid}")]),
+        # both at once, a layer apart: priv-(mid-1) mixes popcounts, and
+        # priv-mid, whose branches then share no one size, must still absorb
+        layered(layers, width, [n("cfg-shared", C)],
+                [("cfg-shared", f"step-{mid - 1}-0"), (f"priv-{mid - 1}", f"priv-{mid}")]),
+    ]
+    # every small cap, and each side of the broken privilege's candidate count
+    # and of the goal's
+    counts = (width ** (mid - 1) * (width + 1), width**layers)
+    caps = {*range(1, 13), *(c + d for c in counts for d in (-1, 0, 1))}
+    for g in variants:
+        for cap in sorted(caps):
+            assert_matches_reference(g, goal, cap)
+
+
+def test_twelve_layer_family_is_capped_or_read_without_expansion():
+    g = layered(12, 3)
+    assert len(g.nodes) == 50
+    # 3**9 = 19683 candidates at the ninth privilege, 3**8 = 6561 at the eighth
+    message = ("more than 10000 candidate paths while expanding 'priv-9'; "
+               "raise the cap to enumerate anyway")
+    for search in (enumerate_paths, subgraph_to_goal):
+        with pytest.raises(PathExplosionError) as got:
+            search(g, "goal-L12")
+        assert str(got.value) == message
+    # 3**12 = 531441 minimal sets, none of them built
+    assert set(subgraph_to_goal(g, "goal-L12", cap=10**6).nodes) == set(g.nodes)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_back_edge_errors_match_graphlib_reference(seed, data):

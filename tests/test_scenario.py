@@ -289,8 +289,40 @@ def test_graph_errors_carry_graph_path():
             "targets": [],
         }
     )
-    errs = errors_of(text)
-    assert any(e.startswith("$.graph:") and "unknown destination node" in e for e in errs)
+    # an unknown edge end is located at its edge; what only the whole graph
+    # shows (here: f unreachable) keeps the bare $.graph path
+    assert errors_of(text) == [
+        "$.graph.edges[0]: edge ('f' -> 'ghost'): unknown destination node",
+        "$.graph: final-step node 'f' is unreachable from any configuration node",
+    ]
+
+
+def test_repeated_ids_unknown_edge_ends_and_targets_are_located():
+    c, f = {"id": "c", "kind": "configuration"}, {"id": "f", "kind": "final_step"}
+    text = minimal(
+        graph={"nodes": [c, c, f], "edges": [["c", "f"], ["c", "g"]], "targets": ["f", "h"]}
+    )
+    assert errors_of(text) == [
+        "$.graph.nodes[1].id: duplicate node id 'c'",
+        "$.graph.edges[1]: edge ('c' -> 'g'): unknown destination node",
+        "$.graph.targets[1]: target 'h' is not a node in the graph",
+    ]
+    # an unknown source is named first; a repeat of an unknown edge or
+    # target only warns, as any repeat does
+    text = minimal(
+        graph={"nodes": [c, f], "edges": [["c", "f"], ["x", "g"], ["x", "g"]],
+               "targets": ["h", "h"]}
+    )
+    assert errors_of(text) == [
+        "$.graph.edges[1]: edge ('x' -> 'g'): unknown source node",
+        "$.graph.targets[0]: target 'h' is not a node in the graph",
+    ]
+    assert errors_of(text, strict=True) == [
+        "$.graph.edges[1]: edge ('x' -> 'g'): unknown source node",
+        "$.graph.edges[2]: duplicate edge 'x' -> 'g' (strict mode)",
+        "$.graph.targets[0]: target 'h' is not a node in the graph",
+        "$.graph.targets[1]: duplicate target 'h' (strict mode)",
+    ]
 
 
 def test_duplicate_edges_and_targets_warn_lax_and_error_strict():
