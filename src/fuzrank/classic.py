@@ -59,7 +59,9 @@ class PairwiseMatrix:
             raise ValueError("pairwise matrix entries must all be positive")
         if not np.allclose(np.diagonal(m), 1.0, atol=1e-9, rtol=0):
             raise ValueError("pairwise matrix diagonal must be all ones")
-        if not np.allclose(m * m.T, 1.0, atol=1e-9, rtol=0):
+        with np.errstate(over="ignore"):  # an overflowing product is simply not 1
+            product = m * m.T
+        if not np.allclose(product, 1.0, atol=1e-9, rtol=0):
             raise ValueError("pairwise matrix is not reciprocal (cells[j][i] != 1/cells[i][j])")
         self.cells = m
         self.cells.setflags(write=False)

@@ -79,6 +79,12 @@ def test_pairwise_validation():
         PairwiseMatrix([[1, 2], [0.7, 1]])
 
 
+def test_pairwise_overflowing_product_is_not_reciprocal():
+    # cells[i][j] * cells[j][i] overflows to inf: a plain ValueError, no RuntimeWarning
+    with pytest.raises(ValueError, match="not reciprocal"):
+        PairwiseMatrix([[1, 3], [1.7976931348623157e308, 1]])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_matrices_reject_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
