@@ -53,15 +53,17 @@ class PairwiseMatrix:
         m = np.asarray(cells, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"pairwise matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("pairwise matrix entries must be finite")
-        if not np.all(m > 0):
+        if not (m > 0).all():
             raise ValueError("pairwise matrix entries must all be positive")
-        if not np.allclose(np.diagonal(m), 1.0, atol=1e-9, rtol=0):
+        # |x - 1| <= 1e-9 is np.allclose(x, 1.0, atol=1e-9, rtol=0) without its
+        # dispatch; an inf or nan is not close either way
+        if not (abs(m.diagonal() - 1.0) <= 1e-9).all():
             raise ValueError("pairwise matrix diagonal must be all ones")
         with np.errstate(over="ignore"):  # an overflowing product is simply not 1
             product = m * m.T
-        if not np.allclose(product, 1.0, atol=1e-9, rtol=0):
+        if not (abs(product - 1.0) <= 1e-9).all():
             raise ValueError("pairwise matrix is not reciprocal (cells[j][i] != 1/cells[i][j])")
         self.cells = m
         self.cells.setflags(write=False)
@@ -81,9 +83,9 @@ class DecisionMatrix:
                 f"cells shape {m.shape} does not match "
                 f"{len(alternatives)} alternatives x {len(criteria)} criteria"
             )
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("decision matrix cells must be finite")
-        if np.any(m < 0):
+        if (m < 0).any():
             raise ValueError("decision matrix cells must be nonnegative")
         if len(set(alternatives)) != len(alternatives):
             raise ValueError("alternative ids must be unique")
@@ -91,6 +93,16 @@ class DecisionMatrix:
         self.criteria = list(criteria)
         self.cells = m
         self.cells.setflags(write=False)
+
+    @classmethod
+    def _result(cls, alternatives: list[str], criteria: list[CriterionSpec],
+                cells: np.ndarray) -> DecisionMatrix:
+        """A stage's result, finite and nonnegative by construction: the fields
+        are set unchecked, the lists shared with the stage's input."""
+        self = cls.__new__(cls)
+        self.alternatives, self.criteria, self.cells = alternatives, criteria, cells
+        self.cells.setflags(write=False)
+        return self
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -225,10 +237,11 @@ def normalize(matrix: DecisionMatrix) -> DecisionMatrix:
     # hypot instead of sqrt-of-sum so cells beyond 1e154 do not overflow the
     # norm; sorted first so the norm does not depend on the row order
     norms = np.hypot.reduce(np.sort(matrix.cells, axis=0), axis=0)
-    if np.any(norms == 0):
-        dead = [matrix.criteria[j].id for j in np.flatnonzero(norms == 0)]
+    zero = norms == 0
+    if zero.any():
+        dead = [matrix.criteria[j].id for j in np.flatnonzero(zero)]
         raise ValueError(f"cannot normalize all-zero column(s): {', '.join(dead)}")
-    return DecisionMatrix(matrix.alternatives, matrix.criteria, matrix.cells / norms)
+    return DecisionMatrix._result(matrix.alternatives, matrix.criteria, matrix.cells / norms)
 
 
 def ideal_solutions(weighted: DecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -245,12 +258,14 @@ def rank_classic(matrix: DecisionMatrix, weights: Sequence[float]) -> RankingRes
     w = np.asarray(weights, dtype=float)
     if w.shape != (matrix.shape[1],):
         raise ValueError(f"expected {matrix.shape[1]} weights, got {w.shape}")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("criterion weights must be nonnegative")
-    if not np.isclose(w.sum(), 1.0, atol=1e-9):
-        raise ValueError(f"criterion weights must sum to 1, got {float(w.sum())!r}")
+    total = float(w.sum())
+    # np.isclose(total, 1.0, atol=1e-9) on a Python float: 1e-5 is its rtol
+    if not abs(total - 1.0) <= 1e-9 + 1e-5:
+        raise ValueError(f"criterion weights must sum to 1, got {total!r}")
 
-    weighted = DecisionMatrix(
+    weighted = DecisionMatrix._result(
         matrix.alternatives, matrix.criteria, normalize(matrix).cells * w
     )
     e_plus, e_minus = ideal_solutions(weighted)

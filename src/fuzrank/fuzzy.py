@@ -22,9 +22,18 @@ stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
 weights have shape (n, 3).
 
 Record types. `TFN`, like every value record in fuzrank, is a NamedTuple;
-`RatingPanel` and `FuzzyDecisionMatrix` are plain classes, whose `__init__`
-checks a matrix's shapes and a <= b <= c. None generates code at import, as
-`dataclasses` would. `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view of the
+`RatingPanel` and `FuzzyDecisionMatrix` are plain classes. None generates
+code at import, as `dataclasses` would. `FuzzyDecisionMatrix.__init__`, the
+constructor for a matrix from outside, checks its shapes and a <= b <= c.
+The stages build their results with `FuzzyDecisionMatrix._result`, which
+checks nothing: from nonnegative ordered triples, such as the parser's scale
+gives, a pooled cell is (min a, mean b clipped into [min a, max c], max c),
+normalising divides by upper bounds it has required to be positive, and
+weighting multiplies by weights it has required to be nonnegative. Rounding
+is monotone, so none of these steps can break a <= b <= c or make a finite
+number infinite. A scale or matrix built by hand with a negative or infinite
+component is outside that argument, and no stage checks it again.
+`FuzzyDecisionMatrix.cells` is a tuple-of-TFN view of the
 values, built on first use; only the benchmark's in-process step
 (`perfbench/workloads.py`) reads it, for the pooled peaks, until ROADMAP
 item 1 switches that step to `values[..., 1]`.
@@ -88,6 +97,16 @@ class FuzzyDecisionMatrix:
         self.alternatives, self.criteria, self.values, self.weights = (
             alternatives, criteria, values, weights)
 
+    @classmethod
+    def _result(cls, alternatives: tuple[str, ...], criteria: tuple[CriterionSpec, ...],
+                values: np.ndarray, weights: Optional[np.ndarray] = None) -> FuzzyDecisionMatrix:
+        """A stage's result, whose shapes and order hold by construction:
+        the fields are set unchecked."""
+        self = cls.__new__(cls)
+        self.alternatives, self.criteria, self.values, self.weights = (
+            alternatives, criteria, values, weights)
+        return self
+
     @cached_property
     def cells(self) -> tuple[tuple[TFN, ...], ...]:
         """The values as TFNs, [alternative][criterion]."""
@@ -122,15 +141,18 @@ def aggregate_ratings(panel: RatingPanel, scale: Mapping[str, TFN]) -> FuzzyDeci
     ta, tb, tc = np.ascontiguousarray(table.reshape(-1, 3).T)
 
     def pool(codes: np.ndarray) -> np.ndarray:
+        # .mean, np.clip and np.stack as the ufuncs they call, with the same
+        # results: on a small panel their Python wrappers cost more than the work
         a = ta[codes].min(axis=0)
         c = tc[codes].max(axis=0)
-        return np.stack([a, np.clip(tb[codes].mean(axis=0), a, c), c], axis=-1)
+        out = np.empty(a.shape + (3,))
+        out[..., 0], out[..., 2] = a, c
+        mean = np.add.reduce(tb[codes], axis=0) / len(codes)
+        np.minimum(np.maximum(mean, a), c, out=out[..., 1])
+        return out
 
-    return FuzzyDecisionMatrix(
-        alternatives=panel.alternatives,
-        criteria=panel.criteria,
-        values=pool(panel.rating_codes),
-        weights=pool(panel.weight_codes),
+    return FuzzyDecisionMatrix._result(
+        panel.alternatives, panel.criteria, pool(panel.rating_codes), pool(panel.weight_codes)
     )
 
 
@@ -160,7 +182,7 @@ def normalize_fuzzy(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
     out = np.empty_like(v)
     out[:, benefit] = v[:, benefit] / c_max[benefit, None]
     out[:, cost] = v[:, cost].min(axis=0) / v[:, cost, 2:]
-    return FuzzyDecisionMatrix(matrix.alternatives, matrix.criteria, out, matrix.weights)
+    return FuzzyDecisionMatrix._result(matrix.alternatives, matrix.criteria, out, matrix.weights)
 
 
 def apply_weights(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
@@ -177,7 +199,7 @@ def apply_weights(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
             f"weight for criterion {matrix.criteria[j].id!r} has a negative component: "
             f"TFN({a:g}, {b:g}, {c:g})"
         )
-    return FuzzyDecisionMatrix(matrix.alternatives, matrix.criteria, matrix.values * w)
+    return FuzzyDecisionMatrix._result(matrix.alternatives, matrix.criteria, matrix.values * w)
 
 
 def fuzzy_ideals(weighted: FuzzyDecisionMatrix) -> tuple[np.ndarray, np.ndarray]:

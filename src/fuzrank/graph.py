@@ -41,7 +41,13 @@ Bit order is sorted-id order, and ``_linearize`` depends on it: among the
 ready nodes of a set it takes the smallest bit index, which is the smallest
 id, so each path is the set's smallest-id-first topological order.
 
-Validation orders the nodes with Kahn's algorithm over sorted-id
+Validation is two steps. `build_graph` first checks its input: repeated
+node ids, edges with an unknown end and unknown targets. It then hands the
+rest to `_assemble`, which checks what only the whole graph shows (each
+node's kind against its edges, cycles, reachability of the final steps) and
+builds the `AttackGraph`. The scenario parser makes the input checks itself,
+locating each problem in the document, so it calls `_assemble` alone.
+`_assemble` orders the nodes with Kahn's algorithm over sorted-id
 predecessors. Only when that leaves nodes unplaced does the standard
 library's ``graphlib`` run, to name a cycle: the cycle named is graphlib's
 choice over sorted-id predecessors.
@@ -108,8 +114,9 @@ class UnknownNodeError(KeyError):
 
 
 class AttackGraph:
-    """Validated DAG of attack nodes. Built by build_graph and subgraph_to_goal;
-    `_preds` maps each node id to its predecessors in sorted-id order."""
+    """Validated DAG of attack nodes. Built by `_assemble` (for build_graph and
+    the scenario parser) and subgraph_to_goal; `_preds` maps each node id to
+    its predecessors in sorted-id order."""
 
     def __init__(self, nodes: dict[str, AttackNode], edges: frozenset[tuple[str, str]],
                  targets: frozenset[str], _preds: Optional[dict[str, tuple[str, ...]]] = None):
@@ -123,58 +130,72 @@ def build_graph(
     targets: Iterable[str] = (),
 ) -> AttackGraph:
     """Validate and assemble an attack graph; collects every violation it finds.
-
-    Kahn's algorithm gives the topological order. If it leaves nodes unplaced,
-    ``graphlib`` names a cycle: its choice over predecessors in sorted-id
-    order, whatever the input order.
-    """
-    node_list = list(nodes)
+    The input checks are made here (a repeated edge is dropped), the rest in
+    `_assemble`."""
     edge_list = list(dict.fromkeys(tuple(e) for e in edges))
     target_set = set(targets)
     errors: list[str] = []
 
     by_id: dict[str, AttackNode] = {}
-    for node in node_list:
+    for node in nodes:
         if node.id in by_id:
             errors.append(f"duplicate node id {node.id!r}")
         by_id[node.id] = node
 
-    preds: dict[str, list[str]] = {nid: [] for nid in by_id}
-    sources: set[str] = set()
+    known: list[tuple[str, str]] = []
     for src, dst in edge_list:
         if src not in by_id:
             errors.append(f"edge ({src!r} -> {dst!r}): unknown source node")
-            continue
-        if dst not in by_id:
+        elif dst not in by_id:
             errors.append(f"edge ({src!r} -> {dst!r}): unknown destination node")
-            continue
-        preds[dst].append(src)
-        sources.add(src)
+        else:
+            known.append((src, dst))
 
     for nid in target_set - by_id.keys():
         errors.append(f"target {nid!r} is not a node in the graph")
 
-    for nid, node in by_id.items():
-        if node.kind is NodeKind.CONFIGURATION and preds[nid]:
-            errors.append(f"configuration node {nid!r} has a predecessor")
-        if node.kind is NodeKind.FINAL_STEP and nid in sources:
-            errors.append(f"final-step node {nid!r} has a successor")
-        if node.kind in (NodeKind.ATTACK_STEP, NodeKind.PRIVILEGE) and not preds[nid]:
-            errors.append(f"{node.kind.value} node {nid!r} has no predecessor")
+    return _assemble(by_id, known, target_set, errors)
 
-    sorted_preds = {nid: tuple(sorted(preds[nid])) for nid in sorted(preds)}
-    indegree = {nid: len(ps) for nid, ps in sorted_preds.items()}
-    succs: dict[str, list[str]] = {nid: [] for nid in sorted_preds}
-    for nid, ps in sorted_preds.items():
-        for p in ps:
-            succs[p].append(nid)
+
+def _assemble(
+    by_id: dict[str, AttackNode],
+    edges: list[tuple[str, str]],
+    targets: Collection[str],
+    errors: list[str],
+) -> AttackGraph:
+    """The attack graph of checked input (distinct node ids, and distinct edges
+    and targets among them). Appends what only the whole graph shows to
+    `errors`, and raises GraphValidationError if `errors` is then nonempty."""
+    preds: dict[str, list[str]] = {nid: [] for nid in sorted(by_id)}
+    succs: dict[str, list[str]] = {nid: [] for nid in preds}
+    for src, dst in edges:
+        preds[dst].append(src)
+        succs[src].append(dst)
+
+    # bound once: reading an Enum member off its class costs a lookup each time
+    configuration, final_step = NodeKind.CONFIGURATION, NodeKind.FINAL_STEP
+    finals: list[str] = []
+    for nid, node in by_id.items():
+        kind = node.kind
+        if kind is configuration:
+            if preds[nid]:
+                errors.append(f"configuration node {nid!r} has a predecessor")
+        elif kind is final_step:
+            finals.append(nid)
+            if succs[nid]:
+                errors.append(f"final-step node {nid!r} has a successor")
+        elif not preds[nid]:
+            errors.append(f"{kind.value} node {nid!r} has no predecessor")
+
+    sorted_preds = {nid: tuple(sorted(ps)) for nid, ps in preds.items()}
+    indegree = {nid: len(ps) for nid, ps in preds.items()}
     order = [nid for nid, d in indegree.items() if not d]
     for nid in order:  # Kahn's algorithm: the list grows as nodes become ready
         for s in succs[nid]:
             indegree[s] -= 1
             if not indegree[s]:
                 order.append(s)
-    if len(order) < len(sorted_preds):
+    if len(order) < len(preds):
         try:
             TopologicalSorter(sorted_preds).prepare()
         except CycleError as exc:
@@ -183,21 +204,16 @@ def build_graph(
         # final steps must be reachable from some configuration node
         reached: set[str] = set()
         for nid in order:
-            if by_id[nid].kind is NodeKind.CONFIGURATION or not reached.isdisjoint(sorted_preds[nid]):
+            if by_id[nid].kind is configuration or not reached.isdisjoint(preds[nid]):
                 reached.add(nid)
-        for nid, node in by_id.items():
-            if node.kind is NodeKind.FINAL_STEP and nid not in reached:
+        for nid in finals:
+            if nid not in reached:
                 errors.append(f"final-step node {nid!r} is unreachable from any configuration node")
 
     if errors:
         raise GraphValidationError(errors)
 
-    return AttackGraph(
-        nodes=by_id,
-        edges=frozenset(edge_list),
-        targets=frozenset(target_set),
-        _preds=sorted_preds,
-    )
+    return AttackGraph(by_id, frozenset(edges), frozenset(targets), sorted_preds)
 
 
 def enumerate_paths(

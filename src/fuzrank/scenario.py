@@ -19,6 +19,12 @@ accepted only when every key and cell is exactly where it should be.
 `_explain_grid` runs only to explain a grid that pass refused, and reports
 every problem found.
 
+The parser is where input is checked; the stages after it trust what it
+built. It makes `graph.build_graph`'s input checks itself, locating each
+problem in the document, and hands the rest to `graph._assemble` (the kind
+rules, cycles, reachability); a pairwise or decision matrix is checked by its
+class's constructor, once, here.
+
 The parser builds the scoring types itself: each vulnerability becomes a
 `VulnerabilityRecord` and each asset an `AssetProfile` of those records, with
 their ranges checked here. The `cvss` and `veability` modules load only when
@@ -50,7 +56,7 @@ from .graph import (
     GraphValidationError,
     NodeKind,
     PREDEFINED_SCHEMES,
-    build_graph,
+    _assemble,
 )
 
 if TYPE_CHECKING:
@@ -119,6 +125,8 @@ class _Collector:
             self.warnings.append(f"{path}: {message}")
 
     def unknown_keys(self, path: str, obj: Mapping[str, Any], allowed: set[str]) -> None:
+        if obj.keys() <= allowed:
+            return
         for key in obj:
             if key not in allowed:
                 self.warn(f"{path}.{key}", "unknown field")
@@ -185,11 +193,13 @@ def _objects(
         yield path, item, name
 
 
-def _optional_str(col: _Collector, path: str, value: Any) -> Optional[str]:
-    """A string field that may be absent or null; any other value is an
-    error and reads as absent."""
-    if value is None or _expect(col, path, value, str, "a string"):
+def _optional_str(col: _Collector, path: str, obj: Mapping[str, Any], key: str) -> Optional[str]:
+    """The string field `key` of the object at `path`, which may be absent or
+    null; any other value is an error and reads as absent."""
+    value = obj.get(key)
+    if value is None or isinstance(value, str):
         return value
+    _expect(col, f"{path}.{key}", value, str, "a string")
     return None
 
 
@@ -214,7 +224,7 @@ def parse_scenario(text: str, strict: bool = False) -> ScenarioFile:
     elif version != SCHEMA_VERSION:
         col.error("$.schema_version", f"unrecognized schema_version {version!r}; expected {SCHEMA_VERSION!r}")
 
-    _optional_str(col, "$.title", doc.get("title"))
+    _optional_str(col, "$", doc, "title")
 
     scale = _parse_scale(col, doc.get("scale"))
     scheme_codes = _parse_schemes(col, doc.get("schemes"))
@@ -343,16 +353,29 @@ def _parse_actions(col: _Collector, raw: Any) -> tuple[str, ...]:
 
 
 def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[AttackGraph]:
+    """The attack graph, or None when it is absent or refused (the reasons then
+    in `col`).
+
+    The input checks that `build_graph` makes are made here, each problem
+    located at its index: a repeated node id, an edge end that no node
+    declares, and an unknown target. A node whose kind is unknown is dropped,
+    with the edges that touch it; its id still counts as declared. What only
+    the whole graph shows is then checked by `graph._assemble`, under the bare
+    `$.graph` path, unless a declared node was dropped: the graph that is left
+    would not be the one the document describes.
+    """
     if raw is None:
         return None
     if not _expect(col, "$.graph", raw, dict, "an object with nodes/edges/targets"):
         return None
     col.unknown_keys("$.graph", raw, _GRAPH_KEYS)
 
+    declared: set[str] = set()
     nodes: dict[str, AttackNode] = {}
     for path, item, nid in _objects(
         col, raw.get("nodes", []), "graph.nodes", "node", _NODE_KEYS, duplicate="node id"
     ):
+        declared.add(nid)
         kind_raw = item.get("kind")
         kind = _NODE_KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
         if kind is None:
@@ -362,59 +385,57 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
                 f"{', '.join(_NODE_KINDS)}",
             )
             continue
-        label = _optional_str(col, f"{path}.label", item.get("label"))
-        cve = _optional_str(col, f"{path}.cve", item.get("cve"))
-        scheme = _optional_str(col, f"{path}.scheme", item.get("scheme"))
+        label = _optional_str(col, path, item, "label")
+        cve = _optional_str(col, path, item, "cve")
+        scheme = _optional_str(col, path, item, "scheme")
         if scheme is not None and scheme not in scheme_codes:
             col.error(
                 f"{path}.scheme",
                 f"scheme {scheme!r} is neither predefined (I, S, P) nor declared",
             )
-        nodes[nid] = AttackNode(nid, kind, label=label or "", cve=cve)
+        nodes[nid] = AttackNode(nid, kind, label or "", cve)
 
-    # build_graph drops repeats silently and reports unknown ends and targets
-    # without their index; here each is located
     seen: set[tuple[str, str]] = set()
     edges: list[tuple[str, str]] = []
     raw_edges = raw.get("edges", [])
     if _expect(col, "$.graph.edges", raw_edges, list, "a list of [from, to] pairs"):
         for i, item in enumerate(raw_edges):
-            path = f"$.graph.edges[{i}]"
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not all(isinstance(x, str) for x in item)
+            if not (
+                isinstance(item, list)
+                and len(item) == 2
+                and isinstance(item[0], str)
+                and isinstance(item[1], str)
             ):
-                col.error(path, "expected a [from, to] pair of node ids")
+                col.error(f"$.graph.edges[{i}]", "expected a [from, to] pair of node ids")
                 continue
-            src, dst = item
-            if (src, dst) in seen:
-                col.warn(path, f"duplicate edge {src!r} -> {dst!r}")
+            src, dst = edge = tuple(item)
+            if edge in seen:
+                col.warn(f"$.graph.edges[{i}]", f"duplicate edge {src!r} -> {dst!r}")
                 continue
-            seen.add((src, dst))
-            if src not in nodes:
-                col.error(path, f"edge ({src!r} -> {dst!r}): unknown source node")
-            elif dst not in nodes:
-                col.error(path, f"edge ({src!r} -> {dst!r}): unknown destination node")
-            else:
-                edges.append((src, dst))
+            seen.add(edge)
+            end = "source" if src not in declared else "destination" if dst not in declared else ""
+            if end:
+                col.error(f"$.graph.edges[{i}]", f"edge ({src!r} -> {dst!r}): unknown {end} node")
+            elif src in nodes and dst in nodes:
+                edges.append(edge)
 
     targets: set[str] = set()
     raw_targets = raw.get("targets", [])
     if _expect(col, "$.graph.targets", raw_targets, list, "a list of node ids"):
         for i, item in enumerate(raw_targets):
-            path = f"$.graph.targets[{i}]"
             if not isinstance(item, str):
-                col.error(path, "expected a node id string")
+                col.error(f"$.graph.targets[{i}]", "expected a node id string")
                 continue
             if item in targets:
-                col.warn(path, f"duplicate target {item!r}")
-            elif item not in nodes:
-                col.error(path, f"target {item!r} is not a node in the graph")
+                col.warn(f"$.graph.targets[{i}]", f"duplicate target {item!r}")
+            elif item not in declared:
+                col.error(f"$.graph.targets[{i}]", f"target {item!r} is not a node in the graph")
             targets.add(item)
 
+    if len(nodes) < len(declared):
+        return None
     try:
-        return build_graph(nodes.values(), edges, targets & nodes.keys())
+        return _assemble(nodes, edges, targets & nodes.keys(), [])
     except GraphValidationError as exc:
         for msg in exc.errors:
             col.error("$.graph", msg)

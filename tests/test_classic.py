@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fuzrank import classic
 from fuzrank.classic import (
     ConvergenceError,
     CriterionKind,
@@ -265,6 +267,30 @@ def crisp_problems(draw):
     kinds = draw(st.lists(st.sampled_from([B, CO]), min_size=n, max_size=n))
     raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
     return np.array(cells), kinds, raw / raw.sum()
+
+
+# zeros, subnormals and cells whose squares and column norms overflow
+CRISP_CELL = st.sampled_from([0.0, 5e-324, 1e300, 1.7976931348623157e308]) | st.floats(0, 1e308)
+
+
+@pytest.mark.filterwarnings("ignore:classic ranking:UserWarning")
+# A column whose norm passes the float range warns and normalises to all 0s,
+# a fault of its own (see CHANGES.md); its results are still finite.
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@given(st.integers(1, 5), st.integers(1, 4), st.data())
+def test_stage_results_are_finite_and_nonnegative(m, n, data):
+    # normalize and rank_classic build their matrices unchecked
+    cells = np.array(data.draw(st.lists(CRISP_CELL, min_size=m * n, max_size=m * n)))
+    matrix = dm(cells.reshape(m, n))
+    raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    try:
+        normalized = normalize(matrix)
+    except ValueError:  # an all-zero column
+        return
+    with mock.patch.object(classic, "ideal_solutions", wraps=classic.ideal_solutions) as spy:
+        rank_classic(matrix, raw / raw.sum())
+    for stage in (normalized, spy.call_args.args[0]):
+        assert np.isfinite(stage.cells).all() and (stage.cells >= 0).all()
 
 
 @pytest.mark.filterwarnings("ignore:classic ranking:UserWarning")

@@ -18,6 +18,7 @@ from fuzrank.fuzzy import (
     TFN,
     FuzzyDecisionMatrix,
     RatingPanel,
+    _check_ordered,
     aggregate_ratings,
     apply_weights,
     default_scale,
@@ -166,13 +167,15 @@ def pool_reference(table, codes):
 COMPONENT = st.sampled_from([0.0, 1e-300, 1e300]) | st.floats(0, 10) | st.floats(0, 1e300)
 
 
+TRIPLE = st.tuples(COMPONENT, COMPONENT, COMPONENT).map(sorted)
+
+
 @st.composite
-def coded_panels(draw):
+def coded_panels(draw, triple=TRIPLE, kinds=(B,)):
     """A scale of 1-6 labels with ordered non-integer components, and a panel
-    of 1-5 raters over 1-4 alternatives and 1-4 criteria coding into it."""
-    scale = draw(
-        st.lists(st.tuples(COMPONENT, COMPONENT, COMPONENT).map(sorted), min_size=1, max_size=6)
-    )
+    of 1-5 raters over 1-4 alternatives and 1-4 criteria coding into it; each
+    label is drawn from `triple` and each criterion's kind from `kinds`."""
+    scale = draw(st.lists(triple, min_size=1, max_size=6))
     k, m, n = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     code = st.integers(0, len(scale) - 1)
     rating_codes = draw(st.lists(code, min_size=k * m * n, max_size=k * m * n))
@@ -180,7 +183,7 @@ def coded_panels(draw):
     panel = RatingPanel(
         decision_makers=tuple(f"dm{r}" for r in range(k)),
         alternatives=tuple(f"A{i}" for i in range(m)),
-        criteria=specs([B] * n),
+        criteria=specs(draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))),
         labels=tuple(f"T{i}" for i in range(len(scale))),
         rating_codes=np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
         weight_codes=np.array(weight_codes, dtype=np.intp).reshape(k, n),
@@ -195,6 +198,24 @@ def test_pooling_matches_gather_then_reduce_bit_for_bit(case):
     pooled = aggregate_ratings(panel, scale)
     assert pooled.values.tobytes() == pool_reference(table, panel.rating_codes).tobytes()
     assert pooled.weights.tobytes() == pool_reference(table, panel.weight_codes).tobytes()
+
+
+@given(coded_panels(triple=st.just((0.0, 0.0, 0.0)) | TRIPLE, kinds=(B, CO)))
+def test_stage_results_are_ordered_and_finite(case):
+    # the stages build their results unchecked: pooling, normalising and
+    # weighting nonnegative ordered triples keep them ordered and finite
+    panel, scale = case
+    pooled = aggregate_ratings(panel, scale)
+    results = [pooled.values, pooled.weights]
+    try:
+        normalized = normalize_fuzzy(pooled)
+    except ValueError:  # a column with no positive upper bound to divide by
+        pass
+    else:
+        results += [normalized.values, apply_weights(normalized).values]
+    for values in results:
+        _check_ordered(values)
+        assert np.isfinite(values).all()
 
 
 # --- normalization ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 from graphlib import CycleError, TopologicalSorter
@@ -21,6 +22,7 @@ from fuzrank.graph import (
     export_dot,
     subgraph_to_goal,
 )
+from fuzrank.scenario import ScenarioError, parse_scenario
 
 C = NodeKind.CONFIGURATION
 S = NodeKind.ATTACK_STEP
@@ -678,6 +680,57 @@ def test_back_edge_errors_match_graphlib_reference(seed, data):
         build_graph(nodes, edges)
     assert exc.value.errors == reference_validation_errors(nodes, edges)
     assert any(e.startswith("cycle detected: ") for e in exc.value.errors)
+
+
+# --- the scenario parser's graph against build_graph -------------------------
+# The parser makes build_graph's input checks itself and assembles the graph
+# with the rest; on every document it must end where build_graph does.
+
+GRAPH_MUTANTS = ("none", "cycle", "configuration-pred", "final-succ", "unreachable-final")
+
+
+def graph_document(nodes, edges, targets):
+    return json.dumps({"schema_version": "1", "graph": {
+        "nodes": [{"id": x.id, "kind": x.kind.value} for x in nodes],
+        "edges": [list(e) for e in edges],
+        "targets": list(targets),
+    }})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(GRAPH_MUTANTS), st.data())
+def test_parsed_graph_matches_build_graph(seed, mutant, data):
+    g = random_typed_dag(np.random.default_rng(seed))
+    nodes, edges = list(g.nodes.values()), sorted(g.edges)
+    steps = sorted(nid for nid, x in g.nodes.items() if x.kind is not F)
+    if mutant == "cycle":  # back to an ancestor, or to itself
+        tail = head = data.draw(st.sampled_from(sorted(nid for nid in g.nodes if g._preds[nid])))
+        while g._preds[head] and data.draw(st.booleans()):
+            head = data.draw(st.sampled_from(g._preds[head]))
+        edges.append((tail, head))
+    elif mutant == "configuration-pred":
+        nodes.append(n("x-late", C))
+        edges.append((data.draw(st.sampled_from(steps)), "x-late"))
+    elif mutant == "final-succ":
+        nodes += [n("x-final", F), n("x-after", S)]
+        edges += [(data.draw(st.sampled_from(steps)), "x-final"), ("x-final", "x-after")]
+    elif mutant == "unreachable-final":
+        nodes.append(n("x-alone", F))
+    nodes = data.draw(st.permutations(nodes))
+    edges = data.draw(st.permutations(edges))
+    targets = data.draw(st.lists(st.sampled_from(sorted(x.id for x in nodes)), unique=True))
+    text = graph_document(nodes, edges, targets)
+    if mutant == "none":
+        want, got = build_graph(nodes, edges, targets), parse_scenario(text, strict=True).graph
+        assert list(got.nodes.items()) == list(want.nodes.items())
+        assert got.edges == want.edges and got.targets == want.targets
+        assert list(got._preds.items()) == list(want._preds.items())
+        return
+    with pytest.raises(GraphValidationError) as want:
+        build_graph(nodes, edges, targets)
+    with pytest.raises(ScenarioError) as got:
+        parse_scenario(text, strict=True)
+    assert got.value.errors == [f"$.graph: {e}" for e in want.value.errors]
 
 
 # --- DOT export ---------------------------------------------------------------

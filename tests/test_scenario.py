@@ -297,6 +297,28 @@ def test_graph_errors_carry_graph_path():
     ]
 
 
+def test_mistyped_node_kind_is_the_only_graph_error():
+    # a node whose kind is unknown is dropped, with its edges; its id is still
+    # declared, so its edges and targets are not unknown, and the whole-graph
+    # checks do not run on what is left
+    c, f = {"id": "c", "kind": "config"}, {"id": "f", "kind": "final_step"}
+    kind_error = (
+        "$.graph.nodes[0].kind: unknown node kind 'config'; "
+        "use one of configuration, attack_step, privilege, final_step"
+    )
+    assert errors_of(minimal(graph={"nodes": [c, f], "edges": [["c", "f"]], "targets": ["f"]})) == [
+        kind_error
+    ]
+    text = minimal(
+        graph={"nodes": [c, f], "edges": [["c", "f"], ["f", "ghost"]], "targets": ["c", "h"]}
+    )
+    assert errors_of(text) == [
+        kind_error,
+        "$.graph.edges[1]: edge ('f' -> 'ghost'): unknown destination node",
+        "$.graph.targets[1]: target 'h' is not a node in the graph",
+    ]
+
+
 def test_repeated_ids_unknown_edge_ends_and_targets_are_located():
     c, f = {"id": "c", "kind": "configuration"}, {"id": "f", "kind": "final_step"}
     text = minimal(
