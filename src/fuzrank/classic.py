@@ -18,12 +18,16 @@ Reports label each cost column with its defining formula.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+
+_HALF_FLOAT_MAX = sys.float_info.max / 2
 
 #: Saaty random consistency indices by matrix size.
 _RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12,
@@ -236,12 +240,21 @@ def normalize(matrix: DecisionMatrix) -> DecisionMatrix:
     """Scale each criterion column to unit Euclidean norm."""
     # hypot instead of sqrt-of-sum so cells beyond 1e154 do not overflow the
     # norm; sorted first so the norm does not depend on the row order
-    norms = np.hypot.reduce(np.sort(matrix.cells, axis=0), axis=0)
+    cells = matrix.cells
+    ordered = np.sort(cells, axis=0)
+    # A norm is at most sqrt(m) times its column's largest cell, the sorted
+    # last row. A column whose norm could pass half the float range (the
+    # other half is room for rounding) is divided by that cell first.
+    huge = ordered[-1:] > _HALF_FLOAT_MAX / math.sqrt(max(len(cells), 1))
+    if huge.any():
+        top = np.where(huge, ordered[-1:], 1.0)
+        cells, ordered = cells / top, ordered / top
+    norms = np.hypot.reduce(ordered, axis=0)
     zero = norms == 0
     if zero.any():
         dead = [matrix.criteria[j].id for j in np.flatnonzero(zero)]
         raise ValueError(f"cannot normalize all-zero column(s): {', '.join(dead)}")
-    return DecisionMatrix._result(matrix.alternatives, matrix.criteria, matrix.cells / norms)
+    return DecisionMatrix._result(matrix.alternatives, matrix.criteria, cells / norms)
 
 
 def ideal_solutions(weighted: DecisionMatrix) -> tuple[np.ndarray, np.ndarray]:

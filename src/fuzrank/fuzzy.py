@@ -3,8 +3,8 @@
 This module owns the fuzzy-number format. A triangular fuzzy number (TFN) is
 a plain (a, b, c) triple: support [a, c], peak b, crisp when a == b == c. A
 scale is a label -> TFN table: `default_scale()` is the five-level one, and the
-parser reads a `scale` override into the same shape. The a <= b <= c rule
-lives only in `_check_ordered`, which the parser applies to each override entry.
+parser reads a `scale` override into the same shape, checking a <= b <= c on
+each entry. The parser is the one place where that rule is checked.
 
 Multi-rater grids are aggregated per cell as (min of lower bounds, mean of
 peaks, max of upper bounds), normalized by a linear scale transformation,
@@ -23,16 +23,15 @@ weights have shape (n, 3).
 
 Record types. `TFN`, like every value record in fuzrank, is a NamedTuple;
 `RatingPanel` and `FuzzyDecisionMatrix` are plain classes. None generates
-code at import, as `dataclasses` would. `FuzzyDecisionMatrix.__init__`, the
-constructor for a matrix from outside, checks its shapes and a <= b <= c.
-The stages build their results with `FuzzyDecisionMatrix._result`, which
-checks nothing: from nonnegative ordered triples, such as the parser's scale
-gives, a pooled cell is (min a, mean b clipped into [min a, max c], max c),
-normalising divides by upper bounds it has required to be positive, and
-weighting multiplies by weights it has required to be nonnegative. Rounding
-is monotone, so none of these steps can break a <= b <= c or make a finite
+code at import, as `dataclasses` would. `FuzzyDecisionMatrix` sets its
+fields unchecked: the parser checks every label and scale entry, and the
+stages keep what it checked. From nonnegative ordered triples, a pooled
+cell is (min a, mean b clipped into [min a, max c], max c), normalising
+divides by upper bounds it has required to be positive, and weighting
+multiplies by weights it has required to be nonnegative. Rounding is
+monotone, so none of these steps can break a <= b <= c or make a finite
 number infinite. A scale or matrix built by hand with a negative or infinite
-component is outside that argument, and no stage checks it again.
+component is outside that argument, and no stage checks it.
 `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view of the
 values, built on first use; only the benchmark's in-process step
 (`perfbench/workloads.py`) reads it, for the pooled peaks, until ROADMAP
@@ -50,7 +49,7 @@ from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .classic import CriterionKind, CriterionSpec, RankingResult, rank_by_closeness
+from .classic import _HALF_FLOAT_MAX, CriterionKind, CriterionSpec, RankingResult, rank_by_closeness
 
 
 class TFN(NamedTuple):
@@ -70,42 +69,13 @@ def default_scale() -> dict[str, TFN]:
     }
 
 
-def _check_ordered(t: np.ndarray) -> None:
-    """Every (a, b, c) triple on the last axis must satisfy a <= b <= c."""
-    bad = ~((t[..., 0] <= t[..., 1]) & (t[..., 1] <= t[..., 2]))
-    if bad.any():
-        a, b, c = t[np.unravel_index(np.argmax(bad), bad.shape)].tolist()
-        raise ValueError(f"TFN components must satisfy a <= b <= c, got ({a}, {b}, {c})")
-
-
 class FuzzyDecisionMatrix:
     """Alternatives x criteria grid of TFNs plus per-criterion fuzzy weights."""
 
     def __init__(self, alternatives: tuple[str, ...], criteria: tuple[CriterionSpec, ...],
                  values: np.ndarray, weights: Optional[np.ndarray] = None):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[0] != len(alternatives):
-            raise ValueError("one cell row per alternative required")
-        if values.shape[1:] != (len(criteria), 3):
-            raise ValueError("one cell per criterion required in every row")
-        _check_ordered(values)
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (len(criteria), 3):
-                raise ValueError("one weight per criterion required")
-            _check_ordered(weights)
         self.alternatives, self.criteria, self.values, self.weights = (
             alternatives, criteria, values, weights)
-
-    @classmethod
-    def _result(cls, alternatives: tuple[str, ...], criteria: tuple[CriterionSpec, ...],
-                values: np.ndarray, weights: Optional[np.ndarray] = None) -> FuzzyDecisionMatrix:
-        """A stage's result, whose shapes and order hold by construction:
-        the fields are set unchecked."""
-        self = cls.__new__(cls)
-        self.alternatives, self.criteria, self.values, self.weights = (
-            alternatives, criteria, values, weights)
-        return self
 
     @cached_property
     def cells(self) -> tuple[tuple[TFN, ...], ...]:
@@ -134,9 +104,13 @@ def aggregate_ratings(panel: RatingPanel, scale: Mapping[str, TFN]) -> FuzzyDeci
 
     The mean peak can round just past the pooled bounds (three raters at
     (0, 0.1, 0.1) average to 0.10000000000000002), so it is clamped into
-    [min a, max c], where its exact value lies.
+    [min a, max c], where its exact value lies. When k peaks could sum past
+    the float range, each is divided by k before the sum instead of after.
     """
-    table = np.array([scale[label] for label in panel.labels], dtype=float)
+    rows = [scale[label] for label in panel.labels]
+    # a Python number: top * k is inf past the float range, with no numpy warning
+    top = max([row[1] for row in rows], default=0.0)
+    table = np.array(rows, dtype=float)
     # one contiguous column per component, also with no labels
     ta, tb, tc = np.ascontiguousarray(table.reshape(-1, 3).T)
 
@@ -147,11 +121,17 @@ def aggregate_ratings(panel: RatingPanel, scale: Mapping[str, TFN]) -> FuzzyDeci
         c = tc[codes].max(axis=0)
         out = np.empty(a.shape + (3,))
         out[..., 0], out[..., 2] = a, c
-        mean = np.add.reduce(tb[codes], axis=0) / len(codes)
+        k = len(codes)
+        # k peaks sum to at most top * k; half the float range leaves room
+        # for the rounding of the partial sums
+        if top * k < _HALF_FLOAT_MAX:
+            mean = np.add.reduce(tb[codes], axis=0) / k
+        else:
+            mean = np.add.reduce(tb[codes] / k, axis=0)
         np.minimum(np.maximum(mean, a), c, out=out[..., 1])
         return out
 
-    return FuzzyDecisionMatrix._result(
+    return FuzzyDecisionMatrix(
         panel.alternatives, panel.criteria, pool(panel.rating_codes), pool(panel.weight_codes)
     )
 
@@ -182,7 +162,7 @@ def normalize_fuzzy(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
     out = np.empty_like(v)
     out[:, benefit] = v[:, benefit] / c_max[benefit, None]
     out[:, cost] = v[:, cost].min(axis=0) / v[:, cost, 2:]
-    return FuzzyDecisionMatrix._result(matrix.alternatives, matrix.criteria, out, matrix.weights)
+    return FuzzyDecisionMatrix(matrix.alternatives, matrix.criteria, out, matrix.weights)
 
 
 def apply_weights(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
@@ -199,7 +179,7 @@ def apply_weights(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
             f"weight for criterion {matrix.criteria[j].id!r} has a negative component: "
             f"TFN({a:g}, {b:g}, {c:g})"
         )
-    return FuzzyDecisionMatrix._result(matrix.alternatives, matrix.criteria, matrix.values * w)
+    return FuzzyDecisionMatrix(matrix.alternatives, matrix.criteria, matrix.values * w)
 
 
 def fuzzy_ideals(weighted: FuzzyDecisionMatrix) -> tuple[np.ndarray, np.ndarray]:

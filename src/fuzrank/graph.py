@@ -41,16 +41,16 @@ Bit order is sorted-id order, and ``_linearize`` depends on it: among the
 ready nodes of a set it takes the smallest bit index, which is the smallest
 id, so each path is the set's smallest-id-first topological order.
 
-Validation is two steps. `build_graph` first checks its input: repeated
-node ids, edges with an unknown end and unknown targets. It then hands the
-rest to `_assemble`, which checks what only the whole graph shows (each
-node's kind against its edges, cycles, reachability of the final steps) and
-builds the `AttackGraph`. The scenario parser makes the input checks itself,
-locating each problem in the document, so it calls `_assemble` alone.
-`_assemble` orders the nodes with Kahn's algorithm over sorted-id
-predecessors. Only when that leaves nodes unplaced does the standard
-library's ``graphlib`` run, to name a cycle: the cycle named is graphlib's
-choice over sorted-id predecessors.
+Validation happens once, in the scenario parser, which is the one checker
+of the format. It locates each input problem in the document (a repeated
+node id, an edge with an unknown end, an unknown target) and hands the
+checked nodes, edges and targets to `_assemble`, which checks what only the
+whole graph shows (each node's kind against its edges, cycles,
+reachability of the final steps) and builds the `AttackGraph`. `_assemble`
+orders the nodes with Kahn's algorithm over sorted-id predecessors. Only
+when that leaves nodes unplaced does the standard library's ``graphlib``
+run, to name a cycle: the cycle named is graphlib's choice over sorted-id
+predecessors.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from enum import Enum
 from functools import reduce
 from graphlib import CycleError, TopologicalSorter
 from operator import or_
-from typing import Collection, Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 
 DEFAULT_PATH_CAP = 10_000
@@ -98,7 +98,7 @@ PREDEFINED_SCHEMES = {
 
 
 class GraphValidationError(ValueError):
-    """Raised by build_graph with the full list of structural problems."""
+    """Raised by `_assemble` with the full list of whole-graph problems."""
 
     def __init__(self, errors: Sequence[str]):
         self.errors = list(errors)
@@ -109,63 +109,25 @@ class PathExplosionError(RuntimeError):
     """Raised when path enumeration exceeds the configured cap."""
 
 
-class UnknownNodeError(KeyError):
-    pass
-
-
 class AttackGraph:
-    """Validated DAG of attack nodes. Built by `_assemble` (for build_graph and
-    the scenario parser) and subgraph_to_goal; `_preds` maps each node id to
-    its predecessors in sorted-id order."""
+    """Validated DAG of attack nodes. Built by `_assemble`, for the scenario
+    parser, and by subgraph_to_goal; `_preds` maps each node id to its
+    predecessors in sorted-id order."""
 
     def __init__(self, nodes: dict[str, AttackNode], edges: frozenset[tuple[str, str]],
-                 targets: frozenset[str], _preds: Optional[dict[str, tuple[str, ...]]] = None):
-        self.nodes, self.edges, self.targets = nodes, edges, targets
-        self._preds = {} if _preds is None else _preds
-
-
-def build_graph(
-    nodes: Iterable[AttackNode],
-    edges: Iterable[tuple[str, str]],
-    targets: Iterable[str] = (),
-) -> AttackGraph:
-    """Validate and assemble an attack graph; collects every violation it finds.
-    The input checks are made here (a repeated edge is dropped), the rest in
-    `_assemble`."""
-    edge_list = list(dict.fromkeys(tuple(e) for e in edges))
-    target_set = set(targets)
-    errors: list[str] = []
-
-    by_id: dict[str, AttackNode] = {}
-    for node in nodes:
-        if node.id in by_id:
-            errors.append(f"duplicate node id {node.id!r}")
-        by_id[node.id] = node
-
-    known: list[tuple[str, str]] = []
-    for src, dst in edge_list:
-        if src not in by_id:
-            errors.append(f"edge ({src!r} -> {dst!r}): unknown source node")
-        elif dst not in by_id:
-            errors.append(f"edge ({src!r} -> {dst!r}): unknown destination node")
-        else:
-            known.append((src, dst))
-
-    for nid in target_set - by_id.keys():
-        errors.append(f"target {nid!r} is not a node in the graph")
-
-    return _assemble(by_id, known, target_set, errors)
+                 targets: frozenset[str], _preds: dict[str, tuple[str, ...]]):
+        self.nodes, self.edges, self.targets, self._preds = nodes, edges, targets, _preds
 
 
 def _assemble(
     by_id: dict[str, AttackNode],
     edges: list[tuple[str, str]],
     targets: Collection[str],
-    errors: list[str],
 ) -> AttackGraph:
     """The attack graph of checked input (distinct node ids, and distinct edges
-    and targets among them). Appends what only the whole graph shows to
-    `errors`, and raises GraphValidationError if `errors` is then nonempty."""
+    and targets among them). Raises GraphValidationError with every problem
+    that only the whole graph shows."""
+    errors: list[str] = []
     preds: dict[str, list[str]] = {nid: [] for nid in sorted(by_id)}
     succs: dict[str, list[str]] = {nid: [] for nid in preds}
     for src, dst in edges:
@@ -225,8 +187,9 @@ def enumerate_paths(
     at every node (see the module docstring), so every returned sequence is a
     minimal satisfying set. `cap` bounds each node's deduplicated candidate
     family, built from its predecessors' already-absorbed families; a node
-    that exceeds it raises PathExplosionError. Output order is deterministic:
-    sequences sorted lexicographically.
+    that exceeds it raises PathExplosionError, and a `goal` that is not a
+    node raises KeyError. Output order is deterministic: sequences sorted
+    lexicographically.
     """
     ids, (base, masks, _, _) = _minimal_masks(graph, goal, cap)
     index = {nid: i for i, nid in enumerate(ids)}
@@ -271,8 +234,6 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
     changed in place. Each node's candidate count, which `cap` bounds, is the
     number of distinct sets its predecessors' families give before absorption.
     """
-    if goal not in graph.nodes:
-        raise UnknownNodeError(f"unknown node id {goal!r}")
     ids = sorted(graph.nodes)
     bit = {nid: 1 << i for i, nid in enumerate(ids)}
     families: dict[str, _Family] = {}
@@ -465,10 +426,10 @@ def subgraph_to_goal(graph: AttackGraph, goal: str, cap: int = DEFAULT_PATH_CAP)
     path is linearised, so a goal behind disjoint OR alternatives costs
     nodes times branches, not one step per minimal set. The cap still bounds
     each node's count, so the same PathExplosionError is raised.
-    The restriction is assembled without `build_graph`: a union of minimal
-    satisfying sets keeps every AND node's predecessors and one of each OR
-    node's, no cycle and no final step other than the goal, so it needs no
-    second validation.
+    The restriction is built directly, not through `_assemble`: a union of
+    minimal satisfying sets keeps every AND node's predecessors and one of
+    each OR node's, no cycle and no final step other than the goal, so it
+    needs no second validation.
     """
     ids, (base, _, _, union) = _minimal_masks(graph, goal, cap)
     union |= base

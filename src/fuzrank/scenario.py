@@ -19,11 +19,11 @@ accepted only when every key and cell is exactly where it should be.
 `_explain_grid` runs only to explain a grid that pass refused, and reports
 every problem found.
 
-The parser is where input is checked; the stages after it trust what it
-built. It makes `graph.build_graph`'s input checks itself, locating each
+The parser is the one checker of the input; the stages after it trust what
+it built. It checks the graph's ids, edges and targets itself, locating each
 problem in the document, and hands the rest to `graph._assemble` (the kind
-rules, cycles, reachability); a pairwise or decision matrix is checked by its
-class's constructor, once, here.
+rules, cycles, reachability); it checks a <= b <= c on each scale entry; a
+pairwise or decision matrix is checked by its class's constructor, once, here.
 
 The parser builds the scoring types itself: each vulnerability becomes a
 `VulnerabilityRecord` and each asset an `AssetProfile` of those records, with
@@ -49,7 +49,7 @@ from .classic import (
     DecisionMatrix,
     PairwiseMatrix,
 )
-from .fuzzy import TFN, RatingPanel, _check_ordered, default_scale
+from .fuzzy import TFN, RatingPanel, default_scale
 from .graph import (
     AttackGraph,
     AttackNode,
@@ -96,15 +96,14 @@ class ScenarioError(ValueError):
 class ScenarioFile:
     """A validated scenario: every section the document carries, parsed."""
 
-    def __init__(self, scale: Optional[dict[str, TFN]] = None,
-                 graph: Optional[AttackGraph] = None, criteria: tuple[CriterionSpec, ...] = (),
-                 actions: tuple[str, ...] = (), panel: Optional[RatingPanel] = None,
-                 pairwise: Optional[PairwiseMatrix] = None,
-                 decision_matrix: Optional[DecisionMatrix] = None,
-                 vulnerabilities: tuple[VulnerabilityRecord, ...] = (),
-                 assets: tuple[AssetProfile, ...] = (), warnings: tuple[str, ...] = ()):
-        self.scale = default_scale() if scale is None else scale
-        self.graph, self.criteria, self.actions, self.panel = graph, criteria, actions, panel
+    def __init__(self, scale: dict[str, TFN], graph: Optional[AttackGraph],
+                 criteria: tuple[CriterionSpec, ...], actions: tuple[str, ...],
+                 panel: Optional[RatingPanel], pairwise: Optional[PairwiseMatrix],
+                 decision_matrix: Optional[DecisionMatrix],
+                 vulnerabilities: tuple[VulnerabilityRecord, ...],
+                 assets: tuple[AssetProfile, ...], warnings: tuple[str, ...]):
+        self.scale, self.graph, self.criteria, self.actions, self.panel = (
+            scale, graph, criteria, actions, panel)
         self.pairwise, self.decision_matrix = pairwise, decision_matrix
         self.vulnerabilities, self.assets, self.warnings = vulnerabilities, assets, warnings
 
@@ -268,11 +267,11 @@ def _parse_scale(col: _Collector, raw: Any) -> dict[str, TFN]:
         values = [_number(col, f"{path}[{i}]", x, lo=0) for i, x in enumerate(triple)]
         if None in values:
             continue
-        try:
-            _check_ordered(np.array(values))
-            entries[label] = TFN(*values)
-        except ValueError as exc:
-            col.error(path, str(exc))
+        a, b, c = values
+        if a <= b <= c:
+            entries[label] = TFN(a, b, c)
+        else:
+            col.error(path, f"TFN components must satisfy a <= b <= c, got ({a}, {b}, {c})")
     if not entries:
         col.error("$.scale", "scale override has no valid entries")
         return default_scale()
@@ -356,10 +355,10 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
     """The attack graph, or None when it is absent or refused (the reasons then
     in `col`).
 
-    The input checks that `build_graph` makes are made here, each problem
-    located at its index: a repeated node id, an edge end that no node
-    declares, and an unknown target. A node whose kind is unknown is dropped,
-    with the edges that touch it; its id still counts as declared. What only
+    The input checks are made here, each problem located at its index: a
+    repeated node id, an edge end that no node declares, and an unknown
+    target. A node whose kind is unknown is dropped, with the edges that
+    touch it; its id still counts as declared. What only
     the whole graph shows is then checked by `graph._assemble`, under the bare
     `$.graph` path, unless a declared node was dropped: the graph that is left
     would not be the one the document describes.
@@ -435,7 +434,7 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
     if len(nodes) < len(declared):
         return None
     try:
-        return _assemble(nodes, edges, targets & nodes.keys(), [])
+        return _assemble(nodes, edges, targets & nodes.keys())
     except GraphValidationError as exc:
         for msg in exc.errors:
             col.error("$.graph", msg)

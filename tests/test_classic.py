@@ -274,9 +274,6 @@ CRISP_CELL = st.sampled_from([0.0, 5e-324, 1e300, 1.7976931348623157e308]) | st.
 
 
 @pytest.mark.filterwarnings("ignore:classic ranking:UserWarning")
-# A column whose norm passes the float range warns and normalises to all 0s,
-# a fault of its own (see CHANGES.md); its results are still finite.
-@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
 @given(st.integers(1, 5), st.integers(1, 4), st.data())
 def test_stage_results_are_finite_and_nonnegative(m, n, data):
     # normalize and rank_classic build their matrices unchecked
@@ -315,18 +312,25 @@ def test_scaling_a_crisp_column_keeps_ranking(problem, data, c):
 
 
 def test_rank_huge_column_matches_scaled_down():
-    # squaring 2e300 overflows; the column norm must not
-    huge = [[2e300, 2.0], [1e300, 1.0]]
-    small = [[2.0, 2.0], [1.0, 1.0]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    # squaring 2e300 overflows, and the norm of a column at 1.7e308 passes the
+    # float range; neither column norm may overflow
+    cases = [
+        ([[2e300, 2.0], [1e300, 1.0]], [[2.0, 2.0], [1.0, 1.0]]),
+        ([[1.7e308, 2.0], [8.5e307, 1.0]], [[2.0, 2.0], [1.0, 1.0]]),
+        ([[1.7e308, 2.0], [1.7e308, 1.0]], [[1.0, 2.0], [1.0, 1.0]]),
+    ]
+    for huge, small in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r1 = rank_classic(dm(huge), [0.5, 0.5])
+            r2 = rank_classic(dm(small), [0.5, 0.5])
+        for e1, e2 in zip(r1.entries, r2.entries):
+            assert e1.d_plus == pytest.approx(e2.d_plus, rel=1e-12)
+            assert e1.d_minus == pytest.approx(e2.d_minus, rel=1e-12)
+            assert e1.rank == e2.rank
+    for huge, _ in cases[:2]:
         r1 = rank_classic(dm(huge), [0.5, 0.5])
-        r2 = rank_classic(dm(small), [0.5, 0.5])
-    for e1, e2 in zip(r1.entries, r2.entries):
-        assert e1.d_plus == pytest.approx(e2.d_plus, rel=1e-12)
-        assert e1.d_minus == pytest.approx(e2.d_minus, rel=1e-12)
-        assert e1.rank == e2.rank
-    assert r1.entries[1].d_plus == pytest.approx(np.sqrt(0.1), rel=1e-12)
+        assert r1.entries[1].d_plus == pytest.approx(np.sqrt(0.1), rel=1e-12)
 
 
 def test_benefit_cost_flip_swaps_ideals():

@@ -238,6 +238,54 @@ def test_rank_classic_weights_near_float_max(runner, tmp_path):
     assert ranking(1e308) == ranking(1)
 
 
+# a decision-matrix column whose norm passes the float range
+HUGE_COLUMN = {
+    "schema_version": "1",
+    "criteria": [{"id": "C-1", "weight": 1}, {"id": "C-2", "weight": 1}],
+    "actions": ["A1", "A2"],
+    "decision_matrix": {"A1": {"C-1": 1.7e308, "C-2": 2}, "A2": {"C-1": 1e308, "C-2": 1}},
+}
+# two raters' peaks whose sum passes the float range
+HUGE_PEAKS = {
+    "schema_version": "1",
+    "scale": {"X": [1e308, 1.5e308, 1.7e308], "W": [1, 1, 1]},
+    "criteria": [{"id": "C-1", "weight": "W"}],
+    "actions": ["A1", "A2"],
+    "panel": {
+        "decision_makers": ["r1", "r2"],
+        "ratings": {r: {"A1": {"C-1": "X"}, "A2": {"C-1": "W"}} for r in ("r1", "r2")},
+        "weights": {r: {"C-1": "W"} for r in ("r1", "r2")},
+    },
+}
+
+
+def rank_report(runner, tmp_path, doc, *args):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rank", str(path), "--format", "json", *args])
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)
+
+
+@pytest.mark.parametrize(
+    "doc, args", [(HUGE_COLUMN, ["--engine", "classic"]), (HUGE_PEAKS, [])],
+    ids=["column-norm", "pooled-peaks"],
+)
+def test_rank_near_float_max_warns_nothing(runner, tmp_path, doc, args):
+    assert rank_report(runner, tmp_path, doc, *args)["warnings"] == []
+
+
+def test_rank_classic_column_near_float_max_matches_scaled_down(runner, tmp_path):
+    small = {**HUGE_COLUMN, "decision_matrix": {"A1": {"C-1": 1.7, "C-2": 2},
+                                                "A2": {"C-1": 1.0, "C-2": 1}}}
+    (got,) = rank_report(runner, tmp_path, HUGE_COLUMN, "--engine", "classic")["rankings"]
+    (want,) = rank_report(runner, tmp_path, small, "--engine", "classic")["rankings"]
+    for e1, e2 in zip(got["actions"], want["actions"]):
+        assert e1["action"] == e2["action"]
+        assert e1["d_plus"] == pytest.approx(e2["d_plus"], rel=1e-12)
+        assert e1["d_minus"] == pytest.approx(e2["d_minus"], rel=1e-12)
+
+
 CHAIN = [{"id": "c", "kind": "configuration"}, {"id": "f", "kind": "final_step"}]
 VULN = {"cve": "C", "impact_score": 5, "exploitability_score": 5, "temporal_score": 5,
         "atc_cost": 0.5}

@@ -5,22 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzrank.fuzzy import TFN, _check_ordered, _vertex_distance, default_scale
+from fuzrank.fuzzy import TFN, _vertex_distance, default_scale
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 def tfns(values=finite):
     return st.tuples(values, values, values).map(sorted).map(lambda v: TFN(*v))
-
-
-def test_construction_rejects_unordered():
-    # TFN itself does not check; the rule is applied where TFNs enter the
-    # program: scale overrides and FuzzyDecisionMatrix construction.
-    with pytest.raises(ValueError, match="a <= b <= c"):
-        _check_ordered(np.array(TFN(5, 2, 3)))
-    with pytest.raises(ValueError):
-        _check_ordered(np.array(TFN(1, 4, 3)))
 
 
 # --- vertex distance, as the fuzzy engine computes it ----------------------------
