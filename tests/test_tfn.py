@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,12 +7,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzrank.fuzzy import TFN, _vertex_distance, default_scale
+from fuzrank.scenario import ScenarioError, parse_scenario
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 def tfns(values=finite):
     return st.tuples(values, values, values).map(sorted).map(lambda v: TFN(*v))
+
+
+def test_construction_rejects_unordered():
+    # TFN itself does not check; the rule is applied where TFNs enter the
+    # program, the scenario parser's scale override.
+    doc = {"schema_version": "1", "scale": {"A": [5, 2, 3], "B": [1, 4, 3], "OK": [1, 2, 3]}}
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(json.dumps(doc))
+    assert exc.value.errors == [
+        "$.scale.A: TFN components must satisfy a <= b <= c, got (5.0, 2.0, 3.0)",
+        "$.scale.B: TFN components must satisfy a <= b <= c, got (1.0, 4.0, 3.0)",
+    ]
 
 
 # --- vertex distance, as the fuzzy engine computes it ----------------------------
