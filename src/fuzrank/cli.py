@@ -15,12 +15,27 @@ CVSS modules load only for `veability`, or for a scenario with
 `vulnerabilities` or `assets`; `tempfile` loads only for `-o`. No fuzrank
 module uses `dataclasses`, which generates each class's methods by `exec` at
 import: records are NamedTuples or plain classes.
+
+A `fuzrank` process runs without the cyclic garbage collector. Launched as
+`python -m fuzrank.cli`, or through `fuzrank.__main__` (the installed script
+and `python -m fuzrank`), it switches the collector off before click and
+numpy load, so their imports trigger no collections; `run` keeps it off while
+the command runs and calls `gc.freeze()` on the way out, so the interpreter's
+final collection does not walk numpy's heap. This is safe because everything
+a command allocates is live until the process exits, no fuzrank object needs
+a finaliser, and the cycles left at exit are the few that imports make.
+`main`, which tests and library callers use, and `import fuzrank.cli` leave
+the collector as they found it.
 """
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()
+
 import os
-import sys
 import warnings
 from pathlib import Path
 from typing import Optional
@@ -148,8 +163,10 @@ def _classic_inputs(
     if scenario.decision_matrix is not None:
         matrix = scenario.decision_matrix
     elif pooled is not None:
+        # pooled over the parser's checked scale: finite, nonnegative, one row
+        # per (unique) action and one column per criterion, so left unchecked
         peaks = pooled.values[..., 1]
-        matrix = DecisionMatrix(list(scenario.actions), list(scenario.criteria), peaks)
+        matrix = DecisionMatrix._result(list(scenario.actions), list(scenario.criteria), peaks)
     else:
         raise CliError(
             "classic engine needs a 'decision_matrix' or a 'panel' in the scenario"
@@ -182,20 +199,33 @@ def _classic_inputs(
 
 
 def _run_engines(scenario: ScenarioFile, engine: str) -> list[RankingResult]:
-    """Run the chosen engines, pooling the panel's ratings at most once."""
+    """Run the chosen engines, pooling the panel's ratings at most once.
+
+    A float fault (numpy's RuntimeWarning: overflow, invalid value, division
+    by zero) while an engine runs is a computation failure naming that
+    engine, never a report warning: its result could hold an inf or a NaN.
+    Pooling counts to the fuzzy engine unless only the classic one runs.
+    """
     results = []
+    running = "classic" if engine == "classic" else "fuzzy"
     try:
-        pooled = None
-        needs_panel = engine != "classic" or scenario.decision_matrix is None
-        if needs_panel and scenario.panel is not None:
-            pooled = aggregate_ratings(scenario.panel, scenario.scale)
-        if engine in ("classic", "both"):
-            matrix, weights = _classic_inputs(scenario, pooled)
-            results.append(rank_classic(matrix, weights))
-        if engine in ("fuzzy", "both"):
-            if pooled is None:
-                raise CliError("fuzzy engine needs a 'panel' section in the scenario")
-            results.append(rank_fuzzy(apply_weights(normalize_fuzzy(pooled))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pooled = None
+            needs_panel = engine != "classic" or scenario.decision_matrix is None
+            if needs_panel and scenario.panel is not None:
+                pooled = aggregate_ratings(scenario.panel, scenario.scale)
+            if engine in ("classic", "both"):
+                running = "classic"
+                matrix, weights = _classic_inputs(scenario, pooled)
+                results.append(rank_classic(matrix, weights))
+            if engine in ("fuzzy", "both"):
+                running = "fuzzy"
+                if pooled is None:
+                    raise CliError("fuzzy engine needs a 'panel' section in the scenario")
+                results.append(rank_fuzzy(apply_weights(normalize_fuzzy(pooled))))
+    except RuntimeWarning as exc:
+        raise CliError(f"computation failed in {running}: {exc}", exit_code=EXIT_COMPUTATION)
     except ConvergenceError as exc:
         raise CliError(f"computation failed: {exc}", exit_code=EXIT_COMPUTATION)
     except (ValueError, KeyError) as exc:
@@ -290,5 +320,15 @@ def validate(scenario_path: str, strict: bool) -> None:
     click.echo(f"OK: {scenario_path} is a valid scenario")
 
 
+def run() -> None:
+    """The `fuzrank` process: `main` with the cyclic collector off, and the
+    heap frozen at exit so the interpreter's final collection skips it."""
+    gc.disable()
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -592,6 +594,24 @@ def test_csv_inconsistent_pairwise_warning_goes_to_stderr(runner, tmp_path):
     assert result.stderr == f"warning: {expected}\n"
 
 
+def _overflow(*args, **kwargs):
+    return np.float64(1e308) * 10
+
+
+@pytest.mark.parametrize("engine, stage", [("classic", "rank_classic"), ("fuzzy", "rank_fuzzy"),
+                                           ("both", "rank_fuzzy"), ("both", "aggregate_ratings")])
+def test_float_fault_in_an_engine_is_a_computation_failure(runner, scenario_file, monkeypatch,
+                                                            engine, stage):
+    monkeypatch.setattr(f"fuzrank.cli.{stage}", _overflow)
+    result = runner.invoke(main, ["rank", str(scenario_file), "--engine", engine])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    failed_in = "classic" if stage == "rank_classic" else "fuzzy"
+    assert result.stderr == (
+        f"Error: computation failed in {failed_in}: overflow encountered in scalar multiply\n"
+    )
+
+
 def _loaded_in_child(code: str, names: tuple[str, ...]) -> list[str]:
     """Which of `names` are in sys.modules after a fresh interpreter, with
     this fuzrank's source directory on PYTHONPATH, runs `code`."""
@@ -637,6 +657,69 @@ def test_graph_only_commands_do_not_load_scoring_modules(tmp_path):
         f"main(['validate', {str(path)!r}], standalone_mode=False)\n"
     )
     assert _loaded_in_child(code, ("fuzrank.cvss", "fuzrank.veability")) == []
+
+
+# --- the process's garbage-collector policy ---------------------------------------
+
+# a sitecustomize hook: the collector's state at exit, and how many collections
+# ran from the moment numpy began to load
+GC_AT_EXIT = """\
+import atexit, gc, sys
+late = []
+gc.callbacks.append(lambda phase, info: phase == "start" and "numpy" in sys.modules and late.append(1))
+atexit.register(lambda: print("gc at exit:", gc.isenabled(), gc.get_freeze_count(), len(late),
+                              file=sys.stderr))
+"""
+LAUNCHERS = {
+    "python -m fuzrank.cli": ["-m", "fuzrank.cli"],
+    "runpy fuzrank.cli": ["-c", "import runpy; runpy.run_module('fuzrank.cli', run_name='__main__')"],
+    "python -m fuzrank": ["-m", "fuzrank"],
+}
+
+
+def test_main_leaves_the_collector_as_it_found_it(runner, scenario_file):
+    frozen = gc.get_freeze_count()
+    main(["rank", str(scenario_file), "--format", "json"], standalone_mode=False)
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+    assert runner.invoke(main, ["graph", str(scenario_file)]).exit_code == 0
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+
+
+def test_import_leaves_the_collector_on():
+    code = "import gc, fuzrank.cli\nassert gc.isenabled() and not gc.get_freeze_count()"
+    assert _loaded_in_child(code, ()) == []
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_cli_process_runs_without_the_collector(runner, scenario_file, tmp_path, launcher):
+    """Each launcher turns the collector off before click and numpy load, so
+    nothing is collected from then on, and freezes the heap before exit;
+    exit codes, stdout bytes and error messages are those of in-process `main`."""
+    from test_graph import layered_doc
+
+    (tmp_path / "sitecustomize.py").write_text(GC_AT_EXIT)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema_version": "1", "criteria": 3}))
+    deep = tmp_path / "l12w3.json"
+    deep.write_text(json.dumps({"schema_version": "1", "graph": layered_doc(12, 3)}))
+    src = str(Path(fuzrank.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "FUZRANK_PATH_CAP"}
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), src])
+    cases = [
+        (0, ["rank", str(scenario_file), "--format", "json"]),
+        (1, ["rank", str(bad), "--format", "json"]),
+        (2, ["graph", str(deep), "--goal", "goal-L12"]),
+    ]
+    for code, args in cases:
+        child = subprocess.run([sys.executable, *LAUNCHERS[launcher], *args], env=env,
+                               capture_output=True, timeout=60)
+        *err, hook = child.stderr.decode("utf-8").splitlines(keepends=True)
+        name, enabled, frozen, late = hook.rsplit(maxsplit=3)
+        assert (name, enabled, late) == ("gc at exit:", "False", "0") and int(frozen) > 0, hook
+        expected = runner.invoke(main, args)
+        assert child.returncode == expected.exit_code == code, args
+        assert child.stdout == expected.stdout_bytes, args
+        assert "".join(err) == expected.stderr, args
 
 
 # --- CLI-wide contract over mutated scenarios ------------------------------------
@@ -696,6 +779,9 @@ BASES = [
     (CRISP, "goal", "classic"),
 ]
 
+# a report warning is fuzrank's own: a scenario path, an engine's, or the AHP
+# consistency check of the classic engine's weights; never a bare numpy one
+OWN_WARNINGS = ("$.", "classic ", "fuzzy ", "pairwise comparisons are inconsistent ")
 EXTREME_NUMBERS = [0, -1, 0.5, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, -1e308, 10**400]
 OTHER_STRINGS = ["VL", "VH", "A1", "C-1", "cost", "benefit", "privilege", "final_step", "", "??"]
 RETYPED = [None, True, 3, "x", [], {}]
@@ -763,6 +849,7 @@ def contract_dir(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(range(len(BASES))), st.data())
 def test_cli_contract_on_mutated_scenarios(contract_dir, base, data):
+    assert {5e-324, sys.float_info.max, 10**400} <= set(EXTREME_NUMBERS)
     doc, goal, engine = BASES[base]
     doc = json.loads(json.dumps(doc))
     for _ in range(data.draw(st.integers(1, 3))):
@@ -786,6 +873,8 @@ def test_cli_contract_on_mutated_scenarios(contract_dir, base, data):
             assert result.stderr.startswith("Error: ") and result.stderr.count("Error:") == 1, name
         elif name in ("rank", "veability"):
             _strict_finite(result.stdout)
+            for warning in json.loads(result.stdout)["warnings"]:
+                assert warning.startswith(OWN_WARNINGS), (name, warning)
     if results["validate"].exit_code == 0:
         for result in results.values():
             assert "scenario validation failed" not in result.output
