@@ -11,7 +11,30 @@ functions are `scenario.parse_scenario`, the fuzzy stages
 `classic.derive_weights` and `rank_classic`, `graph.subgraph_to_goal`,
 `export_dot` and `enumerate_paths`, and `veability.veability_score`, with
 the report in `report.RunReport`. Import them from their modules; the
-package itself carries only the version.
+package itself carries only the version and `_start_process`.
+
+A `fuzrank` process (`fuzrank.__main__`, or `python -m fuzrank.cli`) calls
+`_start_process` before click and numpy load. It switches the cyclic
+collector off, and it sets `OPENBLAS_NUM_THREADS=1` so that numpy's OpenBLAS
+starts no worker threads when it loads: fuzrank's largest BLAS or LAPACK call
+is the eigen-decomposition of a pairwise matrix of at most 20 criteria, far
+too small to use a second thread, while on a 2-core x86-64 host the worker
+that OpenBLAS starts for the second core costs about 70 ms of CPU per
+process. A caller who sets `OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS` or
+`OMP_NUM_THREADS` keeps that setting. Importing fuzrank, `fuzrank.cli.main`
+and the module functions change neither the collector nor `os.environ`.
 """
 
 __version__ = "1.0.0"
+
+
+def _start_process() -> None:
+    """The `fuzrank` process policy: no cyclic collector, one BLAS thread
+    unless the caller chose a count. Call it before numpy loads."""
+    import gc
+    import os
+
+    gc.disable()
+    # the variables OpenBLAS reads for its thread count
+    if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -1,12 +1,12 @@
 """The `fuzrank` process entry: the installed script and `python -m fuzrank`.
 
-The cyclic collector goes off before `fuzrank.cli` loads click and numpy;
-`cli.run` keeps it off and freezes the heap at exit (see `fuzrank.cli`).
+`_start_process` (see `fuzrank`) runs before `fuzrank.cli` loads click and
+numpy; `cli.run` keeps the collector off and freezes the heap at exit.
 """
 
-import gc
+from . import _start_process
 
-gc.disable()
+_start_process()
 
 from .cli import run  # noqa: E402
 

@@ -16,16 +16,23 @@ CVSS modules load only for `veability`, or for a scenario with
 module uses `dataclasses`, which generates each class's methods by `exec` at
 import: records are NamedTuples or plain classes.
 
-A `fuzrank` process runs without the cyclic garbage collector. Launched as
-`python -m fuzrank.cli`, or through `fuzrank.__main__` (the installed script
-and `python -m fuzrank`), it switches the collector off before click and
-numpy load, so their imports trigger no collections; `run` keeps it off while
-the command runs and calls `gc.freeze()` on the way out, so the interpreter's
+A `fuzrank` process runs without the cyclic garbage collector and with one
+BLAS thread. Launched as `python -m fuzrank.cli`, or through `fuzrank.__main__`
+(the installed script and `python -m fuzrank`), it calls
+`fuzrank._start_process` before click and numpy load. That switches the
+collector off, so their imports trigger no collections, and sets
+`OPENBLAS_NUM_THREADS=1`, so numpy's OpenBLAS starts no worker threads: no
+BLAS call in fuzrank is large enough to use them (the largest is the
+eigen-decomposition of a pairwise matrix of at most 20 criteria), and the
+worker pool costs about 70 ms of CPU per process on a 2-core host. Setting
+`OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS` or `OMP_NUM_THREADS` before the
+call overrides the thread count. `run` keeps the collector off while the
+command runs and calls `gc.freeze()` on the way out, so the interpreter's
 final collection does not walk numpy's heap. This is safe because everything
 a command allocates is live until the process exits, no fuzrank object needs
 a finaliser, and the cycles left at exit are the few that imports make.
 `main`, which tests and library callers use, and `import fuzrank.cli` leave
-the collector as they found it.
+the collector and `os.environ` as they found them.
 """
 
 from __future__ import annotations
@@ -33,7 +40,9 @@ from __future__ import annotations
 import gc
 
 if __name__ == "__main__":
-    gc.disable()
+    from . import _start_process
+
+    _start_process()
 
 import os
 import warnings
@@ -104,7 +113,8 @@ def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, bytes]:
 
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None:
-        click.echo(text, nl=False)
+        # color=True: write escape sequences as `-o` does, on a pipe too
+        click.echo(text, nl=False, color=True)
         return
     import tempfile
 

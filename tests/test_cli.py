@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import math
@@ -112,6 +113,27 @@ def test_rank_output_file_written_atomically(runner, scenario_file, tmp_path):
     assert json.loads(out.read_text())["rankings"]
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".fuzrank-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("graph", []), ("rank", ["--format", "table"]), ("rank", ["--format", "csv"])],
+)
+def test_stdout_keeps_escape_sequences_as_the_output_file_does(runner, tmp_path, command,
+                                                               options):
+    """Text reports print the same bytes on a stdout that is not a terminal
+    as `-o` writes, escape sequences in action ids and node labels included."""
+    text = (SCENARIO.read_text(encoding="utf-8")
+            .replace('"A1"', '"A\\u001b[1m1"')
+            .replace('"Attacker reach via edge firewall interface"', '"a\\u001b[31mred\\u001b[0m"'))
+    path, out = tmp_path / "escapes.json", tmp_path / "report.txt"
+    path.write_text(text, encoding="utf-8")
+    args = [command, str(path), *options]
+    shown = runner.invoke(main, args)
+    written = runner.invoke(main, [*args, "-o", str(out)])
+    assert shown.exit_code == written.exit_code == 0
+    assert "\x1b[" in shown.stdout
+    assert shown.stdout_bytes == out.read_bytes()
 
 
 def test_rank_unwritable_output_exit_one(runner, scenario_file, tmp_path):
@@ -659,22 +681,44 @@ def test_graph_only_commands_do_not_load_scoring_modules(tmp_path):
     assert _loaded_in_child(code, ("fuzrank.cvss", "fuzrank.veability")) == []
 
 
-# --- the process's garbage-collector policy ---------------------------------------
+# --- the process policy: no collector, one BLAS thread ----------------------------
 
-# a sitecustomize hook: the collector's state at exit, and how many collections
-# ran from the moment numpy began to load
-GC_AT_EXIT = """\
-import atexit, gc, sys
+# a sitecustomize hook: at exit, the collector's state, how many collections ran
+# from the moment numpy began to load, the process's thread count (None off
+# Linux) and OPENBLAS_NUM_THREADS
+PROCESS_AT_EXIT = """\
+import atexit, gc, os, sys
 late = []
 gc.callbacks.append(lambda phase, info: phase == "start" and "numpy" in sys.modules and late.append(1))
-atexit.register(lambda: print("gc at exit:", gc.isenabled(), gc.get_freeze_count(), len(late),
-                              file=sys.stderr))
+def report():
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    print("process at exit:", repr((gc.isenabled(), gc.get_freeze_count(), len(late), tasks,
+                                    os.environ.get("OPENBLAS_NUM_THREADS"))), file=sys.stderr)
+atexit.register(report)
 """
 LAUNCHERS = {
     "python -m fuzrank.cli": ["-m", "fuzrank.cli"],
     "runpy fuzrank.cli": ["-c", "import runpy; runpy.run_module('fuzrank.cli', run_name='__main__')"],
     "python -m fuzrank": ["-m", "fuzrank"],
 }
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _launch(launcher: str, args: list[str], hook_dir: Path, **env_vars: str):
+    """Run `fuzrank args` as a fresh process through `launcher`, with no BLAS
+    thread variable in its environment but `env_vars`, and the hook above
+    loaded from `hook_dir`. Returns the child, its stderr before the hook's
+    line, and the hook's tuple."""
+    (hook_dir / "sitecustomize.py").write_text(PROCESS_AT_EXIT)
+    src = str(Path(fuzrank.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k != "FUZRANK_PATH_CAP" and k not in BLAS_THREAD_VARS}
+    env.update(env_vars, PYTHONPATH=os.pathsep.join([str(hook_dir), src]))
+    child = subprocess.run([sys.executable, *LAUNCHERS[launcher], *args], env=env,
+                           capture_output=True, timeout=60)
+    *err, hook = child.stderr.decode("utf-8").splitlines(keepends=True)
+    assert hook.startswith("process at exit: "), hook
+    return child, "".join(err), ast.literal_eval(hook.split(": ", 1)[1])
 
 
 def test_main_leaves_the_collector_as_it_found_it(runner, scenario_file):
@@ -690,36 +734,58 @@ def test_import_leaves_the_collector_on():
     assert _loaded_in_child(code, ()) == []
 
 
+def test_main_and_import_leave_the_environment_alone(runner, scenario_file):
+    before = dict(os.environ)
+    main(["rank", str(scenario_file), "--format", "json"], standalone_mode=False)
+    assert runner.invoke(main, ["validate", str(scenario_file)]).exit_code == 0
+    assert dict(os.environ) == before
+    code = (f"import os\nfor name in {BLAS_THREAD_VARS!r}:\n    os.environ.pop(name, None)\n"
+            "before = dict(os.environ)\nimport fuzrank.cli\nassert dict(os.environ) == before")
+    assert _loaded_in_child(code, ()) == []
+
+
 @pytest.mark.parametrize("launcher", LAUNCHERS)
 def test_cli_process_runs_without_the_collector(runner, scenario_file, tmp_path, launcher):
     """Each launcher turns the collector off before click and numpy load, so
-    nothing is collected from then on, and freezes the heap before exit;
-    exit codes, stdout bytes and error messages are those of in-process `main`."""
+    nothing is collected from then on, freezes the heap before exit, and runs
+    one thread with OPENBLAS_NUM_THREADS=1; exit codes, stdout bytes and error
+    messages are those of in-process `main`."""
     from test_graph import layered_doc
 
-    (tmp_path / "sitecustomize.py").write_text(GC_AT_EXIT)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": "1", "criteria": 3}))
     deep = tmp_path / "l12w3.json"
     deep.write_text(json.dumps({"schema_version": "1", "graph": layered_doc(12, 3)}))
-    src = str(Path(fuzrank.__file__).parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "FUZRANK_PATH_CAP"}
-    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), src])
     cases = [
         (0, ["rank", str(scenario_file), "--format", "json"]),
         (1, ["rank", str(bad), "--format", "json"]),
         (2, ["graph", str(deep), "--goal", "goal-L12"]),
     ]
     for code, args in cases:
-        child = subprocess.run([sys.executable, *LAUNCHERS[launcher], *args], env=env,
-                               capture_output=True, timeout=60)
-        *err, hook = child.stderr.decode("utf-8").splitlines(keepends=True)
-        name, enabled, frozen, late = hook.rsplit(maxsplit=3)
-        assert (name, enabled, late) == ("gc at exit:", "False", "0") and int(frozen) > 0, hook
+        child, err, (enabled, frozen, late, tasks, blas) = _launch(launcher, args, tmp_path)
+        assert (enabled, late, blas) == (False, 0, "1") and frozen > 0, args
+        assert tasks in (None, 1), args
         expected = runner.invoke(main, args)
         assert child.returncode == expected.exit_code == code, args
         assert child.stdout == expected.stdout_bytes, args
-        assert "".join(err) == expected.stderr, args
+        assert err == expected.stderr, args
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_cli_process_keeps_the_callers_blas_threads(scenario_file, tmp_path, launcher):
+    child, _, (*_, blas) = _launch(launcher, ["validate", str(scenario_file)], tmp_path,
+                                   OMP_NUM_THREADS="2")
+    assert child.returncode == 0 and blas is None
+
+
+def test_blas_thread_count_does_not_change_a_report(scenario_file, tmp_path):
+    for args in (["rank", str(scenario_file), "--engine", "both", "--format", "json"],
+                 ["veability", str(scenario_file), "--format", "json"]):
+        default, _, _ = _launch("python -m fuzrank", args, tmp_path)
+        two, _, (*_, blas) = _launch("python -m fuzrank", args, tmp_path,
+                                     OPENBLAS_NUM_THREADS="2")
+        assert default.returncode == two.returncode == 0 and blas == "2"
+        assert two.stdout == default.stdout, args
 
 
 # --- CLI-wide contract over mutated scenarios ------------------------------------
