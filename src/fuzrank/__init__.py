@@ -21,8 +21,15 @@ is the eigen-decomposition of a pairwise matrix of at most 20 criteria, far
 too small to use a second thread, while on a 2-core x86-64 host the worker
 that OpenBLAS starts for the second core costs about 70 ms of CPU per
 process. A caller who sets `OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS` or
-`OMP_NUM_THREADS` keeps that setting. Importing fuzrank, `fuzrank.cli.main`
-and the module functions change neither the collector nor `os.environ`.
+`OMP_NUM_THREADS` keeps that setting. The process ends in `fuzrank.cli.run`,
+by `os._exit` after the `atexit` callbacks and a flush of stdout and stderr,
+so the interpreter does not tear down numpy's and click's modules one object
+at a time. That is safe because the output is written and flushed, fuzrank
+starts no thread and needs no finaliser, and every exit hook has run. If a
+flush fails, or the exit code is not an int, the process exits the ordinary
+way, by `sys.exit`. `fuzrank.cli.main` is the entry for embedding fuzrank: it
+never calls `os._exit`, and importing fuzrank, `main` and the module
+functions change neither the collector nor `os.environ`.
 """
 
 __version__ = "1.0.0"

@@ -1,7 +1,8 @@
 """The `fuzrank` process entry: the installed script and `python -m fuzrank`.
 
 `_start_process` (see `fuzrank`) runs before `fuzrank.cli` loads click and
-numpy; `cli.run` keeps the collector off and freezes the heap at exit.
+numpy; `cli.run` keeps the collector off, freezes the heap at exit, and ends
+the process by `os._exit` after the `atexit` callbacks and a flush.
 """
 
 from . import _start_process

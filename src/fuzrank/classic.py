@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from .scenario import CriterionKind, CriterionSpec
 
 
 _HALF_FLOAT_MAX = sys.float_info.max / 2
@@ -32,17 +33,6 @@ _HALF_FLOAT_MAX = sys.float_info.max / 2
 #: Saaty random consistency indices by matrix size.
 _RANDOM_INDEX = {1: 0.0, 2: 0.0, 3: 0.58, 4: 0.90, 5: 1.12,
                  6: 1.24, 7: 1.32, 8: 1.41, 9: 1.45, 10: 1.49}
-
-
-class CriterionKind(Enum):
-    BENEFIT = "benefit"
-    COST = "cost"
-
-
-class CriterionSpec(NamedTuple):
-    id: str
-    kind: CriterionKind = CriterionKind.BENEFIT
-    weight: Optional[object] = None  # numeric for crisp runs, label for fuzzy runs
 
 
 class ConvergenceError(RuntimeError):

@@ -4,17 +4,26 @@ validate scenario files.
 Exit codes: 0 success, 1 input/validation problem, 2 computation failure
 (no positive principal eigenvector, path-enumeration explosion). Output
 files are written atomically (temp file + rename) so failures never leave
-partial files behind.
+partial files behind; a new file gets the mode a plain `open` gives it (0o666
+less the umask), and an overwritten one keeps its mode. A failed write to
+stdout is an exit-1 error, except a broken pipe, which click ends with exit 1
+and nothing on stderr.
 
-Start-up bounds a call, so each command loads only what it uses. All load
-click, numpy and the parse, rank and export modules; numpy and click stay at
-the top because the benchmark's import-time probe (`perfbench/run.py`)
-expects `import fuzrank.cli` to load both. Only `rank` and `veability` load
-`report` (with `hashlib`, and `csv` for `--format csv`); the VEA-bility and
-CVSS modules load only for `veability`, or for a scenario with
-`vulnerabilities` or `assets`; `tempfile` loads only for `-o`. No fuzrank
-module uses `dataclasses`, which generates each class's methods by `exec` at
-import: records are NamedTuples or plain classes.
+Start-up bounds a call, so each command loads only what it uses. `import
+fuzrank.cli` loads click, numpy and the scenario parser, and no other fuzrank
+module; numpy and click stay at the top only because the benchmark's
+import-time probe (`perfbench/run.py`) expects `import fuzrank.cli` to load
+both. The parser loads a section's module with the section (see `scenario`):
+`graph` for a graph, `fuzzy` and `classic` for a panel, `classic` for a
+pairwise or decision matrix, `cvss` and `veability` for vulnerabilities or
+assets. Then `rank` loads `classic`, `fuzzy` and `report` (with `hashlib`,
+and `csv` for `--format csv`); `veability` loads `veability` and `report`, and
+the engines only when a cost must come from the ranking; `graph` loads
+`graph`; `validate` loads nothing more. So `graph` and `validate` on a
+document with only a graph load neither engine, and `rank` on a document with
+no graph never loads `graph`. No fuzrank module uses `dataclasses`, which
+generates each class's methods by `exec` at import: records are NamedTuples
+or plain classes.
 
 A `fuzrank` process runs without the cyclic garbage collector and with one
 BLAS thread. Launched as `python -m fuzrank.cli`, or through `fuzrank.__main__`
@@ -26,13 +35,22 @@ BLAS call in fuzrank is large enough to use them (the largest is the
 eigen-decomposition of a pairwise matrix of at most 20 criteria), and the
 worker pool costs about 70 ms of CPU per process on a 2-core host. Setting
 `OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS` or `OMP_NUM_THREADS` before the
-call overrides the thread count. `run` keeps the collector off while the
-command runs and calls `gc.freeze()` on the way out, so the interpreter's
-final collection does not walk numpy's heap. This is safe because everything
-a command allocates is live until the process exits, no fuzrank object needs
-a finaliser, and the cycles left at exit are the few that imports make.
-`main`, which tests and library callers use, and `import fuzrank.cli` leave
-the collector and `os.environ` as they found them.
+call overrides the thread count. `run`, the entry of every launcher, keeps the
+collector off while the command runs: everything a command allocates is live
+until the process exits, no fuzrank object needs a finaliser, and the cycles
+left at exit are the few that imports make.
+
+`run` then ends the process without the interpreter's teardown. It calls
+`gc.freeze()`, runs the `atexit` callbacks, flushes stdout and stderr, and
+calls `os._exit` with click's exit code. That is safe because by then the
+report is written and flushed, an `-o` file is closed and renamed, fuzrank
+starts no thread, and every exit hook (coverage's among them) has run; what
+the teardown would add is freeing numpy's and click's modules, object by
+object. If a flush fails, the exit code is not an int, or `python -i` is to
+show its prompt, `run` leaves by `sys.exit` as an ordinary exit does. `main`
+never calls `os._exit`: it is the entry for embedding fuzrank, which tests
+and library callers use, and `main` and `import fuzrank.cli` leave the
+collector and `os.environ` as they found them.
 """
 
 from __future__ import annotations
@@ -44,30 +62,18 @@ if __name__ == "__main__":
 
     _start_process()
 
+import atexit
+import errno
 import os
+import sys
 import warnings
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
 import numpy as np
 
 from . import __version__
-from .classic import (
-    ConvergenceError,
-    DecisionMatrix,
-    RankingResult,
-    derive_weights,
-    rank_classic,
-)
-from .fuzzy import (
-    FuzzyDecisionMatrix,
-    aggregate_ratings,
-    apply_weights,
-    normalize_fuzzy,
-    rank_fuzzy,
-)
-from .graph import DEFAULT_PATH_CAP, PathExplosionError, export_dot, subgraph_to_goal
 from .scenario import (
     ScenarioError,
     ScenarioFile,
@@ -75,6 +81,10 @@ from .scenario import (
     parse_scenario,
     resolve_vulnerability_records,
 )
+
+if TYPE_CHECKING:
+    from .classic import DecisionMatrix, RankingResult
+    from .fuzzy import FuzzyDecisionMatrix
 
 PATH_CAP_ENV = "FUZRANK_PATH_CAP"
 
@@ -111,18 +121,44 @@ def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, bytes]:
     return scenario, data
 
 
+def _echo(text: str, **kwargs) -> None:
+    """`click.echo` to stdout. A broken pipe is left to click (exit 1, nothing
+    on stderr); any other failed write is an exit-1 error, and the bytes that
+    could not be written are dropped with the stream, so that no later flush
+    fails on them again."""
+    try:
+        click.echo(text, **kwargs)
+    except OSError as exc:
+        if exc.errno == errno.EPIPE:
+            raise
+        sys.stdout = open(os.devnull, "w")
+        raise CliError(f"cannot write to stdout: {exc}")
+
+
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is None:
         # color=True: write escape sequences as `-o` does, on a pipe too
-        click.echo(text, nl=False, color=True)
+        _echo(text, nl=False, color=True)
         return
-    import tempfile
-
     target = Path(out)
+    if target.is_dir():
+        raise CliError(f"cannot write {out}: is a directory")
     try:
-        fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=".fuzrank-")
+        try:
+            mode: Optional[int] = os.stat(target).st_mode & 0o7777
+        except FileNotFoundError:
+            mode = None  # a new file: 0o666 less the umask, as a plain open gives
+        while True:
+            tmp = target.parent / f".fuzrank-{os.urandom(4).hex()}"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
+                if mode is not None:
+                    os.fchmod(fd, mode)
                 f.write(text)
             os.replace(tmp, target)
         except BaseException:
@@ -150,6 +186,8 @@ def _write_report(
 def _path_cap() -> int:
     raw = os.environ.get(PATH_CAP_ENV)
     if raw is None:
+        from .graph import DEFAULT_PATH_CAP
+
         return DEFAULT_PATH_CAP
     try:
         cap = int(raw)
@@ -170,6 +208,8 @@ def _classic_inputs(
     from the pairwise matrix when present, otherwise from the criteria's own
     numeric or linguistic weights, normalized to sum 1.
     """
+    from .classic import DecisionMatrix, derive_weights
+
     if scenario.decision_matrix is not None:
         matrix = scenario.decision_matrix
     elif pooled is not None:
@@ -216,6 +256,9 @@ def _run_engines(scenario: ScenarioFile, engine: str) -> list[RankingResult]:
     engine, never a report warning: its result could hold an inf or a NaN.
     Pooling counts to the fuzzy engine unless only the classic one runs.
     """
+    from .classic import ConvergenceError, rank_classic
+    from .fuzzy import aggregate_ratings, apply_weights, normalize_fuzzy, rank_fuzzy
+
     results = []
     running = "classic" if engine == "classic" else "fuzzy"
     try:
@@ -308,6 +351,8 @@ def graph(scenario_path: str, goal: Optional[str], strict: bool, output: Optiona
     scenario, _ = _read_scenario(scenario_path, strict)
     if scenario.graph is None:
         raise CliError("scenario has no 'graph' section to export")
+    from .graph import PathExplosionError, export_dot, subgraph_to_goal
+
     g = scenario.graph
     if goal is not None:
         if goal not in g.nodes:
@@ -327,17 +372,30 @@ def validate(scenario_path: str, strict: bool) -> None:
     scenario, _ = _read_scenario(scenario_path, strict)
     for w in scenario.warnings:
         click.echo(f"warning: {w}", err=True)
-    click.echo(f"OK: {scenario_path} is a valid scenario")
+    _echo(f"OK: {scenario_path} is a valid scenario")
 
 
 def run() -> None:
-    """The `fuzrank` process: `main` with the cyclic collector off, and the
-    heap frozen at exit so the interpreter's final collection skips it."""
+    """The `fuzrank` process: `main` with the cyclic collector off, then an
+    exit without the interpreter's teardown (see the module docstring)."""
     gc.disable()
     try:
         main()
+    except SystemExit as exc:  # standalone click ends every call with one
+        code = exc.code
     finally:
         gc.freeze()
+    # `python -i` shows its prompt after the command: it needs the interpreter
+    if isinstance(code, int) and not sys.flags.inspect:
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:
+            pass  # the ordinary exit below flushes again and reports it
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

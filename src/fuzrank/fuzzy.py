@@ -1,10 +1,10 @@
 """Fuzzy TOPSIS engine over triangular fuzzy ratings.
 
-This module owns the fuzzy-number format. A triangular fuzzy number (TFN) is
-a plain (a, b, c) triple: support [a, c], peak b, crisp when a == b == c. A
-scale is a label -> TFN table: `default_scale()` is the five-level one, and the
-parser reads a `scale` override into the same shape, checking a <= b <= c on
-each entry. The parser is the one place where that rule is checked.
+A triangular fuzzy number (`scenario.TFN`) is a plain (a, b, c) triple:
+support [a, c], peak b, crisp when a == b == c. A scale is a label -> TFN
+table: `scenario.default_scale()` is the five-level one, and the parser reads
+a `scale` override into the same shape, checking a <= b <= c on each entry.
+The parser is the one place where that rule is checked.
 
 Multi-rater grids are aggregated per cell as (min of lower bounds, mean of
 peaks, max of upper bounds), normalized by a linear scale transformation,
@@ -45,28 +45,12 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .classic import _HALF_FLOAT_MAX, CriterionKind, CriterionSpec, RankingResult, rank_by_closeness
-
-
-class TFN(NamedTuple):
-    a: float
-    b: float
-    c: float
-
-
-def default_scale() -> dict[str, TFN]:
-    """Five-level rating scale: Very Low through Very High."""
-    return {
-        "VL": TFN(1, 1, 3),
-        "L": TFN(1, 3, 5),
-        "AV": TFN(3, 5, 7),
-        "H": TFN(5, 7, 9),
-        "VH": TFN(7, 9, 9),
-    }
+from .classic import _HALF_FLOAT_MAX, RankingResult, rank_by_closeness
+from .scenario import TFN, CriterionKind, CriterionSpec
 
 
 class FuzzyDecisionMatrix:

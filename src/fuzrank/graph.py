@@ -39,7 +39,8 @@ not with the number of minimal sets.
 
 Bit order is sorted-id order, and ``_linearize`` depends on it: among the
 ready nodes of a set it takes the smallest bit index, which is the smallest
-id, so each path is the set's smallest-id-first topological order.
+id, so each path is the set's smallest-id-first topological order. Only
+``enumerate_paths`` reaches ``_linearize``, so only it loads ``heapq``.
 
 Validation happens once, in the scenario parser, which is the one checker
 of the format. It locates each input problem in the document (a repeated
@@ -49,16 +50,14 @@ whole graph shows (each node's kind against its edges, cycles,
 reachability of the final steps) and builds the `AttackGraph`. `_assemble`
 orders the nodes with Kahn's algorithm over sorted-id predecessors. Only
 when that leaves nodes unplaced does the standard library's ``graphlib``
-run, to name a cycle: the cycle named is graphlib's choice over sorted-id
-predecessors.
+load and run, to name a cycle: the cycle named is graphlib's choice over
+sorted-id predecessors.
 """
 
 from __future__ import annotations
 
-import heapq
 from enum import Enum
 from functools import reduce
-from graphlib import CycleError, TopologicalSorter
 from operator import or_
 from typing import Collection, NamedTuple, Optional, Sequence
 
@@ -86,15 +85,6 @@ class AttackNode(NamedTuple):
     kind: NodeKind
     label: str = ""
     cve: Optional[str] = None
-
-
-#: Threat categories arising from MEC/5G integration, code -> description;
-#: scenario nodes may reference these codes or ones the scenario declares.
-PREDEFINED_SCHEMES = {
-    "I": "Insecure mobile backhaul network",
-    "S": "Shared infrastructure with third-party applications",
-    "P": "Privacy leakage via illegitimate access to the MEC system",
-}
 
 
 class GraphValidationError(ValueError):
@@ -158,6 +148,8 @@ def _assemble(
             if not indegree[s]:
                 order.append(s)
     if len(order) < len(preds):
+        from graphlib import CycleError, TopologicalSorter
+
         try:
             TopologicalSorter(sorted_preds).prepare()
         except CycleError as exc:
@@ -372,6 +364,8 @@ def _linearize(
     smallest ready id. `pred_masks[i]` holds the bits of node i's
     predecessors and `succ_bits[i]` the bit indices of its successors, in any order.
     """
+    from heapq import heappop, heappush
+
     indeg: dict[int, int] = {}
     ready: list[int] = []
     rest = mask
@@ -386,13 +380,13 @@ def _linearize(
             ready.append(i)  # ascending, so already a heap
     order: list[str] = []
     while ready:
-        i = heapq.heappop(ready)
+        i = heappop(ready)
         order.append(ids[i])
         for j in succ_bits[i]:
             if j in indeg:
                 indeg[j] -= 1
                 if not indeg[j]:
-                    heapq.heappush(ready, j)
+                    heappush(ready, j)
     return tuple(order)
 
 

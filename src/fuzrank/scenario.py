@@ -27,40 +27,71 @@ pairwise or decision matrix is checked by its class's constructor, once, here.
 
 The parser builds the scoring types itself: each vulnerability becomes a
 `VulnerabilityRecord` and each asset an `AssetProfile` of those records, with
-their ranges checked here. The `cvss` and `veability` modules load only when
-a document has one of those two sections. The two bridges at the end only
-fill a record's `atc_cost` from the ranking and swap the resolved records
-into the profiles.
+their ranges checked here. The two bridges at the end only fill a record's
+`atc_cost` from the ranking and swap the resolved records into the profiles.
+
+The format's own value types live here, with no numpy: `CriterionKind`,
+`CriterionSpec`, the triangular fuzzy number `TFN` and `default_scale`, and
+the `PREDEFINED_SCHEMES` a graph node may name. The types of a section load
+with the section that builds them: `graph` for a graph; numpy and `fuzzy`
+(with `classic`) for a panel; numpy and `classic` for a pairwise or decision
+matrix; `cvss` and `veability` for vulnerabilities or assets. So a document
+with only a graph loads neither engine.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from enum import Enum
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional, Sequence
-
-import numpy as np
-
-from .classic import (
-    CriterionKind,
-    CriterionSpec,
-    DecisionMatrix,
-    PairwiseMatrix,
-)
-from .fuzzy import TFN, RatingPanel, default_scale
-from .graph import (
-    AttackGraph,
-    AttackNode,
-    GraphValidationError,
-    NodeKind,
-    PREDEFINED_SCHEMES,
-    _assemble,
-)
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
+    from .classic import DecisionMatrix, PairwiseMatrix
+    from .fuzzy import RatingPanel
+    from .graph import AttackGraph
     from .veability import AssetProfile, VulnerabilityRecord
+
+
+class CriterionKind(Enum):
+    BENEFIT = "benefit"
+    COST = "cost"
+
+
+class CriterionSpec(NamedTuple):
+    id: str
+    kind: CriterionKind = CriterionKind.BENEFIT
+    weight: Optional[object] = None  # numeric for crisp runs, label for fuzzy runs
+
+
+class TFN(NamedTuple):
+    """A triangular fuzzy number: support [a, c], peak b, crisp when a == b == c."""
+
+    a: float
+    b: float
+    c: float
+
+
+def default_scale() -> dict[str, TFN]:
+    """Five-level rating scale: Very Low through Very High."""
+    return {
+        "VL": TFN(1, 1, 3),
+        "L": TFN(1, 3, 5),
+        "AV": TFN(3, 5, 7),
+        "H": TFN(5, 7, 9),
+        "VH": TFN(7, 9, 9),
+    }
+
+
+#: Threat categories arising from MEC/5G integration, code -> description;
+#: scenario nodes may reference these codes or ones the scenario declares.
+PREDEFINED_SCHEMES = {
+    "I": "Insecure mobile backhaul network",
+    "S": "Shared infrastructure with third-party applications",
+    "P": "Privacy leakage via illegitimate access to the MEC system",
+}
 
 SCHEMA_VERSION = "1"
 
@@ -79,7 +110,8 @@ _VULN_KEYS = {
 }
 _ASSET_KEYS = {"id", "services_on_asset", "network_services_total", "vulnerabilities"}
 _SCHEME_KEYS = {"code", "description"}
-_NODE_KINDS = {k.value: k for k in NodeKind}
+# node kind by its name in the document, filled by the first graph parsed
+_NODE_KINDS: dict[str, Any] = {}
 # The largest service count a float holds exactly, with every count below it;
 # services_on_asset may not exceed network_services_total, so this bounds both.
 _MAX_SERVICES = 2**53
@@ -367,6 +399,10 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
         return None
     if not _expect(col, "$.graph", raw, dict, "an object with nodes/edges/targets"):
         return None
+    from .graph import AttackNode, GraphValidationError, NodeKind, _assemble
+
+    if not _NODE_KINDS:
+        _NODE_KINDS.update((k.value, k) for k in NodeKind)
     col.unknown_keys("$.graph", raw, _GRAPH_KEYS)
 
     declared: set[str] = set()
@@ -485,6 +521,10 @@ def _parse_panel(
     if not _expect(col, "$.panel.ratings", ratings, dict, "an object keyed by rater"):
         return None
     weights = raw.get("weights")
+    import numpy as np
+
+    from .fuzzy import RatingPanel
+
     code_of = {label: i for i, label in enumerate(scale)}.__getitem__
     k, m, n = len(raters), len(actions), len(crit_ids)
     try:
@@ -614,6 +654,8 @@ def _parse_pairwise(
         if None in vals:
             return None
         cells.append(vals)
+    from .classic import PairwiseMatrix
+
     try:
         return PairwiseMatrix(cells)
     except ValueError as exc:
@@ -645,6 +687,10 @@ def _parse_decision_matrix(
     try:
         values = list(_leaves(raw, actions, crit_ids))
         if set(map(type, values)) <= {int, float}:
+            import numpy as np
+
+            from .classic import DecisionMatrix
+
             cells = np.array(values, float).reshape(len(actions), len(crit_ids))
             return DecisionMatrix(actions, criteria, cells)
     except (KeyError, TypeError, OverflowError, ValueError):

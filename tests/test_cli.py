@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from importlib.resources import files
@@ -74,7 +75,7 @@ def test_rank_json_reports_are_byte_identical(runner, scenario_file):
 
 
 def test_rank_both_pools_the_ratings_once(runner, scenario_file, monkeypatch):
-    from fuzrank import cli, fuzzy
+    from fuzrank import fuzzy
 
     real, calls = fuzzy.aggregate_ratings, []
 
@@ -82,8 +83,7 @@ def test_rank_both_pools_the_ratings_once(runner, scenario_file, monkeypatch):
         calls.append(args)
         return real(*args)
 
-    for module in (cli, fuzzy):
-        monkeypatch.setattr(module, "aggregate_ratings", counting)
+    monkeypatch.setattr(fuzzy, "aggregate_ratings", counting)
     result = runner.invoke(
         main, ["rank", str(scenario_file), "--engine", "both", "--format", "json"]
     )
@@ -134,6 +134,32 @@ def test_stdout_keeps_escape_sequences_as_the_output_file_does(runner, tmp_path,
     assert shown.exit_code == written.exit_code == 0
     assert "\x1b[" in shown.stdout
     assert shown.stdout_bytes == out.read_bytes()
+
+
+def test_output_file_mode_is_that_of_a_plain_open(runner, scenario_file, tmp_path):
+    """A new `-o` file gets 0o666 less the umask; an overwritten one keeps its mode."""
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("")
+    old.chmod(0o664)
+    args = ["rank", str(scenario_file), "--format", "json", "-o"]
+    umask = os.umask(0o027)
+    try:
+        assert runner.invoke(main, [*args, str(new)]).exit_code == 0
+        assert runner.invoke(main, [*args, str(old)]).exit_code == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(old.stat().st_mode) == 0o664
+    assert old.read_text() == new.read_text()
+
+
+def test_output_to_a_directory_exit_one(runner, scenario_file, tmp_path):
+    target = tmp_path / "reports"
+    target.mkdir()
+    result = runner.invoke(main, ["graph", str(scenario_file), "-o", str(target)])
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: cannot write {target}: is a directory\n"
+    assert list(tmp_path.rglob(".fuzrank-*")) == []
 
 
 def test_rank_unwritable_output_exit_one(runner, scenario_file, tmp_path):
@@ -624,7 +650,8 @@ def _overflow(*args, **kwargs):
                                            ("both", "rank_fuzzy"), ("both", "aggregate_ratings")])
 def test_float_fault_in_an_engine_is_a_computation_failure(runner, scenario_file, monkeypatch,
                                                             engine, stage):
-    monkeypatch.setattr(f"fuzrank.cli.{stage}", _overflow)
+    module = "classic" if stage == "rank_classic" else "fuzzy"
+    monkeypatch.setattr(f"fuzrank.{module}.{stage}", _overflow)
     result = runner.invoke(main, ["rank", str(scenario_file), "--engine", engine])
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -635,12 +662,15 @@ def test_float_fault_in_an_engine_is_a_computation_failure(runner, scenario_file
 
 
 def _loaded_in_child(code: str, names: tuple[str, ...]) -> list[str]:
-    """Which of `names` are in sys.modules after a fresh interpreter, with
-    this fuzrank's source directory on PYTHONPATH, runs `code`."""
-    probe = code + (
-        "\nimport sys\n"
-        f"print(*[n for n in {names!r} if n in sys.modules], file=sys.stderr)\n"
-    )
+    """Which of `names` are in sys.modules when a fresh interpreter, with
+    this fuzrank's source directory on PYTHONPATH, has run `code` and exits
+    with code 0. An atexit hook reads them, so `code` may end the process
+    through `fuzrank.cli.run`."""
+    probe = (
+        "import atexit, sys\n"
+        f"atexit.register(lambda: print(*[n for n in {names!r} if n in sys.modules],"
+        " file=sys.stderr))\n"
+    ) + code
     env = {**os.environ, "PYTHONPATH": str(Path(fuzrank.__file__).parents[1])}
     child = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
@@ -649,24 +679,39 @@ def _loaded_in_child(code: str, names: tuple[str, ...]) -> list[str]:
     return child.stderr.splitlines()[-1].split()
 
 
+def _process_entry_code(args: list[str]) -> str:
+    """Code that runs `fuzrank args` as `python -m fuzrank.cli` does."""
+    return (
+        "import runpy, sys\n"
+        f"sys.argv = {['fuzrank', *args]!r}\n"
+        "runpy.run_module('fuzrank.cli', run_name='__main__')\n"
+    )
+
+
 def test_import_generates_no_dataclass_code():
     assert _loaded_in_child("import fuzrank.cli", ("dataclasses",)) == []
+
+
+def test_import_loads_neither_engine_nor_the_graph():
+    names = ("fuzrank.classic", "fuzrank.fuzzy", "fuzrank.graph")
+    assert _loaded_in_child("import fuzrank.cli", names) == []
 
 
 @pytest.mark.parametrize(
     "args", [["graph", "{s}"], ["graph", "{s}", "--goal", "RAN-control"], ["validate", "{s}"]]
 )
 def test_commands_without_report_do_not_load_it(scenario_file, args):
-    argv = ["fuzrank"] + [a.format(s=scenario_file) for a in args]
-    code = (
-        "import runpy, sys\n"
-        f"sys.argv = {argv!r}\n"
-        "try:\n"
-        "    runpy.run_module('fuzrank.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert not exc.code, exc.code\n"
-    )
+    code = _process_entry_code([a.format(s=scenario_file) for a in args])
     assert _loaded_in_child(code, ("fuzrank.report", "csv", "dataclasses")) == []
+
+
+def test_rank_without_a_graph_does_not_load_the_graph_module(tmp_path):
+    path = tmp_path / "panel.json"
+    doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
+    del doc["graph"]
+    path.write_text(json.dumps(doc))
+    code = _process_entry_code(["rank", str(path), "--format", "json"])
+    assert _loaded_in_child(code, ("fuzrank.graph",)) == []
 
 
 def test_graph_only_commands_do_not_load_scoring_modules(tmp_path):
@@ -678,7 +723,8 @@ def test_graph_only_commands_do_not_load_scoring_modules(tmp_path):
         f"main(['graph', {str(path)!r}, '--goal', 'f'], standalone_mode=False)\n"
         f"main(['validate', {str(path)!r}], standalone_mode=False)\n"
     )
-    assert _loaded_in_child(code, ("fuzrank.cvss", "fuzrank.veability")) == []
+    scoring = ("fuzrank.cvss", "fuzrank.veability", "fuzrank.classic", "fuzrank.fuzzy")
+    assert _loaded_in_child(code, scoring) == []
 
 
 # --- the process policy: no collector, one BLAS thread ----------------------------
@@ -769,6 +815,46 @@ def test_cli_process_runs_without_the_collector(runner, scenario_file, tmp_path,
         assert child.returncode == expected.exit_code == code, args
         assert child.stdout == expected.stdout_bytes, args
         assert err == expected.stderr, args
+
+
+def _cli_process(launcher: str, args: list[str], stdout=subprocess.PIPE,
+                 python_flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run `fuzrank args` as a fresh process through `launcher`, its stdout
+    on `stdout`, its stderr captured and nothing on its stdin."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fuzrank.__file__).parents[1])}
+    return subprocess.run([sys.executable, *python_flags, *LAUNCHERS[launcher], *args],
+                          env=env, stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+@pytest.mark.parametrize("command", ["graph", "validate"])
+def test_full_stdout_is_an_error_not_a_traceback(scenario_file, launcher, command):
+    with open("/dev/full", "w") as full:
+        child = _cli_process(launcher, [command, str(scenario_file)], full)
+    assert child.returncode == 1
+    assert child.stderr == b"Error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_broken_pipe_on_stdout_exits_one_quietly(scenario_file, launcher):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = _cli_process(launcher, ["graph", str(scenario_file)], write)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_python_inspect_mode_still_reaches_its_prompt(launcher):
+    """`python -i` keeps the interpreter after the command, for its prompt."""
+    child = _cli_process(launcher, ["--version"], python_flags=("-i",))
+    assert child.returncode == 0
+    assert child.stdout.startswith(b"fuzrank, version ")
+    assert b">>> " in child.stderr
 
 
 @pytest.mark.parametrize("launcher", LAUNCHERS)

@@ -15,17 +15,15 @@ from fuzrank.classic import (
     rank_classic,
 )
 from fuzrank.fuzzy import (
-    TFN,
     FuzzyDecisionMatrix,
     RatingPanel,
     aggregate_ratings,
     apply_weights,
-    default_scale,
     fuzzy_ideals,
     normalize_fuzzy,
     rank_fuzzy,
 )
-from fuzrank.scenario import parse_scenario
+from fuzrank.scenario import TFN, default_scale, parse_scenario
 
 from golden_ratings import ACTIONS, CRITERIA, LINGUISTIC_GRIDS, POOLED_MATRIX, RATERS
 

@@ -14,14 +14,13 @@ from fuzrank.graph import (
     GraphValidationError,
     NodeKind,
     PathExplosionError,
-    PREDEFINED_SCHEMES,
     _assemble,
     _minimal,
     enumerate_paths,
     export_dot,
     subgraph_to_goal,
 )
-from fuzrank.scenario import ScenarioError, parse_scenario
+from fuzrank.scenario import PREDEFINED_SCHEMES, ScenarioError, parse_scenario
 
 C = NodeKind.CONFIGURATION
 S = NodeKind.ATTACK_STEP

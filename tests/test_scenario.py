@@ -6,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuzrank.fuzzy import TFN, aggregate_ratings
+from fuzrank.fuzzy import aggregate_ratings
 from fuzrank.graph import export_dot
 from fuzrank.scenario import (
+    TFN,
     ScenarioError,
     asset_profiles,
     parse_scenario,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzrank.fuzzy import TFN, _vertex_distance, default_scale
-from fuzrank.scenario import ScenarioError, parse_scenario
+from fuzrank.fuzzy import _vertex_distance
+from fuzrank.scenario import TFN, ScenarioError, default_scale, parse_scenario
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
