@@ -1,8 +1,7 @@
 """The `fuzrank` process entry: the installed script and `python -m fuzrank`.
 
-`_start_process` (see `fuzrank`) runs before `fuzrank.cli` loads click and
-numpy; `cli.run` keeps the collector off, freezes the heap at exit, and ends
-the process by `os._exit` after the `atexit` callbacks and a flush.
+It applies the process policy stated in `fuzrank`: `_start_process` runs
+before `fuzrank.cli` loads click and numpy, and `cli.run` runs the command.
 """
 
 from . import _start_process

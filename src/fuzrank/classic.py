@@ -14,6 +14,13 @@ first. The engines report different shares as their cost:
   the cheapest action has the HIGHEST cost.
 
 Reports label each cost column with its defining formula.
+
+The matrix rules live in the scenario parser, which holds both matrices as
+tuples of float rows: a pairwise matrix there is square, positive, has a
+unit diagonal and is reciprocal; a decision matrix is finite and
+nonnegative, one row per unique action. So `principal_eigen`,
+`consistency_ratio` and `derive_weights` take any square array-like, and
+`DecisionMatrix` only sets its fields, as does each stage that builds one.
 """
 
 from __future__ import annotations
@@ -39,64 +46,16 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-class PairwiseMatrix:
-    """Square positive reciprocal comparison matrix (cells[j][i] ==
-    1/cells[i][j]) with unit diagonal."""
-
-    def __init__(self, cells):
-        m = np.asarray(cells, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"pairwise matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("pairwise matrix entries must be finite")
-        if not (m > 0).all():
-            raise ValueError("pairwise matrix entries must all be positive")
-        # |x - 1| <= 1e-9 is np.allclose(x, 1.0, atol=1e-9, rtol=0) without its
-        # dispatch; an inf or nan is not close either way
-        if not (abs(m.diagonal() - 1.0) <= 1e-9).all():
-            raise ValueError("pairwise matrix diagonal must be all ones")
-        with np.errstate(over="ignore"):  # an overflowing product is simply not 1
-            product = m * m.T
-        if not (abs(product - 1.0) <= 1e-9).all():
-            raise ValueError("pairwise matrix is not reciprocal (cells[j][i] != 1/cells[i][j])")
-        self.cells = m
-        self.cells.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.cells.shape[0]
-
-
 class DecisionMatrix:
-    """Alternatives x criteria table of nonnegative scores."""
+    """Alternatives x criteria table of scores, its cells a read-only float
+    array. The fields are set unchecked: the scenario parser checks a
+    document's matrix (finite and nonnegative, one row per unique action),
+    and the stages keep what it checked."""
 
     def __init__(self, alternatives: Sequence[str], criteria: Sequence[CriterionSpec], cells):
-        m = np.asarray(cells, dtype=float)
-        if m.shape != (len(alternatives), len(criteria)):
-            raise ValueError(
-                f"cells shape {m.shape} does not match "
-                f"{len(alternatives)} alternatives x {len(criteria)} criteria"
-            )
-        if not np.isfinite(m).all():
-            raise ValueError("decision matrix cells must be finite")
-        if (m < 0).any():
-            raise ValueError("decision matrix cells must be nonnegative")
-        if len(set(alternatives)) != len(alternatives):
-            raise ValueError("alternative ids must be unique")
-        self.alternatives = list(alternatives)
-        self.criteria = list(criteria)
-        self.cells = m
+        self.alternatives, self.criteria = alternatives, criteria
+        self.cells = np.asarray(cells, dtype=float)
         self.cells.setflags(write=False)
-
-    @classmethod
-    def _result(cls, alternatives: list[str], criteria: list[CriterionSpec],
-                cells: np.ndarray) -> DecisionMatrix:
-        """A stage's result, finite and nonnegative by construction: the fields
-        are set unchecked, the lists shared with the stage's input."""
-        self = cls.__new__(cls)
-        self.alternatives, self.criteria, self.cells = alternatives, criteria, cells
-        self.cells.setflags(write=False)
-        return self
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -179,17 +138,17 @@ def rank_by_closeness(
     return RankingResult(engine, definition, orientation, entries)
 
 
-def principal_eigen(matrix: PairwiseMatrix) -> tuple[float, np.ndarray]:
-    """Principal eigenpair (lambda_max, weights summing to 1) by
-    `numpy.linalg.eig`: the eigenvalue of largest real part, and the absolute
-    real part of its eigenvector, normalized.
+def principal_eigen(matrix) -> tuple[float, np.ndarray]:
+    """Principal eigenpair (lambda_max, weights summing to 1) of a square
+    array-like by `numpy.linalg.eig`: the eigenvalue of largest real part,
+    and the absolute real part of its eigenvector, normalized.
 
     A positive reciprocal matrix has lambda_max >= n and a positive
     eigenvector (Perron-Frobenius). Entries near the float range can break
     both in floating point; such a result raises ConvergenceError.
     """
-    n = matrix.n
-    values, vectors = np.linalg.eig(matrix.cells)
+    n = len(matrix)
+    values, vectors = np.linalg.eig(np.asarray(matrix, dtype=float))
     k = int(np.argmax(values.real))
     lambda_max = float(values.real[k])
     w = np.abs(vectors[:, k].real)
@@ -202,10 +161,10 @@ def principal_eigen(matrix: PairwiseMatrix) -> tuple[float, np.ndarray]:
     return lambda_max, w
 
 
-def consistency_ratio(matrix: PairwiseMatrix, lambda_max: float) -> float:
-    """Saaty consistency ratio CR = CI / RI of a matrix whose principal
-    eigenvalue is `lambda_max`; 0 for n <= 2."""
-    n = matrix.n
+def consistency_ratio(matrix, lambda_max: float) -> float:
+    """Saaty consistency ratio CR = CI / RI of a square matrix whose
+    principal eigenvalue is `lambda_max`; 0 for n <= 2."""
+    n = len(matrix)
     ri = _RANDOM_INDEX.get(n, 1.49)
     if ri == 0.0:
         return 0.0
@@ -213,8 +172,9 @@ def consistency_ratio(matrix: PairwiseMatrix, lambda_max: float) -> float:
     return ci / ri
 
 
-def derive_weights(matrix: PairwiseMatrix) -> np.ndarray:
-    """Eigenvector weights, warning when the comparisons look inconsistent."""
+def derive_weights(matrix) -> np.ndarray:
+    """Eigenvector weights of a square pairwise comparison matrix, warning
+    when the comparisons look inconsistent."""
     lambda_max, w = principal_eigen(matrix)
     cr = consistency_ratio(matrix, lambda_max)
     if cr > 0.1:
@@ -244,7 +204,7 @@ def normalize(matrix: DecisionMatrix) -> DecisionMatrix:
     if zero.any():
         dead = [matrix.criteria[j].id for j in np.flatnonzero(zero)]
         raise ValueError(f"cannot normalize all-zero column(s): {', '.join(dead)}")
-    return DecisionMatrix._result(matrix.alternatives, matrix.criteria, cells / norms)
+    return DecisionMatrix(matrix.alternatives, matrix.criteria, cells / norms)
 
 
 def ideal_solutions(weighted: DecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -268,9 +228,7 @@ def rank_classic(matrix: DecisionMatrix, weights: Sequence[float]) -> RankingRes
     if not abs(total - 1.0) <= 1e-9 + 1e-5:
         raise ValueError(f"criterion weights must sum to 1, got {total!r}")
 
-    weighted = DecisionMatrix._result(
-        matrix.alternatives, matrix.criteria, normalize(matrix).cells * w
-    )
+    weighted = DecisionMatrix(matrix.alternatives, matrix.criteria, normalize(matrix).cells * w)
     e_plus, e_minus = ideal_solutions(weighted)
     d_plus = np.sqrt(((weighted.cells - e_plus) ** 2).sum(axis=1))
     d_minus = np.sqrt(((weighted.cells - e_minus) ** 2).sum(axis=1))

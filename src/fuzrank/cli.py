@@ -5,52 +5,30 @@ Exit codes: 0 success, 1 input/validation problem, 2 computation failure
 (no positive principal eigenvector, path-enumeration explosion). Output
 files are written atomically (temp file + rename) so failures never leave
 partial files behind; a new file gets the mode a plain `open` gives it (0o666
-less the umask), and an overwritten one keeps its mode. A failed write to
-stdout is an exit-1 error, except a broken pipe, which click ends with exit 1
-and nothing on stderr.
+less the umask), and an overwritten one keeps its mode. `-o` follows a
+symlink, so the file it names is replaced and the link stays, and refuses an
+existing target that is not a regular file, such as a FIFO or a device. A
+failed write to stdout is an exit-1 error, except a broken pipe, which click
+ends with exit 1 and nothing on stderr.
 
 Start-up bounds a call, so each command loads only what it uses. `import
 fuzrank.cli` loads click, numpy and the scenario parser, and no other fuzrank
 module; numpy and click stay at the top only because the benchmark's
 import-time probe (`perfbench/run.py`) expects `import fuzrank.cli` to load
-both. The parser loads a section's module with the section (see `scenario`):
-`graph` for a graph, `fuzzy` and `classic` for a panel, `classic` for a
-pairwise or decision matrix, `cvss` and `veability` for vulnerabilities or
-assets. Then `rank` loads `classic`, `fuzzy` and `report` (with `hashlib`,
-and `csv` for `--format csv`); `veability` loads `veability` and `report`, and
-the engines only when a cost must come from the ranking; `graph` loads
-`graph`; `validate` loads nothing more. So `graph` and `validate` on a
-document with only a graph load neither engine, and `rank` on a document with
-no graph never loads `graph`. No fuzrank module uses `dataclasses`, which
-generates each class's methods by `exec` at import: records are NamedTuples
-or plain classes.
+both. The parser loads no engine, and a section's module only with the
+section (see `scenario`): `graph` for a graph, `cvss` and `veability` for
+vulnerabilities or assets. Then `rank` loads `classic`, `fuzzy` and `report`
+(with `hashlib`, and `csv` for `--format csv`); `veability` loads `veability`
+and `report`, and the engines only when a cost must come from the ranking;
+`graph` loads `graph`; `validate` loads nothing more. So `validate` never
+loads an engine, `graph` on a document with only a graph loads neither
+engine, and `rank` on a document with no graph never loads `graph`. No
+fuzrank module uses `dataclasses`, which generates each class's methods by
+`exec` at import: records are NamedTuples or plain classes.
 
-A `fuzrank` process runs without the cyclic garbage collector and with one
-BLAS thread. Launched as `python -m fuzrank.cli`, or through `fuzrank.__main__`
-(the installed script and `python -m fuzrank`), it calls
-`fuzrank._start_process` before click and numpy load. That switches the
-collector off, so their imports trigger no collections, and sets
-`OPENBLAS_NUM_THREADS=1`, so numpy's OpenBLAS starts no worker threads: no
-BLAS call in fuzrank is large enough to use them (the largest is the
-eigen-decomposition of a pairwise matrix of at most 20 criteria), and the
-worker pool costs about 70 ms of CPU per process on a 2-core host. Setting
-`OPENBLAS_NUM_THREADS`, `GOTO_NUM_THREADS` or `OMP_NUM_THREADS` before the
-call overrides the thread count. `run`, the entry of every launcher, keeps the
-collector off while the command runs: everything a command allocates is live
-until the process exits, no fuzrank object needs a finaliser, and the cycles
-left at exit are the few that imports make.
-
-`run` then ends the process without the interpreter's teardown. It calls
-`gc.freeze()`, runs the `atexit` callbacks, flushes stdout and stderr, and
-calls `os._exit` with click's exit code. That is safe because by then the
-report is written and flushed, an `-o` file is closed and renamed, fuzrank
-starts no thread, and every exit hook (coverage's among them) has run; what
-the teardown would add is freeing numpy's and click's modules, object by
-object. If a flush fails, the exit code is not an int, or `python -i` is to
-show its prompt, `run` leaves by `sys.exit` as an ordinary exit does. `main`
-never calls `os._exit`: it is the entry for embedding fuzrank, which tests
-and library callers use, and `main` and `import fuzrank.cli` leave the
-collector and `os.environ` as they found them.
+A `fuzrank` process follows the process policy stated once, in the package
+docstring (`fuzrank`): `run` is its entry, and `main` the entry for
+embedding, which never calls `os._exit`.
 """
 
 from __future__ import annotations
@@ -65,6 +43,7 @@ if __name__ == "__main__":
 import atexit
 import errno
 import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -140,14 +119,20 @@ def _write_output(text: str, out: Optional[str]) -> None:
         # color=True: write escape sequences as `-o` does, on a pipe too
         _echo(text, nl=False, color=True)
         return
-    target = Path(out)
-    if target.is_dir():
-        raise CliError(f"cannot write {out}: is a directory")
+    # the file a symlink names is replaced, and the link kept
+    target = Path(os.path.realpath(out))
     try:
         try:
-            mode: Optional[int] = os.stat(target).st_mode & 0o7777
+            st = os.stat(target)
         except FileNotFoundError:
-            mode = None  # a new file: 0o666 less the umask, as a plain open gives
+            # a new file: 0o666 less the umask, as a plain open gives
+            mode: Optional[int] = None
+        else:
+            if stat.S_ISDIR(st.st_mode):
+                raise CliError(f"cannot write {out}: is a directory")
+            if not stat.S_ISREG(st.st_mode):  # a rename would replace a FIFO or device
+                raise CliError(f"cannot write {out}: not a regular file")
+            mode = st.st_mode & 0o7777
         while True:
             tmp = target.parent / f".fuzrank-{os.urandom(4).hex()}"
             try:
@@ -211,16 +196,16 @@ def _classic_inputs(
     from .classic import DecisionMatrix, derive_weights
 
     if scenario.decision_matrix is not None:
-        matrix = scenario.decision_matrix
+        cells = scenario.decision_matrix
     elif pooled is not None:
         # pooled over the parser's checked scale: finite, nonnegative, one row
-        # per (unique) action and one column per criterion, so left unchecked
-        peaks = pooled.values[..., 1]
-        matrix = DecisionMatrix._result(list(scenario.actions), list(scenario.criteria), peaks)
+        # per (unique) action and one column per criterion
+        cells = pooled.values[..., 1]
     else:
         raise CliError(
             "classic engine needs a 'decision_matrix' or a 'panel' in the scenario"
         )
+    matrix = DecisionMatrix(scenario.actions, scenario.criteria, cells)
 
     if scenario.pairwise is not None:
         weights = derive_weights(scenario.pairwise)
@@ -377,7 +362,7 @@ def validate(scenario_path: str, strict: bool) -> None:
 
 def run() -> None:
     """The `fuzrank` process: `main` with the cyclic collector off, then an
-    exit without the interpreter's teardown (see the module docstring)."""
+    exit without the interpreter's teardown (see `fuzrank`)."""
     gc.disable()
     try:
         main()

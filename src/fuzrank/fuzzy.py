@@ -11,10 +11,11 @@ peaks, max of upper bounds), normalized by a linear scale transformation,
 weighted by fuzzy criterion weights, and ranked by summed vertex distances to
 the fuzzy ideal and anti-ideal (Chen 2000, Fuzzy Sets and Systems 114:1-9).
 
-Array layout. A `RatingPanel` carries its linguistic labels as integer codes
-into `panel.labels`: `rating_codes` has shape (k, m, n) for k raters, m
-alternatives and n criteria, `weight_codes` has shape (k, n). Only the
-scenario parser builds these codes, while it validates the panel. Pooling looks
+Array layout. A `scenario.RatingPanel` carries its linguistic labels as
+integer codes into `panel.labels`: `rating_codes` has shape (k, m, n) for k
+raters, m alternatives and n criteria, `weight_codes` has shape (k, n). Only
+the scenario parser builds these codes, while it validates the panel; the
+panel's type lives with it, so the parser loads no engine. Pooling looks
 the codes up in one column per component (every label's a, its b, its c) built
 from the scale, and reduces each column on its own, so every later
 stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
@@ -24,12 +25,13 @@ weights have shape (n, 3).
 Record types. `TFN`, like every value record in fuzrank, is a NamedTuple;
 `RatingPanel` and `FuzzyDecisionMatrix` are plain classes. None generates
 code at import, as `dataclasses` would. `FuzzyDecisionMatrix` sets its
-fields unchecked: the parser checks every label and scale entry, and the
-stages keep what it checked. From nonnegative ordered triples, a pooled
-cell is (min a, mean b clipped into [min a, max c], max c), normalising
-divides by upper bounds it has required to be positive, and weighting
-multiplies by weights it has required to be nonnegative. Rounding is
-monotone, so none of these steps can break a <= b <= c or make a finite
+fields unchecked: the parser states every rule of the panel and the scale
+(each label known, a <= b <= c on each scale entry, components finite and
+nonnegative), and the stages keep what it checked. From nonnegative ordered
+triples, a pooled cell is (min a, mean b clipped into [min a, max c], max c),
+normalising divides by upper bounds it has required to be positive, and
+weighting multiplies by weights it has required to be nonnegative. Rounding
+is monotone, so none of these steps can break a <= b <= c or make a finite
 number infinite. A scale or matrix built by hand with a negative or infinite
 component is outside that argument, and no stage checks it.
 `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view of the
@@ -50,7 +52,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .classic import _HALF_FLOAT_MAX, RankingResult, rank_by_closeness
-from .scenario import TFN, CriterionKind, CriterionSpec
+from .scenario import TFN, CriterionKind, CriterionSpec, RatingPanel
 
 
 class FuzzyDecisionMatrix:
@@ -65,21 +67,6 @@ class FuzzyDecisionMatrix:
     def cells(self) -> tuple[tuple[TFN, ...], ...]:
         """The values as TFNs, [alternative][criterion]."""
         return tuple(tuple(map(TFN._make, row)) for row in self.values.tolist())
-
-
-class RatingPanel:
-    """Linguistic rating grids from k decision makers over m alternatives and
-    n criteria, plus each rater's criterion-weight labels, held as integer
-    codes into `labels`. Only the scenario parser builds panels: it decodes
-    and checks every label while it validates the document.
-    """
-
-    def __init__(self, decision_makers: tuple[str, ...], alternatives: tuple[str, ...],
-                 criteria: tuple[CriterionSpec, ...], labels: tuple[str, ...],
-                 rating_codes: np.ndarray, weight_codes: np.ndarray):
-        self.decision_makers, self.alternatives, self.criteria = (
-            decision_makers, alternatives, criteria)
-        self.labels, self.rating_codes, self.weight_codes = labels, rating_codes, weight_codes
 
 
 def aggregate_ratings(panel: RatingPanel, scale: Mapping[str, TFN]) -> FuzzyDecisionMatrix:

@@ -19,10 +19,11 @@ import io
 import math
 from json.encoder import encode_basestring_ascii as _ascii
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .classic import RankingResult
-from .veability import AssetScore
+if TYPE_CHECKING:
+    from .classic import RankingResult
+    from .veability import AssetScore
 
 REPORT_VERSION = "1"
 

@@ -22,8 +22,11 @@ every problem found.
 The parser is the one checker of the input; the stages after it trust what
 it built. It checks the graph's ids, edges and targets itself, locating each
 problem in the document, and hands the rest to `graph._assemble` (the kind
-rules, cycles, reachability); it checks a <= b <= c on each scale entry; a
-pairwise or decision matrix is checked by its class's constructor, once, here.
+rules, cycles, reachability); it checks a <= b <= c on each scale entry; and
+it states every matrix rule itself: `_parse_pairwise` the square, positive,
+unit-diagonal, reciprocal comparison matrix, `_parse_decision_matrix` the
+nonnegative finite decision matrix. Both matrices are held as tuples of
+float rows, which `classic` reads as arrays.
 
 The parser builds the scoring types itself: each vulnerability becomes a
 `VulnerabilityRecord` and each asset an `AssetProfile` of those records, with
@@ -31,12 +34,12 @@ their ranges checked here. The two bridges at the end only fill a record's
 `atc_cost` from the ranking and swap the resolved records into the profiles.
 
 The format's own value types live here, with no numpy: `CriterionKind`,
-`CriterionSpec`, the triangular fuzzy number `TFN` and `default_scale`, and
-the `PREDEFINED_SCHEMES` a graph node may name. The types of a section load
-with the section that builds them: `graph` for a graph; numpy and `fuzzy`
-(with `classic`) for a panel; numpy and `classic` for a pairwise or decision
-matrix; `cvss` and `veability` for vulnerabilities or assets. So a document
-with only a graph loads neither engine.
+`CriterionSpec`, the triangular fuzzy number `TFN` and `default_scale`, the
+coded `RatingPanel`, and the `PREDEFINED_SCHEMES` a graph node may name. This
+module imports neither engine. The types of a section load with the section
+that builds them: `graph` for a graph, numpy for a panel's label codes,
+`cvss` and `veability` for vulnerabilities or assets. So a document without a
+panel parses with no numpy.
 """
 
 from __future__ import annotations
@@ -49,10 +52,13 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
-    from .classic import DecisionMatrix, PairwiseMatrix
-    from .fuzzy import RatingPanel
+    import numpy as np
+
     from .graph import AttackGraph
     from .veability import AssetProfile, VulnerabilityRecord
+
+    # a matrix as the parser holds it: a tuple of float rows
+    _Rows = tuple[tuple[float, ...], ...]
 
 
 class CriterionKind(Enum):
@@ -85,6 +91,22 @@ def default_scale() -> dict[str, TFN]:
     }
 
 
+class RatingPanel:
+    """Linguistic rating grids from k decision makers over m alternatives and
+    n criteria, plus each rater's criterion-weight labels, held as integer
+    codes into `labels`: `rating_codes` has shape (k, m, n), `weight_codes`
+    shape (k, n). Only the parser builds panels: it decodes and checks every
+    label while it validates the document.
+    """
+
+    def __init__(self, decision_makers: tuple[str, ...], alternatives: tuple[str, ...],
+                 criteria: tuple[CriterionSpec, ...], labels: tuple[str, ...],
+                 rating_codes: np.ndarray, weight_codes: np.ndarray):
+        self.decision_makers, self.alternatives, self.criteria = (
+            decision_makers, alternatives, criteria)
+        self.labels, self.rating_codes, self.weight_codes = labels, rating_codes, weight_codes
+
+
 #: Threat categories arising from MEC/5G integration, code -> description;
 #: scenario nodes may reference these codes or ones the scenario declares.
 PREDEFINED_SCHEMES = {
@@ -110,8 +132,6 @@ _VULN_KEYS = {
 }
 _ASSET_KEYS = {"id", "services_on_asset", "network_services_total", "vulnerabilities"}
 _SCHEME_KEYS = {"code", "description"}
-# node kind by its name in the document, filled by the first graph parsed
-_NODE_KINDS: dict[str, Any] = {}
 # The largest service count a float holds exactly, with every count below it;
 # services_on_asset may not exceed network_services_total, so this bounds both.
 _MAX_SERVICES = 2**53
@@ -130,8 +150,8 @@ class ScenarioFile:
 
     def __init__(self, scale: dict[str, TFN], graph: Optional[AttackGraph],
                  criteria: tuple[CriterionSpec, ...], actions: tuple[str, ...],
-                 panel: Optional[RatingPanel], pairwise: Optional[PairwiseMatrix],
-                 decision_matrix: Optional[DecisionMatrix],
+                 panel: Optional[RatingPanel], pairwise: Optional[_Rows],
+                 decision_matrix: Optional[_Rows],
                  vulnerabilities: tuple[VulnerabilityRecord, ...],
                  assets: tuple[AssetProfile, ...], warnings: tuple[str, ...]):
         self.scale, self.graph, self.criteria, self.actions, self.panel = (
@@ -401,8 +421,7 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
         return None
     from .graph import AttackNode, GraphValidationError, NodeKind, _assemble
 
-    if not _NODE_KINDS:
-        _NODE_KINDS.update((k.value, k) for k in NodeKind)
+    node_kinds = {k.value: k for k in NodeKind}
     col.unknown_keys("$.graph", raw, _GRAPH_KEYS)
 
     declared: set[str] = set()
@@ -412,12 +431,12 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
     ):
         declared.add(nid)
         kind_raw = item.get("kind")
-        kind = _NODE_KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
+        kind = node_kinds.get(kind_raw) if isinstance(kind_raw, str) else None
         if kind is None:
             col.error(
                 f"{path}.kind",
                 f"unknown node kind {kind_raw!r}; use one of "
-                f"{', '.join(_NODE_KINDS)}",
+                f"{', '.join(node_kinds)}",
             )
             continue
         label = _optional_str(col, path, item, "label")
@@ -522,8 +541,6 @@ def _parse_panel(
         return None
     weights = raw.get("weights")
     import numpy as np
-
-    from .fuzzy import RatingPanel
 
     code_of = {label: i for i, label in enumerate(scale)}.__getitem__
     k, m, n = len(raters), len(actions), len(crit_ids)
@@ -636,7 +653,16 @@ def _explain_grid(
 
 def _parse_pairwise(
     col: _Collector, raw: Any, criteria: tuple[CriterionSpec, ...]
-) -> Optional[PairwiseMatrix]:
+) -> Optional[_Rows]:
+    """The pairwise comparison matrix as rows of floats, or None when it is
+    absent or refused (the reasons then in `col`).
+
+    Each row and cell is checked where it stands. The matrix rules are then
+    checked in order, the first one broken reported under `$.pairwise`:
+    nonempty, every cell positive, each diagonal cell within 1e-9 of 1, and
+    reciprocal, each product cells[i][j] * cells[j][i] within 1e-9 of 1. A
+    product past the float range is inf, which is not.
+    """
     if raw is None:
         return None
     if not _expect(col, "$.pairwise", raw, list, "a square matrix (list of rows)"):
@@ -645,7 +671,7 @@ def _parse_pairwise(
     if n and len(raw) != n:
         col.error("$.pairwise", f"matrix has {len(raw)} rows but there are {n} criteria")
         return None
-    cells: list[list[float]] = []
+    cells: list[tuple[float, ...]] = []
     for i, row in enumerate(raw):
         if not (isinstance(row, list) and len(row) == len(raw)):
             col.error(f"$.pairwise[{i}]", f"expected a row of {len(raw)} numbers")
@@ -653,14 +679,24 @@ def _parse_pairwise(
         vals = [_number(col, f"$.pairwise[{i}][{j}]", x) for j, x in enumerate(row)]
         if None in vals:
             return None
-        cells.append(vals)
-    from .classic import PairwiseMatrix
-
-    try:
-        return PairwiseMatrix(cells)
-    except ValueError as exc:
-        col.error("$.pairwise", str(exc))
-        return None
+        cells.append(tuple(vals))
+    size = len(cells)
+    if not size:
+        problem = "must be square, got shape (0,)"
+    elif not all(x > 0 for row in cells for x in row):
+        problem = "entries must all be positive"
+    elif not all(abs(cells[i][i] - 1.0) <= 1e-9 for i in range(size)):
+        problem = "diagonal must be all ones"
+    # a product is the same either way round, so each pair is tried once
+    elif not all(
+        abs(cells[i][j] * cells[j][i] - 1.0) <= 1e-9
+        for i in range(size) for j in range(i, size)
+    ):
+        problem = "is not reciprocal (cells[j][i] != 1/cells[i][j])"
+    else:
+        return tuple(cells)
+    col.error("$.pairwise", f"pairwise matrix {problem}")
+    return None
 
 
 def _parse_decision_matrix(
@@ -668,9 +704,9 @@ def _parse_decision_matrix(
     raw: Any,
     actions: tuple[str, ...],
     criteria: tuple[CriterionSpec, ...],
-) -> Optional[DecisionMatrix]:
-    """The crisp decision matrix, or None when it is absent or refused (the
-    reasons then in `col`).
+) -> Optional[_Rows]:
+    """The crisp decision matrix as one row of floats per action, or None
+    when it is absent or refused (the reasons then in `col`).
 
     The matrix is a keyed grid of nonnegative finite numbers (not bools),
     decoded in one pass by `_leaves`. Only for a refused matrix does
@@ -687,13 +723,12 @@ def _parse_decision_matrix(
     try:
         values = list(_leaves(raw, actions, crit_ids))
         if set(map(type, values)) <= {int, float}:
-            import numpy as np
-
-            from .classic import DecisionMatrix
-
-            cells = np.array(values, float).reshape(len(actions), len(crit_ids))
-            return DecisionMatrix(actions, criteria, cells)
-    except (KeyError, TypeError, OverflowError, ValueError):
+            cells = list(map(float, values))  # an int past the float range overflows
+            # a nan fails both comparisons
+            if all(0.0 <= x < math.inf for x in cells):
+                n = len(crit_ids)
+                return tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
+    except (KeyError, TypeError, OverflowError):
         pass
 
     # The matrix is refused: say why.

@@ -1,3 +1,4 @@
+import json
 import warnings
 from unittest import mock
 
@@ -12,7 +13,6 @@ from fuzrank.classic import (
     CriterionKind,
     CriterionSpec,
     DecisionMatrix,
-    PairwiseMatrix,
     consistency_ratio,
     derive_weights,
     ideal_solutions,
@@ -20,6 +20,7 @@ from fuzrank.classic import (
     principal_eigen,
     rank_classic,
 )
+from fuzrank.scenario import ScenarioError, parse_scenario
 
 B = CriterionKind.BENEFIT
 CO = CriterionKind.COST
@@ -67,42 +68,70 @@ def oracle_classic(cells, kinds, weights):
     return rows
 
 
-# --- pairwise matrix / eigen --------------------------------------------------
+# --- the matrix rules, stated by the scenario parser ------------------------------
+
+def errors_of(doc):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(json.dumps(doc))
+    return exc.value.errors
+
+
+def pairwise_errors(cells):
+    return errors_of({"schema_version": "1", "pairwise": cells})
+
 
 def test_pairwise_validation():
-    PairwiseMatrix([[1, 2], [0.5, 1]])
-    with pytest.raises(ValueError, match="square"):
-        PairwiseMatrix([[1, 2, 3], [1, 1, 1]])
-    with pytest.raises(ValueError, match="positive"):
-        PairwiseMatrix([[1, -2], [-0.5, 1]])
-    with pytest.raises(ValueError, match="diagonal"):
-        PairwiseMatrix([[2, 1], [1, 1]])
-    with pytest.raises(ValueError, match="not reciprocal"):
-        PairwiseMatrix([[1, 2], [0.7, 1]])
+    doc = {"schema_version": "1", "pairwise": [[1, 2], [0.5, 1]]}
+    assert parse_scenario(json.dumps(doc)).pairwise == ((1.0, 2.0), (0.5, 1.0))
+    rule = "$.pairwise: pairwise matrix "
+    assert pairwise_errors([]) == [rule + "must be square, got shape (0,)"]
+    assert pairwise_errors([[1, 2, 3], [1, 1, 1]]) == [
+        "$.pairwise[0]: expected a row of 2 numbers"
+    ]
+    assert pairwise_errors([[1, 2], [0.5]]) == ["$.pairwise[1]: expected a row of 2 numbers"]
+    assert pairwise_errors([[1, -2], [-0.5, 1]]) == [rule + "entries must all be positive"]
+    assert pairwise_errors([[1, 0], [0, 1]]) == [rule + "entries must all be positive"]
+    assert pairwise_errors([[2, 1], [1, 1]]) == [rule + "diagonal must be all ones"]
+    assert pairwise_errors([[1, 2], [0.7, 1]]) == [
+        rule + "is not reciprocal (cells[j][i] != 1/cells[i][j])"
+    ]
 
 
 def test_pairwise_overflowing_product_is_not_reciprocal():
-    # cells[i][j] * cells[j][i] overflows to inf: a plain ValueError, no RuntimeWarning
-    with pytest.raises(ValueError, match="not reciprocal"):
-        PairwiseMatrix([[1, 3], [1.7976931348623157e308, 1]])
+    # cells[i][j] * cells[j][i] overflows to inf: a plain error, no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = pairwise_errors([[1, 3], [1.7976931348623157e308, 1]])
+    assert errors == [
+        "$.pairwise: pairwise matrix is not reciprocal (cells[j][i] != 1/cells[i][j])"
+    ]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_matrices_reject_non_finite(bad):
-    with pytest.raises(ValueError, match="finite"):
-        dm([[1, bad], [3, 4]])
-    with pytest.raises(ValueError, match="finite"):
-        PairwiseMatrix([[1, bad], [0.5, 1]])
+    doc = {
+        "schema_version": "1",
+        "criteria": [{"id": "C-1"}, {"id": "C-2"}],
+        "actions": ["A1", "A2"],
+        "pairwise": [[1, bad], [0.5, 1]],
+        "decision_matrix": {"A1": {"C-1": 1, "C-2": bad}, "A2": {"C-1": 3, "C-2": 4}},
+    }
+    assert errors_of(doc) == [
+        f"$.pairwise[0][1]: expected a finite number, got {bad!r}",
+        f"$.decision_matrix.A1.C-2: expected a finite number, got {bad!r}",
+    ]
 
+
+# --- eigen ------------------------------------------------------------------------
 
 def test_eigen_symmetric_two_by_two():
-    lam, w = principal_eigen(PairwiseMatrix([[1, 1], [1, 1]]))
+    lam, w = principal_eigen([[1, 1], [1, 1]])
     assert lam == pytest.approx(2.0, abs=1e-9)
     assert w == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
 def test_eigen_consistent_two_by_two():
-    lam, w = principal_eigen(PairwiseMatrix([[1, 2], [0.5, 1]]))
+    lam, w = principal_eigen([[1, 2], [0.5, 1]])
     assert lam == pytest.approx(2.0, abs=1e-9)
     assert w == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
 
@@ -113,22 +142,22 @@ def test_eigen_recovers_constructed_weights():
         n = int(rng.integers(2, 8))
         true_w = rng.uniform(0.1, 5.0, size=n)
         true_w /= true_w.sum()
-        m = PairwiseMatrix(true_w[:, None] / true_w[None, :])
+        m = true_w[:, None] / true_w[None, :]
         lam, w = principal_eigen(m)
         assert lam == pytest.approx(n, abs=1e-6)
         assert np.max(np.abs(w - true_w)) < 1e-6
 
 
 def test_eigen_residual_postcondition():
-    m = PairwiseMatrix([[1, 3, 0.5], [1 / 3, 1, 2], [2, 0.5, 1]])
+    m = np.array([[1, 3, 0.5], [1 / 3, 1, 2], [2, 0.5, 1]])
     lam, w = principal_eigen(m)
-    assert np.max(np.abs(m.cells @ w - lam * w)) < 1e-8
-    assert lam >= m.n - 1e-9
+    assert np.max(np.abs(m @ w - lam * w)) < 1e-8
+    assert lam >= len(m) - 1e-9
 
 
 def three_by_three(a):
     """Reciprocal matrix whose lambda_max is 1 + a^(1/3) + a^(-1/3)."""
-    return PairwiseMatrix([[1, a, a], [1 / a, 1, a], [1 / a, 1 / a, 1]])
+    return [[1, a, a], [1 / a, 1, a], [1 / a, 1 / a, 1]]
 
 
 def test_eigen_far_from_consistent():
@@ -146,11 +175,11 @@ def test_eigen_beyond_float_range_raises():
 
 
 def test_consistency_ratio():
-    consistent = PairwiseMatrix([[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]])
+    consistent = [[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]]
     assert consistency_ratio(consistent, principal_eigen(consistent)[0]) == pytest.approx(
         0.0, abs=1e-9
     )
-    sloppy = PairwiseMatrix([[1, 3, 1 / 5], [1 / 3, 1, 3], [5, 1 / 3, 1]])
+    sloppy = [[1, 3, 1 / 5], [1 / 3, 1, 3], [5, 1 / 3, 1]]
     assert consistency_ratio(sloppy, principal_eigen(sloppy)[0]) > 0.1
     with pytest.warns(UserWarning, match="inconsistent"):
         derive_weights(sloppy)

@@ -162,6 +162,28 @@ def test_output_to_a_directory_exit_one(runner, scenario_file, tmp_path):
     assert list(tmp_path.rglob(".fuzrank-*")) == []
 
 
+def test_output_through_a_symlink_updates_the_file_and_keeps_the_link(runner, scenario_file,
+                                                                     tmp_path):
+    report, link = tmp_path / "report.json", tmp_path / "latest.json"
+    report.write_text("old")
+    link.symlink_to(report.name)
+    result = runner.invoke(main, ["rank", str(scenario_file), "--format", "json", "-o", str(link)])
+    assert result.exit_code == 0, result.output
+    assert link.is_symlink() and os.readlink(link) == report.name
+    assert json.loads(report.read_text())["rankings"]
+    assert list(tmp_path.rglob(".fuzrank-*")) == []
+
+
+def test_output_to_a_fifo_is_not_a_regular_file(runner, scenario_file, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    result = runner.invoke(main, ["graph", str(scenario_file), "-o", str(fifo)])
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: cannot write {fifo}: not a regular file\n"
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert list(tmp_path.rglob(".fuzrank-*")) == []
+
+
 def test_rank_unwritable_output_exit_one(runner, scenario_file, tmp_path):
     missing_dir = tmp_path / "nope" / "report.json"
     result = runner.invoke(
@@ -725,6 +747,41 @@ def test_graph_only_commands_do_not_load_scoring_modules(tmp_path):
     )
     scoring = ("fuzrank.cvss", "fuzrank.veability", "fuzrank.classic", "fuzrank.fuzzy")
     assert _loaded_in_child(code, scoring) == []
+
+
+def test_validate_loads_neither_engine():
+    code = (
+        "from fuzrank.cli import main\n"
+        f"main(['validate', {str(SCENARIO)!r}], standalone_mode=False)\n"
+    )
+    assert _loaded_in_child(code, ("fuzrank.classic", "fuzrank.fuzzy")) == []
+
+
+def test_a_document_without_a_panel_parses_with_no_numpy(tmp_path):
+    path = tmp_path / "crisp.json"
+    doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
+    del doc["panel"]
+    doc["decision_matrix"] = {a: {c["id"]: 1 for c in doc["criteria"]} for a in doc["actions"]}
+    path.write_text(json.dumps(doc))
+    code = (
+        "from fuzrank.scenario import parse_scenario\n"
+        f"scenario = parse_scenario(open({str(path)!r}).read())\n"
+        "assert scenario.pairwise and scenario.decision_matrix and scenario.graph\n"
+    )
+    assert _loaded_in_child(code, ("numpy",)) == []
+
+
+def test_veability_with_every_cost_given_loads_neither_engine(tmp_path):
+    path = tmp_path / "costed.json"
+    doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
+    for vulnerability in doc["vulnerabilities"]:
+        vulnerability["atc_cost"] = 0.5
+    path.write_text(json.dumps(doc))
+    code = (
+        "from fuzrank.cli import main\n"
+        f"main(['veability', {str(path)!r}, '--format', 'json'], standalone_mode=False)\n"
+    )
+    assert _loaded_in_child(code, ("fuzrank.classic", "fuzrank.fuzzy")) == []
 
 
 # --- the process policy: no collector, one BLAS thread ----------------------------

@@ -16,14 +16,13 @@ from fuzrank.classic import (
 )
 from fuzrank.fuzzy import (
     FuzzyDecisionMatrix,
-    RatingPanel,
     aggregate_ratings,
     apply_weights,
     fuzzy_ideals,
     normalize_fuzzy,
     rank_fuzzy,
 )
-from fuzrank.scenario import TFN, default_scale, parse_scenario
+from fuzrank.scenario import TFN, RatingPanel, default_scale, parse_scenario
 
 from golden_ratings import ACTIONS, CRITERIA, LINGUISTIC_GRIDS, POOLED_MATRIX, RATERS
 

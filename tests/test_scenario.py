@@ -2,6 +2,7 @@ import json
 import math
 from importlib.resources import files
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -44,7 +45,7 @@ def test_bundled_scenario_strict_and_warning_free():
     assert [c.id for c in scenario.criteria] == ["C-1", "C-2", "C-3", "C-4"]
     assert [c.kind.value for c in scenario.criteria] == ["benefit", "benefit", "cost", "cost"]
     assert scenario.graph is not None and len(scenario.graph.nodes) == 18
-    assert scenario.pairwise is not None and scenario.pairwise.n == 4
+    assert scenario.pairwise is not None and len(scenario.pairwise) == 4
     assert len(scenario.vulnerabilities) == 6
     assert len(scenario.assets) == 6
 
@@ -398,6 +399,73 @@ def test_pairwise_reciprocity_enforced():
     )
     errs = errors_of(text)
     assert any("$.pairwise" in e and "not reciprocal" in e for e in errs)
+
+
+def _numpy_pairwise_rules(cells):
+    """The pairwise matrix rules as numpy checked them before the parser
+    stated them: the message of the first rule `cells` breaks, or None."""
+    m = np.asarray(cells, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return f"pairwise matrix must be square, got shape {m.shape}"
+    if not np.isfinite(m).all():
+        return "pairwise matrix entries must be finite"
+    if not (m > 0).all():
+        return "pairwise matrix entries must all be positive"
+    if not (abs(m.diagonal() - 1.0) <= 1e-9).all():
+        return "pairwise matrix diagonal must be all ones"
+    with np.errstate(over="ignore"):
+        product = m * m.T
+    if not (abs(product - 1.0) <= 1e-9).all():
+        return "pairwise matrix is not reciprocal (cells[j][i] != 1/cells[i][j])"
+    return None
+
+
+# within, at and just past the 1e-9 borders of the diagonal and reciprocal rules
+NEAR_ONE = st.sampled_from(
+    [1.0, 1 + 1e-9, 1 - 1e-9, 1 + 1.0000001e-9, 1 - 1.0000001e-9, 1 + 5e-10, 1 - 5e-10]
+) | st.floats(1 - 3e-9, 1 + 3e-9)
+# subnormals, and cells whose products overflow
+POSITIVE_CELL = NEAR_ONE | st.sampled_from(
+    [5e-324, 1e-310, 1e-154, 1e154, 1e308, 1.7976931348623157e308]
+) | st.floats(5e-324, 1.7976931348623157e308)
+PAIRWISE_CELL = POSITIVE_CELL | st.sampled_from([0.0, -0.0, -1.0]) | st.floats(-10, 0)
+
+
+@st.composite
+def pairwise_matrices(draw):
+    """A square matrix of 0-4 rows of finite floats. Per matrix it is drawn
+    whether cells may be zero or negative, whether the diagonal is all 1,
+    near 1 or any cell, and whether a lower cell may be any cell rather than
+    the upper cell's reciprocal, exact or off by a factor near 1; so each
+    rule is met as well as broken."""
+    n = draw(st.integers(0, 4))
+    cell = draw(st.sampled_from([POSITIVE_CELL, POSITIVE_CELL, PAIRWISE_CELL]))
+    diagonal = draw(st.sampled_from([st.just(1.0), st.just(1.0), NEAR_ONE, cell]))
+    any_lower = draw(st.booleans())
+    cells = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        cells[i][i] = draw(diagonal)
+        for j in range(i + 1, n):
+            x = cells[i][j] = draw(cell)
+            recip = 1 / x if x else 0.0
+            recip = recip if math.isfinite(recip) else 1.7976931348623157e308
+            off = recip * draw(NEAR_ONE)
+            lower = st.sampled_from([recip, off if math.isfinite(off) else recip])
+            cells[j][i] = draw(lower | cell if any_lower else lower)
+    return cells
+
+
+@settings(max_examples=500)
+@given(pairwise_matrices())
+def test_pairwise_rules_match_the_numpy_reference(cells):
+    """The parser accepts a square matrix of finite cells exactly when the
+    numpy checks it replaced do, and refuses it with their message."""
+    text = minimal(pairwise=cells)
+    expected = _numpy_pairwise_rules(cells)
+    if expected is None:
+        assert parse_scenario(text).pairwise == tuple(map(tuple, cells))
+    else:
+        assert errors_of(text) == [f"$.pairwise: {expected}"]
 
 
 ROW = {"C-1": 1, "C-2": 2.5}
@@ -839,6 +907,5 @@ def test_decision_matrix_decode_matches_per_cell_oracle(doc):
         return
     matrix = scenario.decision_matrix
     assert matrix is not None and expected is not None
-    assert matrix.cells.dtype == float
-    # repr also tells -0.0 from 0.0
-    assert repr(matrix.cells.tolist()) == repr(expected)
+    # repr also tells -0.0 from 0.0, and an int from a float
+    assert repr(matrix) == repr(tuple(map(tuple, expected)))
