@@ -36,8 +36,8 @@ number infinite. A scale or matrix built by hand with a negative or infinite
 component is outside that argument, and no stage checks it.
 `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view of the
 values, built on first use; only the benchmark's in-process step
-(`perfbench/workloads.py`) reads it, for the pooled peaks, until ROADMAP
-item 1 switches that step to `values[..., 1]`.
+(`perfbench/workloads.py`) reads it, for the pooled peaks. It goes once
+that step reads `values[..., 1]` instead.
 
 The distances end in `classic.rank_by_closeness`, the closeness-and-ranking
 skeleton both engines share; `classic` states the two cost orientations.

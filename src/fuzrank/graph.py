@@ -1,4 +1,4 @@
-"""Typed attack-graph model: validation, AND/OR reachability, path enumeration, DOT export.
+"""Typed attack-graph model: AND/OR minimal sets, path enumeration, DOT export.
 
 Node semantics: Configuration nodes are facts known to be true; AttackStep and
 FinalStep nodes require ALL predecessors (AND); Privilege nodes require ANY
@@ -42,16 +42,11 @@ ready nodes of a set it takes the smallest bit index, which is the smallest
 id, so each path is the set's smallest-id-first topological order. Only
 ``enumerate_paths`` reaches ``_linearize``, so only it loads ``heapq``.
 
-Validation happens once, in the scenario parser, which is the one checker
-of the format. It locates each input problem in the document (a repeated
-node id, an edge with an unknown end, an unknown target) and hands the
-checked nodes, edges and targets to `_assemble`, which checks what only the
-whole graph shows (each node's kind against its edges, cycles,
-reachability of the final steps) and builds the `AttackGraph`. `_assemble`
-orders the nodes with Kahn's algorithm over sorted-id predecessors. Only
-when that leaves nodes unplaced does the standard library's ``graphlib``
-load and run, to name a cycle: the cycle named is graphlib's choice over
-sorted-id predecessors.
+This module holds no validation. The scenario parser is the one checker of
+the format and states every graph rule (`scenario._parse_graph`): the input
+checks located in the document, each node's kind against its edges, cycles
+and reachability of the final steps. It builds the `AttackGraph`, and the
+code here trusts it.
 """
 
 from __future__ import annotations
@@ -87,87 +82,18 @@ class AttackNode(NamedTuple):
     cve: Optional[str] = None
 
 
-class GraphValidationError(ValueError):
-    """Raised by `_assemble` with the full list of whole-graph problems."""
-
-    def __init__(self, errors: Sequence[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
-
-
 class PathExplosionError(RuntimeError):
     """Raised when path enumeration exceeds the configured cap."""
 
 
 class AttackGraph:
-    """Validated DAG of attack nodes. Built by `_assemble`, for the scenario
-    parser, and by subgraph_to_goal; `_preds` maps each node id to its
+    """Validated DAG of attack nodes. Built by the scenario parser, which
+    checks it, and by subgraph_to_goal; `_preds` maps each node id to its
     predecessors in sorted-id order."""
 
     def __init__(self, nodes: dict[str, AttackNode], edges: frozenset[tuple[str, str]],
                  targets: frozenset[str], _preds: dict[str, tuple[str, ...]]):
         self.nodes, self.edges, self.targets, self._preds = nodes, edges, targets, _preds
-
-
-def _assemble(
-    by_id: dict[str, AttackNode],
-    edges: list[tuple[str, str]],
-    targets: Collection[str],
-) -> AttackGraph:
-    """The attack graph of checked input (distinct node ids, and distinct edges
-    and targets among them). Raises GraphValidationError with every problem
-    that only the whole graph shows."""
-    errors: list[str] = []
-    preds: dict[str, list[str]] = {nid: [] for nid in sorted(by_id)}
-    succs: dict[str, list[str]] = {nid: [] for nid in preds}
-    for src, dst in edges:
-        preds[dst].append(src)
-        succs[src].append(dst)
-
-    # bound once: reading an Enum member off its class costs a lookup each time
-    configuration, final_step = NodeKind.CONFIGURATION, NodeKind.FINAL_STEP
-    finals: list[str] = []
-    for nid, node in by_id.items():
-        kind = node.kind
-        if kind is configuration:
-            if preds[nid]:
-                errors.append(f"configuration node {nid!r} has a predecessor")
-        elif kind is final_step:
-            finals.append(nid)
-            if succs[nid]:
-                errors.append(f"final-step node {nid!r} has a successor")
-        elif not preds[nid]:
-            errors.append(f"{kind.value} node {nid!r} has no predecessor")
-
-    sorted_preds = {nid: tuple(sorted(ps)) for nid, ps in preds.items()}
-    indegree = {nid: len(ps) for nid, ps in preds.items()}
-    order = [nid for nid, d in indegree.items() if not d]
-    for nid in order:  # Kahn's algorithm: the list grows as nodes become ready
-        for s in succs[nid]:
-            indegree[s] -= 1
-            if not indegree[s]:
-                order.append(s)
-    if len(order) < len(preds):
-        from graphlib import CycleError, TopologicalSorter
-
-        try:
-            TopologicalSorter(sorted_preds).prepare()
-        except CycleError as exc:
-            errors.append("cycle detected: " + " -> ".join(exc.args[1]))
-    else:
-        # final steps must be reachable from some configuration node
-        reached: set[str] = set()
-        for nid in order:
-            if by_id[nid].kind is configuration or not reached.isdisjoint(preds[nid]):
-                reached.add(nid)
-        for nid in finals:
-            if nid not in reached:
-                errors.append(f"final-step node {nid!r} is unreachable from any configuration node")
-
-    if errors:
-        raise GraphValidationError(errors)
-
-    return AttackGraph(by_id, frozenset(edges), frozenset(targets), sorted_preds)
 
 
 def enumerate_paths(
@@ -420,10 +346,10 @@ def subgraph_to_goal(graph: AttackGraph, goal: str, cap: int = DEFAULT_PATH_CAP)
     path is linearised, so a goal behind disjoint OR alternatives costs
     nodes times branches, not one step per minimal set. The cap still bounds
     each node's count, so the same PathExplosionError is raised.
-    The restriction is built directly, not through `_assemble`: a union of
+    The restriction is built directly and checked no second time: a union of
     minimal satisfying sets keeps every AND node's predecessors and one of
     each OR node's, no cycle and no final step other than the goal, so it
-    needs no second validation.
+    breaks no rule the parser checked.
     """
     ids, (base, _, _, union) = _minimal_masks(graph, goal, cap)
     union |= base

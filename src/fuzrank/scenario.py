@@ -20,10 +20,12 @@ accepted only when every key and cell is exactly where it should be.
 every problem found.
 
 The parser is the one checker of the input; the stages after it trust what
-it built. It checks the graph's ids, edges and targets itself, locating each
-problem in the document, and hands the rest to `graph._assemble` (the kind
-rules, cycles, reachability); it checks a <= b <= c on each scale entry; and
-it states every matrix rule itself: `_parse_pairwise` the square, positive,
+it built. It states every graph rule itself: `_parse_graph` locates each
+problem with the graph's ids, edges and targets in the document, then checks
+what only the whole graph shows (each node's kind against its edges, cycles,
+reachability of the final steps) under `$.graph`, and builds the
+`AttackGraph`. It checks a <= b <= c on each scale entry; and it states
+every matrix rule itself: `_parse_pairwise` the square, positive,
 unit-diagonal, reciprocal comparison matrix, `_parse_decision_matrix` the
 nonnegative finite decision matrix. Both matrices are held as tuples of
 float rows, which `classic` reads as arrays.
@@ -404,22 +406,27 @@ def _parse_actions(col: _Collector, raw: Any) -> tuple[str, ...]:
 
 
 def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[AttackGraph]:
-    """The attack graph, or None when it is absent or refused (the reasons then
-    in `col`).
+    """The attack graph, or None when it is absent or the document is refused
+    (the reasons then in `col`).
 
-    The input checks are made here, each problem located at its index: a
+    The input checks come first, each problem located at its index: a
     repeated node id, an edge end that no node declares, and an unknown
     target. A node whose kind is unknown is dropped, with the edges that
-    touch it; its id still counts as declared. What only
-    the whole graph shows is then checked by `graph._assemble`, under the bare
-    `$.graph` path, unless a declared node was dropped: the graph that is left
-    would not be the one the document describes.
+    touch it; its id still counts as declared. What only the whole graph
+    shows is then checked under the bare `$.graph` path, unless a declared
+    node was dropped (the graph that is left would not be the one the
+    document describes): each node's kind against its edges, then cycles,
+    then, in an acyclic graph, that every final step is reachable from a
+    configuration node. The nodes are ordered by Kahn's algorithm over
+    sorted-id predecessors; only when that leaves nodes unplaced does the
+    standard library's `graphlib` load, to name a cycle, which is its choice
+    over those predecessors.
     """
     if raw is None:
         return None
     if not _expect(col, "$.graph", raw, dict, "an object with nodes/edges/targets"):
         return None
-    from .graph import AttackNode, GraphValidationError, NodeKind, _assemble
+    from .graph import AttackGraph, AttackNode, NodeKind
 
     node_kinds = {k.value: k for k in NodeKind}
     col.unknown_keys("$.graph", raw, _GRAPH_KEYS)
@@ -488,12 +495,59 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
 
     if len(nodes) < len(declared):
         return None
-    try:
-        return _assemble(nodes, edges, targets & nodes.keys())
-    except GraphValidationError as exc:
-        for msg in exc.errors:
-            col.error("$.graph", msg)
+
+    # What only the whole graph shows, under the bare $.graph path.
+    preds: dict[str, list[str]] = {nid: [] for nid in sorted(nodes)}
+    succs: dict[str, list[str]] = {nid: [] for nid in preds}
+    for src, dst in edges:
+        preds[dst].append(src)
+        succs[src].append(dst)
+
+    # bound once: reading an Enum member off its class costs a lookup each time
+    configuration, final_step = NodeKind.CONFIGURATION, NodeKind.FINAL_STEP
+    finals: list[str] = []
+    for nid, node in nodes.items():
+        kind = node.kind
+        if kind is configuration:
+            if preds[nid]:
+                col.error("$.graph", f"configuration node {nid!r} has a predecessor")
+        elif kind is final_step:
+            finals.append(nid)
+            if succs[nid]:
+                col.error("$.graph", f"final-step node {nid!r} has a successor")
+        elif not preds[nid]:
+            col.error("$.graph", f"{kind.value} node {nid!r} has no predecessor")
+
+    sorted_preds = {nid: tuple(sorted(ps)) for nid, ps in preds.items()}
+    indegree = {nid: len(ps) for nid, ps in preds.items()}
+    order = [nid for nid, d in indegree.items() if not d]
+    for nid in order:  # Kahn's algorithm: the list grows as nodes become ready
+        for s in succs[nid]:
+            indegree[s] -= 1
+            if not indegree[s]:
+                order.append(s)
+    if len(order) < len(preds):
+        from graphlib import CycleError, TopologicalSorter
+
+        try:
+            TopologicalSorter(sorted_preds).prepare()
+        except CycleError as exc:
+            col.error("$.graph", "cycle detected: " + " -> ".join(exc.args[1]))
+    else:
+        # final steps must be reachable from some configuration node
+        reached: set[str] = set()
+        for nid in order:
+            if nodes[nid].kind is configuration or not reached.isdisjoint(preds[nid]):
+                reached.add(nid)
+        for nid in finals:
+            if nid not in reached:
+                col.error(
+                    "$.graph", f"final-step node {nid!r} is unreachable from any configuration node"
+                )
+    if col.errors:
         return None
+    # with no error, every target is declared and every declared node kept
+    return AttackGraph(nodes, frozenset(edges), frozenset(targets), sorted_preds)
 
 
 def _parse_panel(
@@ -590,15 +644,6 @@ def _parse_panel(
     return None
 
 
-def _pick(keys: tuple[str, ...]) -> Callable[[Any], tuple]:
-    """itemgetter(*keys), but a tuple also for one key; that case is a
-    Python-level call per item."""
-    if len(keys) > 1:
-        return itemgetter(*keys)
-    key = keys[0]
-    return lambda obj: (obj[key],)
-
-
 def _leaves(obj: Any, *levels: tuple[str, ...]) -> Iterator[Any]:
     """The leaves of a keyed grid, in key order and lazily at the last level.
     `obj` must hold exactly the keys of `levels[0]`, each of its values
@@ -610,7 +655,8 @@ def _leaves(obj: Any, *levels: tuple[str, ...]) -> Iterator[Any]:
         items = list(leaves)
         if set(map(len, items)) != {len(keys)}:
             raise KeyError(keys)
-        leaves = chain.from_iterable(map(_pick(keys), items))
+        get = itemgetter(*keys)  # of one key, the leaf itself rather than a tuple
+        leaves = chain.from_iterable(map(get, items)) if len(keys) > 1 else map(get, items)
     return leaves
 
 
@@ -657,40 +703,43 @@ def _parse_pairwise(
     """The pairwise comparison matrix as rows of floats, or None when it is
     absent or refused (the reasons then in `col`).
 
-    Each row and cell is checked where it stands. The matrix rules are then
-    checked in order, the first one broken reported under `$.pairwise`:
-    nonempty, every cell positive, each diagonal cell within 1e-9 of 1, and
-    reciprocal, each product cells[i][j] * cells[j][i] within 1e-9 of 1. A
-    product past the float range is inf, which is not.
+    The document must have criteria, one per row. Each row and cell is
+    checked where it stands. The matrix rules are then checked in order, the
+    first one broken reported under `$.pairwise`: every cell positive, each
+    diagonal cell within 1e-9 of 1, and reciprocal, each product
+    cells[i][j] * cells[j][i] within 1e-9 of 1. A product past the float
+    range is inf, which is not.
     """
     if raw is None:
         return None
     if not _expect(col, "$.pairwise", raw, list, "a square matrix (list of rows)"):
         return None
+    if not criteria:
+        col.error(
+            "$.pairwise", "a pairwise matrix requires a nonempty top-level 'criteria' list"
+        )
+        return None
     n = len(criteria)
-    if n and len(raw) != n:
+    if len(raw) != n:
         col.error("$.pairwise", f"matrix has {len(raw)} rows but there are {n} criteria")
         return None
     cells: list[tuple[float, ...]] = []
     for i, row in enumerate(raw):
-        if not (isinstance(row, list) and len(row) == len(raw)):
-            col.error(f"$.pairwise[{i}]", f"expected a row of {len(raw)} numbers")
+        if not (isinstance(row, list) and len(row) == n):
+            col.error(f"$.pairwise[{i}]", f"expected a row of {n} numbers")
             return None
         vals = [_number(col, f"$.pairwise[{i}][{j}]", x) for j, x in enumerate(row)]
         if None in vals:
             return None
         cells.append(tuple(vals))
-    size = len(cells)
-    if not size:
-        problem = "must be square, got shape (0,)"
-    elif not all(x > 0 for row in cells for x in row):
+    if not all(x > 0 for row in cells for x in row):
         problem = "entries must all be positive"
-    elif not all(abs(cells[i][i] - 1.0) <= 1e-9 for i in range(size)):
+    elif not all(abs(cells[i][i] - 1.0) <= 1e-9 for i in range(n)):
         problem = "diagonal must be all ones"
     # a product is the same either way round, so each pair is tried once
     elif not all(
         abs(cells[i][j] * cells[j][i] - 1.0) <= 1e-9
-        for i in range(size) for j in range(i, size)
+        for i in range(n) for j in range(i, n)
     ):
         problem = "is not reciprocal (cells[j][i] != 1/cells[i][j])"
     else:

@@ -76,15 +76,23 @@ def errors_of(doc):
     return exc.value.errors
 
 
+def pairwise_doc(cells):
+    """A document with the pairwise matrix `cells` and one criterion per row."""
+    criteria = [{"id": f"C-{i}"} for i in range(len(cells))]
+    return {"schema_version": "1", "criteria": criteria, "pairwise": cells}
+
+
 def pairwise_errors(cells):
-    return errors_of({"schema_version": "1", "pairwise": cells})
+    return errors_of(pairwise_doc(cells))
 
 
 def test_pairwise_validation():
-    doc = {"schema_version": "1", "pairwise": [[1, 2], [0.5, 1]]}
+    doc = pairwise_doc([[1, 2], [0.5, 1]])
     assert parse_scenario(json.dumps(doc)).pairwise == ((1.0, 2.0), (0.5, 1.0))
     rule = "$.pairwise: pairwise matrix "
-    assert pairwise_errors([]) == [rule + "must be square, got shape (0,)"]
+    assert pairwise_errors([]) == [
+        "$.pairwise: a pairwise matrix requires a nonempty top-level 'criteria' list"
+    ]
     assert pairwise_errors([[1, 2, 3], [1, 1, 1]]) == [
         "$.pairwise[0]: expected a row of 2 numbers"
     ]

@@ -9,12 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzrank.graph import (
-    AttackGraph,
     AttackNode,
-    GraphValidationError,
     NodeKind,
     PathExplosionError,
-    _assemble,
     _minimal,
     enumerate_paths,
     export_dot,
@@ -32,10 +29,25 @@ def n(nid, kind, **kw):
     return AttackNode(nid, kind, **kw)
 
 
+def graph_document(nodes, edges=(), targets=()):
+    return json.dumps({"schema_version": "1", "graph": {
+        "nodes": [{"id": x.id, "kind": x.kind.value, "label": x.label, "cve": x.cve}
+                  for x in nodes],
+        "edges": [list(e) for e in edges],
+        "targets": list(targets),
+    }})
+
+
 def graph_of(nodes, edges=(), targets=()):
-    """The graph the scenario parser builds from checked input: distinct node
-    ids, and distinct edges and targets among them."""
-    return _assemble({x.id: x for x in nodes}, list(edges), frozenset(targets))
+    """The graph the scenario parser builds from these nodes, edges and targets."""
+    return parse_scenario(graph_document(nodes, edges, targets)).graph
+
+
+def graph_errors(nodes, edges=(), targets=()):
+    """The errors the scenario parser refuses this graph with."""
+    with pytest.raises(ScenarioError) as exc:
+        graph_of(nodes, edges, targets)
+    return exc.value.errors
 
 
 def chain_graph():
@@ -128,28 +140,25 @@ def test_build_trivial_single_configuration():
 
 
 def test_final_step_with_successor_rejected():
-    with pytest.raises(GraphValidationError, match="final-step node 'fin' has a successor"):
-        graph_of(
-            [n("cfg", C), n("fin", F), n("later", S)],
-            [("cfg", "fin"), ("fin", "later")],
-        )
+    assert graph_errors(
+        [n("cfg", C), n("fin", F), n("later", S)],
+        [("cfg", "fin"), ("fin", "later")],
+    ) == ["$.graph: final-step node 'fin' has a successor"]
 
 
 def test_configuration_with_predecessor_rejected():
-    with pytest.raises(GraphValidationError, match="configuration node 'cfg2' has a predecessor"):
-        graph_of(
-            [n("cfg", C), n("step", S), n("cfg2", C)],
-            [("cfg", "step"), ("step", "cfg2")],
-        )
+    assert graph_errors(
+        [n("cfg", C), n("step", S), n("cfg2", C)],
+        [("cfg", "step"), ("step", "cfg2")],
+    ) == ["$.graph: configuration node 'cfg2' has a predecessor"]
 
 
 def named_cycle(nodes, edges):
     """The one "cycle detected" error of an invalid graph, as a list of ids."""
-    with pytest.raises(GraphValidationError) as exc:
-        graph_of(nodes, edges)
-    named = [m for m in exc.value.errors if m.startswith("cycle detected: ")]
-    assert len(named) == 1, exc.value.errors
-    walk = named[0].removeprefix("cycle detected: ").split(" -> ")
+    errors = graph_errors(nodes, edges)
+    named = [m for m in errors if m.startswith("$.graph: cycle detected: ")]
+    assert len(named) == 1, errors
+    walk = named[0].removeprefix("$.graph: cycle detected: ").split(" -> ")
     # a closed walk along input edges
     assert len(walk) >= 2 and walk[0] == walk[-1]
     assert set(zip(walk, walk[1:])) <= set(edges)
@@ -190,21 +199,21 @@ def test_cycle_behind_chain_deeper_than_recursion_limit():
 
 
 def test_unreachable_final_step_rejected():
-    with pytest.raises(GraphValidationError, match="unreachable from any configuration"):
-        graph_of([n("fin", F)], [], [])
+    assert graph_errors([n("fin", F)], [], []) == [
+        "$.graph: final-step node 'fin' is unreachable from any configuration node"
+    ]
 
 
 def test_attack_step_without_predecessor_rejected():
-    with pytest.raises(GraphValidationError, match="attack_step node 'step' has no predecessor"):
-        graph_of([n("cfg", C), n("step", S)], [])
+    assert graph_errors([n("cfg", C), n("step", S)], []) == [
+        "$.graph: attack_step node 'step' has no predecessor"
+    ]
 
 
 def test_every_structural_error_is_collected():
-    with pytest.raises(GraphValidationError) as exc:
-        graph_of([n("cfg", C), n("s", S), n("f", F)], [("s", "f")])
-    assert exc.value.errors == [
-        "attack_step node 's' has no predecessor",
-        "final-step node 'f' is unreachable from any configuration node",
+    assert graph_errors([n("cfg", C), n("s", S), n("f", F)], [("s", "f")]) == [
+        "$.graph: attack_step node 's' has no predecessor",
+        "$.graph: final-step node 'f' is unreachable from any configuration node",
     ]
 
 
@@ -667,25 +676,16 @@ def test_back_edge_errors_match_graphlib_reference(seed, data):
         head = data.draw(st.sampled_from(g._preds[head]))
     nodes = data.draw(st.permutations(list(g.nodes.values())))
     edges = data.draw(st.permutations(sorted(g.edges) + [(tail, head)]))
-    with pytest.raises(GraphValidationError) as exc:
-        graph_of(nodes, edges)
-    assert exc.value.errors == reference_validation_errors(nodes, edges)
-    assert any(e.startswith("cycle detected: ") for e in exc.value.errors)
+    errors = graph_errors(nodes, edges)
+    assert errors == [f"$.graph: {e}" for e in reference_validation_errors(nodes, edges)]
+    assert any(e.startswith("$.graph: cycle detected: ") for e in errors)
 
 
 # --- the scenario parser's graph against the graphlib reference ---------------
-# The parser makes the input checks itself and assembles the graph with the
-# rest; on every document it must end where the reference validation does.
+# The parser states every graph rule itself; on every document it must end
+# where the reference validation does.
 
 GRAPH_MUTANTS = ("none", "cycle", "configuration-pred", "final-succ", "unreachable-final")
-
-
-def graph_document(nodes, edges, targets):
-    return json.dumps({"schema_version": "1", "graph": {
-        "nodes": [{"id": x.id, "kind": x.kind.value} for x in nodes],
-        "edges": [list(e) for e in edges],
-        "targets": list(targets),
-    }})
 
 
 @settings(max_examples=150, deadline=None)
@@ -723,6 +723,154 @@ def test_parsed_graph_matches_graphlib_reference(seed, mutant, data):
     with pytest.raises(ScenarioError) as got:
         parse_scenario(text, strict=True)
     assert got.value.errors == [f"$.graph: {e}" for e in errors]
+
+
+# --- the parser's whole-graph rules against the function they replaced ----------
+# The whole-graph checks once lived in `graph._assemble`, which the parser
+# called on its checked nodes, edges and targets and whose errors it reported
+# under `$.graph`. Its body is kept here as the reference: the parser must give
+# the same errors in the same order, after its located ones, and otherwise the
+# same graph.
+
+def reference_assemble(by_id, edges, targets):
+    """The whole-graph errors of checked input, or the graph's (nodes, edges,
+    targets, _preds)."""
+    errors = []
+    preds = {nid: [] for nid in sorted(by_id)}
+    succs = {nid: [] for nid in preds}
+    for src, dst in edges:
+        preds[dst].append(src)
+        succs[src].append(dst)
+
+    configuration, final_step = NodeKind.CONFIGURATION, NodeKind.FINAL_STEP
+    finals = []
+    for nid, node in by_id.items():
+        kind = node.kind
+        if kind is configuration:
+            if preds[nid]:
+                errors.append(f"configuration node {nid!r} has a predecessor")
+        elif kind is final_step:
+            finals.append(nid)
+            if succs[nid]:
+                errors.append(f"final-step node {nid!r} has a successor")
+        elif not preds[nid]:
+            errors.append(f"{kind.value} node {nid!r} has no predecessor")
+
+    sorted_preds = {nid: tuple(sorted(ps)) for nid, ps in preds.items()}
+    indegree = {nid: len(ps) for nid, ps in preds.items()}
+    order = [nid for nid, d in indegree.items() if not d]
+    for nid in order:
+        for s in succs[nid]:
+            indegree[s] -= 1
+            if not indegree[s]:
+                order.append(s)
+    if len(order) < len(preds):
+        try:
+            TopologicalSorter(sorted_preds).prepare()
+        except CycleError as exc:
+            errors.append("cycle detected: " + " -> ".join(exc.args[1]))
+    else:
+        reached = set()
+        for nid in order:
+            if by_id[nid].kind is configuration or not reached.isdisjoint(preds[nid]):
+                reached.add(nid)
+        for nid in finals:
+            if nid not in reached:
+                errors.append(f"final-step node {nid!r} is unreachable from any configuration node")
+
+    if errors:
+        return errors
+    return by_id, frozenset(edges), frozenset(targets), sorted_preds
+
+
+KIND_NAMES = [k.value for k in NodeKind]
+
+
+@st.composite
+def graph_sections(draw):
+    """(nodes, edges, targets) of a graph section, as JSON values. Each node
+    is drawn with up to three predecessors among the nodes before it. A
+    "typed" draw is a valid graph: the first node is a configuration, every
+    other node but a configuration has a predecessor, and a final step is
+    none. Otherwise any kind may have any earlier node as a predecessor, or
+    none. Extra edges between any two names then close self-loops and
+    cycles, give a configuration a predecessor or a final step a successor,
+    and may name a node that is not declared, as may a target; edges and
+    targets may repeat, and a node's kind may be mistyped."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
+    typed = draw(st.booleans())
+    kinds, edges = [], []
+    for i, nid in enumerate(ids):
+        if typed:
+            kind = draw(st.sampled_from(KIND_NAMES)) if i else "configuration"
+            pool = [p for p, k in zip(ids, kinds) if k != "final_step"]
+            low = 0 if kind == "configuration" else 1
+            preds = draw(st.sets(st.sampled_from(pool), min_size=low, max_size=3 * low)) if i else ()
+        else:
+            kind = draw(st.sampled_from(KIND_NAMES))
+            preds = draw(st.sets(st.sampled_from(ids[:i]), max_size=3)) if i else ()
+        edges += [[p, nid] for p in preds]
+        kinds.append(kind)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        kinds[draw(st.integers(0, len(ids) - 1))] = "config"
+    name = st.sampled_from(ids + ["ghost"])
+    edges += draw(st.lists(st.tuples(name, name).map(list), max_size=3))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else []
+    targets = draw(st.lists(name, max_size=3))
+    nodes = [{"id": nid, "kind": kind} for nid, kind in zip(ids, kinds)]
+    return draw(st.permutations(nodes)), draw(st.permutations(edges)), targets
+
+
+def located_and_checked(nodes, edges, targets):
+    """The located graph errors a section draws (its index paths), and the
+    checked input the parser goes on with: the nodes by id, the distinct
+    edges between nodes of known kinds and the distinct known targets; None
+    for the input when a node's kind is unknown."""
+    located, by_id, seen, checked = [], {}, set(), []
+    declared = {x["id"] for x in nodes}
+    for i, x in enumerate(nodes):
+        if x["kind"] in KIND_NAMES:
+            by_id[x["id"]] = AttackNode(x["id"], NodeKind(x["kind"]))
+        else:
+            located.append(f"$.graph.nodes[{i}].kind: unknown node kind {x['kind']!r}; "
+                           f"use one of {', '.join(KIND_NAMES)}")
+    for i, (src, dst) in enumerate(edges):
+        if (src, dst) in seen:
+            continue
+        seen.add((src, dst))
+        if src not in declared:
+            located.append(f"$.graph.edges[{i}]: edge ({src!r} -> {dst!r}): unknown source node")
+        elif dst not in declared:
+            located.append(f"$.graph.edges[{i}]: edge ({src!r} -> {dst!r}): unknown destination node")
+        elif src in by_id and dst in by_id:
+            checked.append((src, dst))
+    for i, t in enumerate(targets):
+        if t not in declared and t not in targets[:i]:
+            located.append(f"$.graph.targets[{i}]: target {t!r} is not a node in the graph")
+    if len(by_id) < len(nodes):
+        return located, None
+    return located, (by_id, checked, set(targets) & by_id.keys())
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_sections())
+def test_parser_states_the_graph_rules_of_the_assemble_reference(section):
+    nodes, edges, targets = section
+    text = json.dumps({"schema_version": "1",
+                       "graph": {"nodes": nodes, "edges": edges, "targets": targets}})
+    located, checked = located_and_checked(nodes, edges, targets)
+    reference = [] if checked is None else reference_assemble(*checked)
+    errors = reference if isinstance(reference, list) else []
+    if located or errors:
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert exc.value.errors == located + [f"$.graph: {m}" for m in errors]
+        return
+    got = parse_scenario(text).graph
+    by_id, got_edges, got_targets, preds = reference
+    assert list(got.nodes.items()) == list(by_id.items())
+    assert got.edges == got_edges and got.targets == got_targets
+    assert list(got._preds.items()) == list(preds.items())
 
 
 # --- DOT export ---------------------------------------------------------------

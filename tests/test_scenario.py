@@ -458,10 +458,13 @@ def pairwise_matrices(draw):
 @settings(max_examples=500)
 @given(pairwise_matrices())
 def test_pairwise_rules_match_the_numpy_reference(cells):
-    """The parser accepts a square matrix of finite cells exactly when the
-    numpy checks it replaced do, and refuses it with their message."""
-    text = minimal(pairwise=cells)
-    expected = _numpy_pairwise_rules(cells)
+    """The parser accepts a square matrix of finite cells, one row per
+    criterion, exactly when the numpy checks it replaced do, and refuses it
+    with their message. With no rows there is no criterion, which the parser
+    refuses first."""
+    text = minimal(criteria=[{"id": f"C-{i}"} for i in range(len(cells))], pairwise=cells)
+    expected = _numpy_pairwise_rules(cells) if cells else (
+        "a pairwise matrix requires a nonempty top-level 'criteria' list")
     if expected is None:
         assert parse_scenario(text).pairwise == tuple(map(tuple, cells))
     else:
