@@ -20,7 +20,9 @@ tuples of float rows: a pairwise matrix there is square, positive, has a
 unit diagonal and is reciprocal; a decision matrix is finite and
 nonnegative, one row per unique action. So `principal_eigen`,
 `consistency_ratio` and `derive_weights` take any square array-like, and
-`DecisionMatrix` only sets its fields, as does each stage that builds one.
+`DecisionMatrix` only sets its fields. The stages `normalize` and
+`ideal_solutions` are functions of (m, n) arrays, so `rank_classic` builds
+no record between them; `benefit_mask` serves both engines.
 """
 
 from __future__ import annotations
@@ -47,19 +49,15 @@ class ConvergenceError(RuntimeError):
 
 
 class DecisionMatrix:
-    """Alternatives x criteria table of scores, its cells a read-only float
-    array. The fields are set unchecked: the scenario parser checks a
-    document's matrix (finite and nonnegative, one row per unique action),
-    and the stages keep what it checked."""
+    """Alternatives x criteria table of scores, its `values` a read-only float
+    array of shape (m, n). The fields are set unchecked: the scenario parser
+    checks a document's matrix (finite and nonnegative, one row per unique
+    action), and the stages keep what it checked."""
 
-    def __init__(self, alternatives: Sequence[str], criteria: Sequence[CriterionSpec], cells):
+    def __init__(self, alternatives: Sequence[str], criteria: Sequence[CriterionSpec], values):
         self.alternatives, self.criteria = alternatives, criteria
-        self.cells = np.asarray(cells, dtype=float)
-        self.cells.setflags(write=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.cells.shape
+        self.values = np.asarray(values, dtype=float)
+        self.values.setflags(write=False)
 
 
 class ActionRanking(NamedTuple):
@@ -163,7 +161,8 @@ def principal_eigen(matrix) -> tuple[float, np.ndarray]:
 
 def consistency_ratio(matrix, lambda_max: float) -> float:
     """Saaty consistency ratio CR = CI / RI of a square matrix whose
-    principal eigenvalue is `lambda_max`; 0 for n <= 2."""
+    principal eigenvalue is `lambda_max`; 0 for n <= 2. Saaty's table stops
+    at n = 10, so every n > 10 uses its last random index, RI = 1.49."""
     n = len(matrix)
     ri = _RANDOM_INDEX.get(n, 1.49)
     if ri == 0.0:
@@ -186,31 +185,36 @@ def derive_weights(matrix) -> np.ndarray:
     return w
 
 
-def normalize(matrix: DecisionMatrix) -> DecisionMatrix:
-    """Scale each criterion column to unit Euclidean norm."""
+def benefit_mask(criteria: Sequence[CriterionSpec]) -> np.ndarray:
+    """True for each benefit criterion, False for each cost criterion."""
+    return np.array([spec.kind is CriterionKind.BENEFIT for spec in criteria], dtype=bool)
+
+
+def normalize(values: np.ndarray, criteria: Sequence[CriterionSpec]) -> np.ndarray:
+    """Scale each column of the (m, n) array to unit Euclidean norm; an
+    all-zero column raises ValueError naming its criterion."""
     # hypot instead of sqrt-of-sum so cells beyond 1e154 do not overflow the
     # norm; sorted first so the norm does not depend on the row order
-    cells = matrix.cells
-    ordered = np.sort(cells, axis=0)
+    ordered = np.sort(values, axis=0)
     # A norm is at most sqrt(m) times its column's largest cell, the sorted
     # last row. A column whose norm could pass half the float range (the
     # other half is room for rounding) is divided by that cell first.
-    huge = ordered[-1:] > _HALF_FLOAT_MAX / math.sqrt(max(len(cells), 1))
+    huge = ordered[-1:] > _HALF_FLOAT_MAX / math.sqrt(max(len(values), 1))
     if huge.any():
         top = np.where(huge, ordered[-1:], 1.0)
-        cells, ordered = cells / top, ordered / top
+        values, ordered = values / top, ordered / top
     norms = np.hypot.reduce(ordered, axis=0)
     zero = norms == 0
     if zero.any():
-        dead = [matrix.criteria[j].id for j in np.flatnonzero(zero)]
+        dead = [criteria[j].id for j in np.flatnonzero(zero)]
         raise ValueError(f"cannot normalize all-zero column(s): {', '.join(dead)}")
-    return DecisionMatrix(matrix.alternatives, matrix.criteria, cells / norms)
+    return values / norms
 
 
-def ideal_solutions(weighted: DecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Best and worst per-criterion values: (max, min) for benefit, flipped for cost."""
-    benefit = np.array([spec.kind is CriterionKind.BENEFIT for spec in weighted.criteria], dtype=bool)
-    hi, lo = weighted.cells.max(axis=0), weighted.cells.min(axis=0)
+def ideal_solutions(values: np.ndarray, benefit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best and worst value of each column: (max, min) where `benefit` is
+    True, flipped for cost."""
+    hi, lo = values.max(axis=0), values.min(axis=0)
     return np.where(benefit, hi, lo), np.where(benefit, lo, hi)
 
 
@@ -218,9 +222,10 @@ def rank_classic(matrix: DecisionMatrix, weights: Sequence[float]) -> RankingRes
     """Full crisp pipeline: normalize, weight, measure L2 distance to the
     ideal and anti-ideal, and rank by similarity to the worst condition
     (lowest cost first)."""
+    n = matrix.values.shape[1]
     w = np.asarray(weights, dtype=float)
-    if w.shape != (matrix.shape[1],):
-        raise ValueError(f"expected {matrix.shape[1]} weights, got {w.shape}")
+    if w.shape != (n,):
+        raise ValueError(f"expected {n} weights, got {w.shape}")
     if (w < 0).any():
         raise ValueError("criterion weights must be nonnegative")
     total = float(w.sum())
@@ -228,8 +233,8 @@ def rank_classic(matrix: DecisionMatrix, weights: Sequence[float]) -> RankingRes
     if not abs(total - 1.0) <= 1e-9 + 1e-5:
         raise ValueError(f"criterion weights must sum to 1, got {total!r}")
 
-    weighted = DecisionMatrix(matrix.alternatives, matrix.criteria, normalize(matrix).cells * w)
-    e_plus, e_minus = ideal_solutions(weighted)
-    d_plus = np.sqrt(((weighted.cells - e_plus) ** 2).sum(axis=1))
-    d_minus = np.sqrt(((weighted.cells - e_minus) ** 2).sum(axis=1))
+    weighted = normalize(matrix.values, matrix.criteria) * w
+    e_plus, e_minus = ideal_solutions(weighted, benefit_mask(matrix.criteria))
+    d_plus = np.sqrt(((weighted - e_plus) ** 2).sum(axis=1))
+    d_minus = np.sqrt(((weighted - e_minus) ** 2).sum(axis=1))
     return rank_by_closeness("classic", matrix.alternatives, d_plus, d_minus)

@@ -154,13 +154,13 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 def _write_report(
-    data: bytes, scenario: ScenarioFile, caught: list, fmt: str, out: Optional[str], **parts
+    data: bytes, scenario: ScenarioFile, warned: tuple, fmt: str, out: Optional[str], **parts
 ) -> None:
     """Render the run's report over the scenario bytes `data`. CSV has no place
     for warnings, so with `--format csv` they go to stderr, as in `validate`."""
     from .report import RunReport, fingerprint
 
-    warned = tuple(scenario.warnings) + tuple(str(w.message) for w in caught)
+    warned = scenario.warnings + warned
     report = RunReport(fingerprint(data), __version__, warnings=warned, **parts)
     if fmt == "csv":
         for w in report.warnings:
@@ -191,7 +191,7 @@ def _classic_inputs(
     The matrix is the scenario's explicit decision_matrix, or the per-cell
     peak (most probable value) of the pooled fuzzy ratings. Weights come
     from the pairwise matrix when present, otherwise from the criteria's own
-    numeric or linguistic weights, normalized to sum 1.
+    weights (the parser reads a label as its peak), normalized to sum 1.
     """
     from .classic import DecisionMatrix, derive_weights
 
@@ -210,17 +210,13 @@ def _classic_inputs(
     if scenario.pairwise is not None:
         weights = derive_weights(scenario.pairwise)
     else:
-        raw: list[float] = []
-        for spec in scenario.criteria:
-            if spec.weight is None:
-                raise CliError(
-                    f"criterion {spec.id!r} has no weight and the scenario has no "
-                    "'pairwise' matrix; cannot weight the classic engine"
-                )
-            if isinstance(spec.weight, str):
-                raw.append(scenario.scale[spec.weight].b)
-            else:
-                raw.append(float(spec.weight))
+        raw = [spec.weight for spec in scenario.criteria]
+        if None in raw:
+            spec = scenario.criteria[raw.index(None)]
+            raise CliError(
+                f"criterion {spec.id!r} has no weight and the scenario has no "
+                "'pairwise' matrix; cannot weight the classic engine"
+            )
         # scaled by the largest weight first, so weights near the float
         # maximum do not overflow the sum
         top = max(raw)
@@ -233,8 +229,9 @@ def _classic_inputs(
     return matrix, weights
 
 
-def _run_engines(scenario: ScenarioFile, engine: str) -> list[RankingResult]:
-    """Run the chosen engines, pooling the panel's ratings at most once.
+def _run_engines(scenario: ScenarioFile, engine: str) -> tuple[list[RankingResult], tuple]:
+    """Run the chosen engines, pooling the panel's ratings at most once, and
+    return their rankings and the warnings they raised, in order.
 
     A float fault (numpy's RuntimeWarning: overflow, invalid value, division
     by zero) while an engine runs is a computation failure naming that
@@ -247,7 +244,8 @@ def _run_engines(scenario: ScenarioFile, engine: str) -> list[RankingResult]:
     results = []
     running = "classic" if engine == "classic" else "fuzzy"
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             warnings.simplefilter("error", RuntimeWarning)
             pooled = None
             needs_panel = engine != "classic" or scenario.decision_matrix is None
@@ -266,9 +264,9 @@ def _run_engines(scenario: ScenarioFile, engine: str) -> list[RankingResult]:
         raise CliError(f"computation failed in {running}: {exc}", exit_code=EXIT_COMPUTATION)
     except ConvergenceError as exc:
         raise CliError(f"computation failed: {exc}", exit_code=EXIT_COMPUTATION)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CliError(f"cannot rank scenario: {exc}")
-    return results
+    return results, tuple(str(w.message) for w in caught)
 
 
 @click.group()
@@ -288,10 +286,8 @@ def main() -> None:
 def rank(scenario_path: str, engine: str, fmt: str, strict: bool, output: Optional[str]) -> None:
     """Rank attacker actions by cost/benefit closeness."""
     scenario, data = _read_scenario(scenario_path, strict)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rankings = _run_engines(scenario, engine)
-    _write_report(data, scenario, caught, fmt, output, rankings=tuple(rankings))
+    rankings, warned = _run_engines(scenario, engine)
+    _write_report(data, scenario, warned, fmt, output, rankings=tuple(rankings))
 
 
 @main.command()
@@ -306,24 +302,18 @@ def veability(scenario_path: str, fmt: str, strict: bool, output: Optional[str])
     if not scenario.assets:
         raise CliError("scenario has no 'assets' section to score")
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        action_costs = None
-        needs_ranking = any(
-            v.atc_cost is None and v.action is not None for v in scenario.vulnerabilities
-        )
-        if needs_ranking:
-            (ranking,) = _run_engines(scenario, "fuzzy")
-            action_costs = {e.action: e.cost for e in ranking.entries}
-        try:
-            records = resolve_vulnerability_records(scenario, action_costs)
-            profiles = asset_profiles(scenario, records)
-        except (ValueError, KeyError) as exc:
-            raise CliError(f"cannot score assets: {exc}")
-        from .veability import veability_score
+    action_costs, warned = None, ()
+    if any(v.atc_cost is None and v.action is not None for v in scenario.vulnerabilities):
+        (ranking,), warned = _run_engines(scenario, "fuzzy")
+        action_costs = {e.action: e.cost for e in ranking.entries}
+    try:
+        records = resolve_vulnerability_records(scenario, action_costs)
+    except ValueError as exc:
+        raise CliError(f"cannot score assets: {exc}")
+    from .veability import veability_score
 
-        scores = tuple(veability_score(p) for p in profiles)
-    _write_report(data, scenario, caught, fmt, output, assets=scores)
+    scores = tuple(veability_score(p) for p in asset_profiles(scenario, records))
+    _write_report(data, scenario, warned, fmt, output, assets=scores)
 
 
 @main.command()

@@ -35,9 +35,9 @@ is monotone, so none of these steps can break a <= b <= c or make a finite
 number infinite. A scale or matrix built by hand with a negative or infinite
 component is outside that argument, and no stage checks it.
 `FuzzyDecisionMatrix.cells` is a tuple-of-TFN view of the
-values, built on first use; only the benchmark's in-process step
-(`perfbench/workloads.py`) reads it, for the pooled peaks. It goes once
-that step reads `values[..., 1]` instead.
+values, built on first use; no stage reads it. The benchmark's in-process
+step (`perfbench/workloads.py`) reads the pooled peaks through it, and the
+tests read pooled cells as TFNs.
 
 The distances end in `classic.rank_by_closeness`, the closeness-and-ranking
 skeleton both engines share; `classic` states the two cost orientations.
@@ -51,7 +51,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .classic import _HALF_FLOAT_MAX, RankingResult, rank_by_closeness
+from .classic import _HALF_FLOAT_MAX, RankingResult, benefit_mask, rank_by_closeness
 from .scenario import TFN, CriterionKind, CriterionSpec, RatingPanel
 
 
@@ -116,7 +116,7 @@ def normalize_fuzzy(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
     ordered and inside [0, 1].
     """
     v = matrix.values
-    benefit = np.array([spec.kind is CriterionKind.BENEFIT for spec in matrix.criteria], dtype=bool)
+    benefit = benefit_mask(matrix.criteria)
     c_max = v[..., 2].max(axis=0)
     unusable = np.where(benefit, c_max <= 0, (v[..., 2] <= 0).any(axis=0))
     if unusable.any():
@@ -153,12 +153,11 @@ def apply_weights(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
     return FuzzyDecisionMatrix(matrix.alternatives, matrix.criteria, matrix.values * w)
 
 
-def fuzzy_ideals(weighted: FuzzyDecisionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Per criterion: ideal = crisp max of upper bounds, anti-ideal = crisp min
-    of lower bounds, each as an (n, 3) array of degenerate triplets."""
-    v = weighted.values
-    fpis = np.repeat(v[..., 2].max(axis=0)[:, None], 3, axis=1)
-    fnis = np.repeat(v[..., 0].min(axis=0)[:, None], 3, axis=1)
+def fuzzy_ideals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of the (m, n, 3) array: ideal = crisp max of upper bounds,
+    anti-ideal = crisp min of lower bounds, each an (n, 3) degenerate triple."""
+    fpis = np.repeat(values[..., 2].max(axis=0)[:, None], 3, axis=1)
+    fnis = np.repeat(values[..., 0].min(axis=0)[:, None], 3, axis=1)
     return fpis, fnis
 
 
@@ -178,7 +177,7 @@ def rank_fuzzy(weighted: FuzzyDecisionMatrix) -> RankingResult:
     (the closeness coefficient), ties broken by action id. A distance that
     overflows to inf is left to `rank_by_closeness`, which rejects it.
     """
-    fpis, fnis = fuzzy_ideals(weighted)
+    fpis, fnis = fuzzy_ideals(weighted.values)
     with np.errstate(over="ignore"):
         d_plus = _vertex_distance(weighted.values, fpis).sum(axis=1)
         d_minus = _vertex_distance(weighted.values, fnis).sum(axis=1)

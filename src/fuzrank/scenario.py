@@ -24,11 +24,11 @@ it built. It states every graph rule itself: `_parse_graph` locates each
 problem with the graph's ids, edges and targets in the document, then checks
 what only the whole graph shows (each node's kind against its edges, cycles,
 reachability of the final steps) under `$.graph`, and builds the
-`AttackGraph`. It checks a <= b <= c on each scale entry; and it states
-every matrix rule itself: `_parse_pairwise` the square, positive,
-unit-diagonal, reciprocal comparison matrix, `_parse_decision_matrix` the
-nonnegative finite decision matrix. Both matrices are held as tuples of
-float rows, which `classic` reads as arrays.
+`AttackGraph`. It checks a <= b <= c on each scale entry, reads a label
+weight of a criterion as its peak b, and states every matrix rule itself:
+`_parse_pairwise` the square, positive, unit-diagonal, reciprocal matrix,
+`_parse_decision_matrix` the nonnegative finite decision matrix. Both
+matrices are held as tuples of float rows, which `classic` reads as arrays.
 
 The parser builds the scoring types itself: each vulnerability becomes a
 `VulnerabilityRecord` and each asset an `AssetProfile` of those records, with
@@ -71,7 +71,7 @@ class CriterionKind(Enum):
 class CriterionSpec(NamedTuple):
     id: str
     kind: CriterionKind = CriterionKind.BENEFIT
-    weight: Optional[object] = None  # numeric for crisp runs, label for fuzzy runs
+    weight: Optional[float] = None  # the classic engine's; a scale label is read as its peak
 
 
 class TFN(NamedTuple):
@@ -375,15 +375,15 @@ def _parse_criteria(
                 f"unknown layer {layer_raw!r}; use 'target', 'criteria' or 'indicator'",
             )
         weight = item.get("weight")
-        if weight is not None:
-            if isinstance(weight, str):
-                if weight not in scale:
-                    col.error(
-                        f"{path}.weight",
-                        f"label {weight!r} not in the scale ({', '.join(scale)})",
-                    )
-            elif _number(col, f"{path}.weight", weight, lo=0) is not None:
-                weight = float(weight)
+        if isinstance(weight, str):
+            if weight in scale:
+                weight = float(scale[weight].b)
+            else:
+                col.error(
+                    f"{path}.weight", f"label {weight!r} not in the scale ({', '.join(scale)})"
+                )
+        elif weight is not None:
+            weight = _number(col, f"{path}.weight", weight, lo=0)
         out.append(CriterionSpec(cid, kind=kind, weight=weight))
     return tuple(out)
 

@@ -13,6 +13,7 @@ from fuzrank.classic import (
     CriterionKind,
     CriterionSpec,
     DecisionMatrix,
+    benefit_mask,
     consistency_ratio,
     derive_weights,
     ideal_solutions,
@@ -195,29 +196,33 @@ def test_consistency_ratio():
 
 # --- normalize / ideals ---------------------------------------------------------
 
+def normalize_cells(cells):
+    m = dm(cells)
+    return normalize(m.values, m.criteria)
+
+
 def test_normalize_three_four_five():
-    n = normalize(dm([[3], [4]]))
-    assert n.cells[:, 0] == pytest.approx([0.6, 0.8])
+    assert normalize_cells([[3], [4]])[:, 0] == pytest.approx([0.6, 0.8])
 
 
 def test_normalize_single_alternative():
-    assert normalize(dm([[7.3]])).cells[0, 0] == pytest.approx(1.0)
+    assert normalize_cells([[7.3]])[0, 0] == pytest.approx(1.0)
 
 
 def test_normalize_scale_invariance():
-    a = normalize(dm([[1, 5], [2, 3], [4, 8]]))
-    b = normalize(dm([[10, 5], [20, 3], [40, 8]]))
-    assert a.cells == pytest.approx(b.cells)
+    a = normalize_cells([[1, 5], [2, 3], [4, 8]])
+    b = normalize_cells([[10, 5], [20, 3], [40, 8]])
+    assert a == pytest.approx(b)
 
 
 def test_normalize_rejects_zero_column():
-    with pytest.raises(ValueError, match="all-zero"):
-        normalize(dm([[0, 1], [0, 2]]))
+    with pytest.raises(ValueError, match="all-zero column\\(s\\): C-1$"):
+        normalize_cells([[0, 1], [0, 2]])
 
 
 def test_ideal_solutions():
-    w = dm([[0.1, 0.1, 0.2], [0.3, 0.3, 0.2]], kinds=[B, CO, B])
-    e_plus, e_minus = ideal_solutions(w)
+    values = np.array([[0.1, 0.1, 0.2], [0.3, 0.3, 0.2]])
+    e_plus, e_minus = ideal_solutions(values, benefit_mask(crits([B, CO, B])))
     assert e_plus == pytest.approx([0.3, 0.1, 0.2])
     assert e_minus == pytest.approx([0.1, 0.3, 0.2])
 
@@ -318,13 +323,13 @@ def test_stage_results_are_finite_and_nonnegative(m, n, data):
     matrix = dm(cells.reshape(m, n))
     raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
     try:
-        normalized = normalize(matrix)
+        normalized = normalize(matrix.values, matrix.criteria)
     except ValueError:  # an all-zero column
         return
     with mock.patch.object(classic, "ideal_solutions", wraps=classic.ideal_solutions) as spy:
         rank_classic(matrix, raw / raw.sum())
     for stage in (normalized, spy.call_args.args[0]):
-        assert np.isfinite(stage.cells).all() and (stage.cells >= 0).all()
+        assert np.isfinite(stage).all() and (stage >= 0).all()
 
 
 @pytest.mark.filterwarnings("ignore:classic ranking:UserWarning")
@@ -371,9 +376,8 @@ def test_rank_huge_column_matches_scaled_down():
 
 
 def test_benefit_cost_flip_swaps_ideals():
-    w = dm([[0.2, 0.5], [0.4, 0.1]], kinds=[B, B])
-    e_plus_b, e_minus_b = ideal_solutions(w)
-    w_cost = dm(w.cells, kinds=[CO, CO])
-    e_plus_c, e_minus_c = ideal_solutions(w_cost)
+    w = np.array([[0.2, 0.5], [0.4, 0.1]])
+    e_plus_b, e_minus_b = ideal_solutions(w, benefit_mask(crits([B, B])))
+    e_plus_c, e_minus_c = ideal_solutions(w, benefit_mask(crits([CO, CO])))
     assert e_plus_b == pytest.approx(e_minus_c)
     assert e_minus_b == pytest.approx(e_plus_c)

@@ -210,6 +210,58 @@ def test_rank_scenario_without_panel_fuzzy_fails(runner, tmp_path):
     assert "needs a 'panel'" in bad.output
 
 
+CRISP = {
+    "schema_version": "1",
+    "criteria": [{"id": "C-1", "weight": 1.0}, {"id": "C-2", "kind": "cost", "weight": 2.0}],
+    "actions": ["A1", "A2"],
+    "decision_matrix": {"A1": {"C-1": 2.0, "C-2": 1.0}, "A2": {"C-1": 3.0, "C-2": 4.0}},
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (["rank", "--engine", "classic"], {**CRISP, "decision_matrix": None},
+         "classic engine needs a 'decision_matrix' or a 'panel' in the scenario"),
+        (["rank", "--engine", "classic"],
+         {**CRISP, "criteria": [{"id": "C-1", "weight": 1.0}, {"id": "C-2", "kind": "cost"}]},
+         "criterion 'C-2' has no weight and the scenario has no 'pairwise' matrix; "
+         "cannot weight the classic engine"),
+        (["rank", "--engine", "classic"],
+         {**CRISP, "criteria": [{"id": "C-1", "weight": 0}, {"id": "C-2", "weight": 0.0}]},
+         "criterion weights sum to zero; cannot weight the classic engine"),
+        (["veability"],
+         {"schema_version": "1",
+          "vulnerabilities": [{"cve": "C", "impact_score": 5, "exploitability_score": 5,
+                               "temporal_score": 5}],
+          "assets": [{"id": "h", "vulnerabilities": ["C"]}]},
+         "cannot score assets: vulnerability C has no atc_cost and no ranked action to take it from"),
+    ],
+    ids=["no-matrix-no-panel", "unweighted-criterion", "zero-weights", "no-cost-no-action"],
+)
+def test_run_time_input_rules_exit_one(runner, tmp_path, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+    result = runner.invoke(main, [command[0], str(path), *command[1:]])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"Error: {message}\n"
+
+
+def test_label_weights_rank_as_their_peaks(runner, tmp_path):
+    rankings = []
+    for c1, c2 in (("VH", "L"), (9, 3)):
+        criteria = [{"id": "C-1", "weight": c1}, {"id": "C-2", "kind": "cost", "weight": c2}]
+        path = tmp_path / f"{c1}.json"
+        path.write_text(json.dumps({**CRISP, "criteria": criteria}))
+        result = runner.invoke(
+            main, ["rank", str(path), "--engine", "classic", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        rankings.append(json.loads(result.output)["rankings"])
+    assert rankings[0] == rankings[1]
+
+
 def test_rank_pooled_peak_rounding_above_upper_bound(runner, tmp_path):
     # three raters at (0, 0.1, 0.1) pool to a float mean peak of
     # 0.10000000000000002, one ulp above the pooled upper bound

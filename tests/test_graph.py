@@ -87,13 +87,17 @@ def oracle_minimal_sets(graph, goal):
     return {s for s in satisfying if not any(t < s for t in satisfying)}
 
 
-def random_typed_dag(rng):
+def random_typed_dag(rng, relabel=False):
+    """A typed DAG of 3 to 12 nodes, built in a topological order whose ids
+    ascend; with `relabel`, the ids are a seeded permutation of those, so
+    sorted-id order is no longer a topological order."""
     total = int(rng.integers(3, 13))
+    names = [f"n{i:02d}" for i in (rng.permutation(total) if relabel else range(total))]
     n_cfg = int(rng.integers(1, max(2, total // 3) + 1))
     nodes, edges = [], []
     pred_pool = []  # ids usable as predecessors (everything but final steps)
     for i in range(total):
-        nid = f"n{i:02d}"
+        nid = names[i]
         if i < n_cfg:
             nodes.append(n(nid, C))
             pred_pool.append(nid)
@@ -530,19 +534,61 @@ def test_search_matches_reference_at_every_cap(seed, data):
     g = random_typed_dag(np.random.default_rng(seed))
     goal = data.draw(st.sampled_from(sorted(g.nodes)))
     for cap in range(1, 13):
-        try:
-            ids, masks = reference_minimal_masks(g, goal, cap)
-        except PathExplosionError as exc:
-            for search in (enumerate_paths, subgraph_to_goal):
-                with pytest.raises(PathExplosionError) as got:
-                    search(g, goal, cap)
-                assert str(got.value) == str(exc)
-            continue
-        sets = {frozenset(ids[i] for i in range(len(ids)) if m >> i & 1) for m in masks}
-        paths = enumerate_paths(g, goal, cap)
-        assert len(paths) == len(masks)
-        assert {frozenset(p) for p in paths} == sets
-        assert set(subgraph_to_goal(g, goal, cap).nodes) == set().union(*sets)
+        assert_matches_reference(g, goal, cap)
+
+
+def reference_linearize(graph, path):
+    """The nodes of `path` in topological order, the smallest ready id first."""
+    order, left = [], set(path)
+    while left:
+        nid = min(x for x in left if left.isdisjoint(graph._preds[x]))
+        order.append(nid)
+        left.remove(nid)
+    return tuple(order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_search_matches_reference_on_relabelled_dags(seed, data):
+    """With ids out of topological order, the search meets nodes it has
+    already pushed, and each path picks among ready nodes out of id order."""
+    g = random_typed_dag(np.random.default_rng(seed), relabel=True)
+    goal = data.draw(st.sampled_from(sorted(g.nodes)))
+    for cap in range(1, 13):
+        assert_matches_reference(g, goal, cap)
+    paths = enumerate_paths(g, goal)
+    assert {frozenset(p) for p in paths} == oracle_minimal_sets(g, goal)
+    assert paths == sorted(reference_linearize(g, p) for p in paths)
+
+
+def test_node_pushed_twice_is_searched_once():
+    # g's sorted predecessors are (a, p), and p is also a's predecessor, so p
+    # is pushed for g, then again for a on top of it
+    g = graph_of(
+        [n("c1", C), n("c2", C), n("p", P), n("a", S), n("g", F)],
+        [("c1", "p"), ("c2", "p"), ("p", "a"), ("a", "g"), ("p", "g")],
+    )
+    assert enumerate_paths(g, "g") == [("c1", "p", "a", "g"), ("c2", "p", "a", "g")]
+    for cap in range(1, 4):
+        assert_matches_reference(g, "g", cap)
+
+
+def test_and_node_passes_the_cap_partway_through_its_predecessors():
+    # s is an AND over three privileges of two minimal sets each: 2, 4 and
+    # then 8 candidates, so a cap of 3 is passed at the second predecessor
+    # and a cap of 7 at the third
+    nodes, edges = [n("s", S)], []
+    for k in range(3):
+        nodes += [n(f"c{k}a", C), n(f"c{k}b", C), n(f"p{k}", P)]
+        edges += [(f"c{k}a", f"p{k}"), (f"c{k}b", f"p{k}"), (f"p{k}", "s")]
+    g = graph_of(nodes, edges)
+    for cap in (3, 7):
+        with pytest.raises(PathExplosionError, match=f"more than {cap} candidate paths while "
+                           "expanding 's'"):
+            enumerate_paths(g, "s", cap)
+    for cap in range(1, 10):
+        assert assert_matches_reference(g, "s", cap) == (cap >= 8)
+    assert len(enumerate_paths(g, "s", 8)) == 8
 
 
 def test_or_node_over_mixed_size_families_still_absorbs():

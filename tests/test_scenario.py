@@ -376,6 +376,75 @@ def test_repeated_scheme_code_rejected_even_lax():
     assert errors_of(text) == ["$.schemes[1].code: duplicate scheme code 'X'"]
 
 
+def test_redeclared_predefined_scheme_warns_and_is_ignored():
+    scenario = parse_scenario(minimal(schemes=[{"code": "I", "description": "again"}]))
+    assert scenario.warnings == ("$.schemes[0].code: scheme 'I' is predefined; declaration ignored",)
+
+
+ONE_NODE_GRAPH = {
+    "nodes": [{"id": "c", "kind": "configuration"}, {"id": "f", "kind": "final_step"}],
+    "edges": [["c", "f"]],
+    "targets": ["f"],
+}
+PANEL_SECTIONS = {"criteria": [{"id": "C-1"}], "actions": ["A1"]}
+ONE_RATER_PANEL = {
+    "decision_makers": ["r"],
+    "ratings": {"r": {"A1": {"C-1": "H"}}},
+    "weights": {"r": {"C-1": "H"}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, strict, expected",
+    [
+        ({"scale": [1, 2, 3]}, False,
+         ["$.scale: expected an object of label -> [a, b, c], got list"]),
+        ({"schemes": [{"code": "I", "description": "again"}]}, True,
+         ["$.schemes[0].code: scheme 'I' is predefined; declaration ignored (strict mode)"]),
+        ({"schemes": [{"code": "X"}]}, False,
+         ["$.schemes[0].description: scheme description must be a nonempty string"]),
+        ({"actions": {"A1": 1}}, False, ["$.actions: expected a list of action ids, got dict"]),
+        ({"graph": []}, False, ["$.graph: expected an object with nodes/edges/targets, got list"]),
+        ({"graph": {**ONE_NODE_GRAPH, "nodes": [
+            {"id": "c", "kind": "configuration", "scheme": "Z"}, {"id": "f", "kind": "final_step"}
+        ]}}, False,
+         ["$.graph.nodes[0].scheme: scheme 'Z' is neither predefined (I, S, P) nor declared"]),
+        ({"graph": {**ONE_NODE_GRAPH, "targets": ["f", 7]}}, False,
+         ["$.graph.targets[1]: expected a node id string"]),
+        ({**PANEL_SECTIONS, "panel": []}, False, ["$.panel: expected an object, got list"]),
+        ({"criteria": [{"id": "C-1"}], "panel": ONE_RATER_PANEL}, False,
+         ["$.panel: a panel requires a nonempty top-level 'actions' list"]),
+        ({**PANEL_SECTIONS, "panel": {**ONE_RATER_PANEL, "decision_makers": ["r", "r"]}}, False,
+         ["$.panel.decision_makers: rater names must be unique"]),
+        ({**PANEL_SECTIONS, "panel": {**ONE_RATER_PANEL, "weights": ["H"]}}, False,
+         ["$.panel.weights: expected an object keyed by rater, got list"]),
+        ({**PANEL_SECTIONS, "decision_matrix": [[1.0]]}, False,
+         ["$.decision_matrix: expected an object keyed by action id, got list"]),
+        ({"actions": ["A1"], "decision_matrix": {"A1": {}}}, False,
+         ["$.decision_matrix: requires top-level 'actions' and 'criteria' lists"]),
+        ({"vulnerabilities": [{"cve": "CVE-1", "impact_score": 5.0}]}, False,
+         ["$.vulnerabilities[0]: impact_score and exploitability_score must be given together"]),
+    ],
+    ids=[
+        "scale-not-object", "predefined-scheme-strict", "scheme-without-description",
+        "actions-not-list", "graph-not-object", "unknown-node-scheme", "target-not-string",
+        "panel-not-object", "panel-without-actions", "repeated-rater", "panel-weights-not-object",
+        "matrix-not-object", "matrix-without-criteria", "one-explicit-subscore",
+    ],
+)
+def test_section_shape_errors(doc, strict, expected):
+    assert errors_of(minimal(**doc), strict=strict) == expected
+
+
+def test_label_weights_are_read_as_their_peaks():
+    scale = {"lo": [0, 0.5, 1], "hi": [1, 2.5, 4]}
+    criteria = [{"id": "C-1", "weight": "hi"}, {"id": "C-2", "weight": 3}, {"id": "C-3"}]
+    scenario = parse_scenario(minimal(scale=scale, criteria=criteria))
+    assert [c.weight for c in scenario.criteria] == [2.5, 3.0, None]
+    defaults = parse_scenario(minimal(criteria=[{"id": "C-1", "weight": "VH"}]))
+    assert type(defaults.criteria[0].weight) is float and defaults.criteria[0].weight == 9.0
+
+
 def test_criterion_layer_is_checked_but_changes_nothing():
     layered = parse_scenario(minimal(criteria=[{"id": "C-1", "layer": "indicator"}]), strict=True)
     plain = parse_scenario(minimal(criteria=[{"id": "C-1"}]), strict=True)
