@@ -663,9 +663,12 @@ def test_graph_goal_on_twelve_layers_needs_a_raised_cap(runner, tmp_path):
 
 
 def test_validate_ok_and_strict(runner, scenario_file, tmp_path):
-    ok = runner.invoke(main, ["validate", str(scenario_file), "--strict"])
-    assert ok.exit_code == 0
-    assert "OK" in ok.output
+    crisp = tmp_path / "crisp.json"
+    crisp.write_text(json.dumps(CRISP))
+    for path in (scenario_file, crisp):
+        ok = runner.invoke(main, ["validate", str(path), "--strict"])
+        assert ok.exit_code == 0
+        assert ok.output == f"OK: {path} is a valid scenario\n"
 
     lax = tmp_path / "lax.json"
     lax.write_text(json.dumps({"schema_version": "1", "surprise": True}))
