@@ -318,7 +318,9 @@ def veability(scenario_path: str, fmt: str, strict: bool, output: Optional[str])
 
 @main.command()
 @click.argument("scenario_path", metavar="SCENARIO")
-@click.option("--goal", help="Restrict the graph to minimal paths reaching this node.")
+@click.option("--goal", help="Restrict the graph to minimal paths reaching this node. Exits 2 "
+              "past FUZRANK_PATH_CAP candidate paths (default 10000); raise that variable "
+              "to enumerate anyway.")
 @click.option("--strict", is_flag=True, help="Treat scenario warnings as errors.")
 @click.option("-o", "--output", help="Write DOT to this path instead of stdout.")
 def graph(scenario_path: str, goal: Optional[str], strict: bool, output: Optional[str]) -> None:

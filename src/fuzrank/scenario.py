@@ -19,6 +19,12 @@ accepted only when every key and cell is exactly where it should be.
 `_explain_grid` runs only to explain a grid that pass refused, and reports
 every problem found.
 
+A refused section draws no follow-on errors: nothing is checked against a
+scale override that drew any error, or against an `actions` or `criteria`
+section that is present but not a list. Such a section is passed on as None,
+and each section that reads it skips the checks that need it; the refused
+section's own errors say what is wrong.
+
 The parser is the one checker of the input; the stages after it trust what
 it built. It states every graph rule itself: `_parse_graph` locates each
 problem with the graph's ids, edges and targets in the document, then checks
@@ -307,11 +313,14 @@ def parse_scenario(text: str, strict: bool = False) -> ScenarioFile:
     )
 
 
-def _parse_scale(col: _Collector, raw: Any) -> dict[str, TFN]:
+def _parse_scale(col: _Collector, raw: Any) -> Optional[dict[str, TFN]]:
+    """The default scale when `raw` is absent, else the override, or None
+    when the override drew any error (the reasons then in `col`)."""
     if raw is None:
         return default_scale()
     if not _expect(col, "$.scale", raw, dict, "an object of label -> [a, b, c]"):
-        return default_scale()
+        return None
+    before = len(col.errors)
     entries: dict[str, TFN] = {}
     for label, triple in raw.items():
         path = f"$.scale.{label}"
@@ -328,8 +337,7 @@ def _parse_scale(col: _Collector, raw: Any) -> dict[str, TFN]:
             col.error(path, f"TFN components must satisfy a <= b <= c, got ({a}, {b}, {c})")
     if not entries:
         col.error("$.scale", "scale override has no valid entries")
-        return default_scale()
-    return entries
+    return entries if len(col.errors) == before else None
 
 
 def _parse_schemes(col: _Collector, raw: Any) -> set[str]:
@@ -353,8 +361,11 @@ def _parse_schemes(col: _Collector, raw: Any) -> set[str]:
 
 
 def _parse_criteria(
-    col: _Collector, raw: Any, scale: Mapping[str, TFN]
-) -> tuple[CriterionSpec, ...]:
+    col: _Collector, raw: Any, scale: Optional[Mapping[str, TFN]]
+) -> Optional[tuple[CriterionSpec, ...]]:
+    """The criteria, or None when the section is present but not a list. A
+    label weight is read as its peak, and not checked against a refused
+    scale (None)."""
     if raw is None:
         return ()
     out: list[CriterionSpec] = []
@@ -376,7 +387,9 @@ def _parse_criteria(
             )
         weight = item.get("weight")
         if isinstance(weight, str):
-            if weight in scale:
+            if scale is None:
+                weight = None
+            elif weight in scale:
                 weight = float(scale[weight].b)
             else:
                 col.error(
@@ -385,14 +398,15 @@ def _parse_criteria(
         elif weight is not None:
             weight = _number(col, f"{path}.weight", weight, lo=0)
         out.append(CriterionSpec(cid, kind=kind, weight=weight))
-    return tuple(out)
+    return tuple(out) if isinstance(raw, list) else None
 
 
-def _parse_actions(col: _Collector, raw: Any) -> tuple[str, ...]:
+def _parse_actions(col: _Collector, raw: Any) -> Optional[tuple[str, ...]]:
+    """The action ids, or None when the section is present but not a list."""
     if raw is None:
         return ()
     if not _expect(col, "$.actions", raw, list, "a list of action ids"):
-        return ()
+        return None
     out: dict[str, None] = {}
     for i, item in enumerate(raw):
         if not isinstance(item, str) or not item:
@@ -553,9 +567,9 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
 def _parse_panel(
     col: _Collector,
     raw: Any,
-    actions: tuple[str, ...],
-    criteria: tuple[CriterionSpec, ...],
-    scale: Mapping[str, TFN],
+    actions: Optional[tuple[str, ...]],
+    criteria: Optional[tuple[CriterionSpec, ...]],
+    scale: Optional[Mapping[str, TFN]],
 ) -> Optional[RatingPanel]:
     """The rating panel as label codes, or None when it is absent or refused
     (the reasons then in `col`).
@@ -563,19 +577,21 @@ def _parse_panel(
     The ratings and the weights are keyed grids, each decoded in one pass by
     `_leaves`, with no Python-level call per row, the label codes streamed
     into the array; a label outside the scale fails the code lookup. Only for
-    a refused panel does `_explain_grid` run, to report every problem.
+    a refused panel does `_explain_grid` run, to report every problem. A
+    refused section (None) is not checked against: with refused actions or
+    criteria the panel is not read, and with a refused scale its labels are
+    not checked.
     """
     if raw is None:
         return None
     if not _expect(col, "$.panel", raw, dict, "an object"):
         return None
     col.unknown_keys("$.panel", raw, _PANEL_KEYS)
-    if not actions:
-        col.error("$.panel", "a panel requires a nonempty top-level 'actions' list")
-        return None
-    if not criteria:
-        col.error("$.panel", "a panel requires a nonempty top-level 'criteria' list")
-        return None
+    for section, ids in (("actions", actions), ("criteria", criteria)):
+        if not ids:
+            if ids is not None:
+                col.error("$.panel", f"a panel requires a nonempty top-level {section!r} list")
+            return None
 
     raters_raw = raw.get("decision_makers")
     if not (
@@ -596,7 +612,8 @@ def _parse_panel(
     weights = raw.get("weights")
     import numpy as np
 
-    code_of = {label: i for i, label in enumerate(scale)}.__getitem__
+    # a refused scale has no codes, so its panel is only explained
+    code_of = {label: i for i, label in enumerate(scale or ())}.__getitem__
     k, m, n = len(raters), len(actions), len(crit_ids)
     try:
         rating_codes = np.fromiter(
@@ -617,7 +634,7 @@ def _parse_panel(
 
     # The panel is refused: say why.
     def check_label(path: str, label: Any) -> None:
-        if not isinstance(label, str) or label not in scale:
+        if scale is not None and (not isinstance(label, str) or label not in scale):
             col.error(path, f"label {label!r} not in the scale ({', '.join(scale)})")
 
     for dm in raters:
@@ -698,7 +715,7 @@ def _explain_grid(
 
 
 def _parse_pairwise(
-    col: _Collector, raw: Any, criteria: tuple[CriterionSpec, ...]
+    col: _Collector, raw: Any, criteria: Optional[tuple[CriterionSpec, ...]]
 ) -> Optional[_Rows]:
     """The pairwise comparison matrix as rows of floats, or None when it is
     absent or refused (the reasons then in `col`).
@@ -713,6 +730,8 @@ def _parse_pairwise(
     if raw is None:
         return None
     if not _expect(col, "$.pairwise", raw, list, "a square matrix (list of rows)"):
+        return None
+    if criteria is None:
         return None
     if not criteria:
         col.error(
@@ -751,8 +770,8 @@ def _parse_pairwise(
 def _parse_decision_matrix(
     col: _Collector,
     raw: Any,
-    actions: tuple[str, ...],
-    criteria: tuple[CriterionSpec, ...],
+    actions: Optional[tuple[str, ...]],
+    criteria: Optional[tuple[CriterionSpec, ...]],
 ) -> Optional[_Rows]:
     """The crisp decision matrix as one row of floats per action, or None
     when it is absent or refused (the reasons then in `col`).
@@ -766,7 +785,8 @@ def _parse_decision_matrix(
     if not _expect(col, "$.decision_matrix", raw, dict, "an object keyed by action id"):
         return None
     if not actions or not criteria:
-        col.error("$.decision_matrix", "requires top-level 'actions' and 'criteria' lists")
+        if actions is not None and criteria is not None:
+            col.error("$.decision_matrix", "requires top-level 'actions' and 'criteria' lists")
         return None
     crit_ids = tuple(c.id for c in criteria)
     try:
@@ -790,7 +810,7 @@ def _parse_decision_matrix(
 
 
 def _parse_vulnerabilities(
-    col: _Collector, raw: Any, actions: tuple[str, ...]
+    col: _Collector, raw: Any, actions: Optional[tuple[str, ...]]
 ) -> tuple[VulnerabilityRecord, ...]:
     if raw is None:
         return ()
@@ -863,7 +883,7 @@ def _parse_vulnerabilities(
                 continue
 
         action = item.get("action")
-        if action is not None and action not in actions:
+        if action is not None and actions is not None and action not in actions:
             col.error(f"{path}.action", f"unknown action {action!r}")
             continue
 

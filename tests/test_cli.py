@@ -648,6 +648,18 @@ def test_graph_path_cap_env(runner, scenario_file):
     assert "FUZRANK_PATH_CAP" in bad.output
 
 
+def test_graph_help_names_the_path_cap(runner):
+    from fuzrank.graph import DEFAULT_PATH_CAP
+
+    result = runner.invoke(main, ["graph", "--help"])
+    assert result.exit_code == 0
+    assert (
+        "--goal TEXT Restrict the graph to minimal paths reaching this node. Exits 2 past "
+        f"FUZRANK_PATH_CAP candidate paths (default {DEFAULT_PATH_CAP}); raise that variable "
+        "to enumerate anyway."
+    ) in " ".join(result.output.split())
+
+
 def test_graph_goal_on_twelve_layers_needs_a_raised_cap(runner, tmp_path):
     from test_graph import layered_doc
 

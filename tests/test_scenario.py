@@ -436,6 +436,49 @@ def test_section_shape_errors(doc, strict, expected):
     assert errors_of(minimal(**doc), strict=strict) == expected
 
 
+X_PANEL = {
+    "decision_makers": ["r1", "r2"],
+    "ratings": {"r1": {"A1": {"C-1": "X"}}, "r2": {"A1": {"C-1": "X"}}},
+    "weights": {"r1": {"C-1": "X"}, "r2": {"C-1": "X"}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, expected",
+    [
+        ({"scale": [1, 2, 3], "criteria": [{"id": "C-1", "weight": "X"}]},
+         ["$.scale: expected an object of label -> [a, b, c], got list"]),
+        ({"scale": {"X": [1, 2]}, **PANEL_SECTIONS, "panel": X_PANEL},
+         ["$.scale.X: expected a [a, b, c] triple",
+          "$.scale: scale override has no valid entries"]),
+        ({"scale": {"X": [1, 2, 3], "Y": [3, 2, 1]}, "criteria": [{"id": "C-1", "weight": "Y"}]},
+         ["$.scale.Y: TFN components must satisfy a <= b <= c, got (3.0, 2.0, 1.0)"]),
+        ({"scale": [1, 2, 3], **PANEL_SECTIONS,
+          "panel": {**X_PANEL, "ratings": {"r1": {"A1": {"C-1": "X"}}}}},
+         ["$.scale: expected an object of label -> [a, b, c], got list",
+          "$.panel.ratings.r2: missing rating grid for decision maker 'r2'"]),
+        ({"actions": "A1",
+          "vulnerabilities": [{"cve": "CVE-1", "impact_score": 5, "exploitability_score": 5,
+                               "temporal_score": 5, "action": "A1"}]},
+         ["$.actions: expected a list of action ids, got str"]),
+        ({"actions": "A1", "criteria": [{"id": "C-1"}], "panel": ONE_RATER_PANEL,
+          "decision_matrix": {"A1": {"C-1": 1}}},
+         ["$.actions: expected a list of action ids, got str"]),
+        ({"criteria": {"C-1": {}}, "actions": ["A1"], "panel": ONE_RATER_PANEL,
+          "pairwise": [[1]], "decision_matrix": {"A1": {"C-1": 1}}},
+         ["$.criteria: expected a list of criterion objects, got dict"]),
+    ],
+    ids=["scale-not-object", "scale-without-valid-entry", "scale-partly-refused",
+         "scale-refused-panel-keeps-its-own-errors", "actions-not-list-vulnerability",
+         "actions-not-list-panel-and-matrix", "criteria-not-list"],
+)
+def test_refused_section_draws_no_follow_on_errors(doc, expected):
+    """A section the parser refuses is checked against by no other section;
+    the refused section's own errors, and those of the sections that read
+    it, stay."""
+    assert errors_of(minimal(**doc)) == expected
+
+
 def test_label_weights_are_read_as_their_peaks():
     scale = {"lo": [0, 0.5, 1], "hi": [1, 2.5, 4]}
     criteria = [{"id": "C-1", "weight": "hi"}, {"id": "C-2", "weight": 3}, {"id": "C-3"}]
