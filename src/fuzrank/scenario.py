@@ -363,9 +363,7 @@ def _parse_schemes(col: _Collector, raw: Any) -> set[str]:
 def _parse_criteria(
     col: _Collector, raw: Any, scale: Optional[Mapping[str, TFN]]
 ) -> Optional[tuple[CriterionSpec, ...]]:
-    """The criteria, or None when the section is present but not a list. A
-    label weight is read as its peak, and not checked against a refused
-    scale (None)."""
+    """The criteria, or None when the section is present but not a list."""
     if raw is None:
         return ()
     out: list[CriterionSpec] = []
@@ -577,10 +575,7 @@ def _parse_panel(
     The ratings and the weights are keyed grids, each decoded in one pass by
     `_leaves`, with no Python-level call per row, the label codes streamed
     into the array; a label outside the scale fails the code lookup. Only for
-    a refused panel does `_explain_grid` run, to report every problem. A
-    refused section (None) is not checked against: with refused actions or
-    criteria the panel is not read, and with a refused scale its labels are
-    not checked.
+    a refused panel does `_explain_grid` run, to report every problem.
     """
     if raw is None:
         return None
@@ -731,12 +726,11 @@ def _parse_pairwise(
         return None
     if not _expect(col, "$.pairwise", raw, list, "a square matrix (list of rows)"):
         return None
-    if criteria is None:
-        return None
     if not criteria:
-        col.error(
-            "$.pairwise", "a pairwise matrix requires a nonempty top-level 'criteria' list"
-        )
+        if criteria is not None:
+            col.error(
+                "$.pairwise", "a pairwise matrix requires a nonempty top-level 'criteria' list"
+            )
         return None
     n = len(criteria)
     if len(raw) != n:
