@@ -1,18 +1,23 @@
 """Attack-action ranking over 5G-style attack graphs (crisp and fuzzy TOPSIS)
 and VEA-bility asset scoring.
 
-The supported entry points are the `fuzrank` command line and the module
-functions the benchmark (`perfbench/workloads.py`) imports to run the same
-work in process. The command line's process entry is `fuzrank.__main__`
-(the installed script and `python -m fuzrank`); its commands live in
-`fuzrank.cli`, whose `main` tests and library callers invoke. The module
-functions are `scenario.parse_scenario`, `resolve_vulnerability_records` and
+The supported entry points are the `fuzrank` command line, the run layer
+`fuzrank.pipeline`, and the module functions the benchmark
+(`perfbench/workloads.py`) imports to run the same work in process. The
+command line's process entry is `fuzrank.__main__` (the installed script
+and `python -m fuzrank`); its commands live in `fuzrank.cli`, whose `main`
+tests and library callers invoke. Each command's work is one call into the
+run layer, on a parsed scenario: `pipeline.rank`, `pipeline.score_assets`
+and `pipeline.select_graph`, which raise `pipeline.RunError` with the
+command's message and exit code. The module functions are
+`scenario.parse_scenario`, `resolve_vulnerability_records` and
 `asset_profiles`, the fuzzy stages `aggregate_ratings`, `normalize_fuzzy`,
-`apply_weights` and `rank_fuzzy`, `classic.DecisionMatrix`, `derive_weights`
-and `rank_classic`, `graph.subgraph_to_goal`, `export_dot`, `enumerate_paths`
-and `DEFAULT_PATH_CAP`, and `veability.veability_score`, with the report in
-`report.RunReport` and `fingerprint`. Import them from their modules; the
-package itself carries only the version and `_start_process`.
+`apply_weights` and `rank_fuzzy`, `classic.DecisionMatrix`,
+`derive_weights` and `rank_classic`, `graph.subgraph_to_goal`,
+`export_dot`, `enumerate_paths` and `DEFAULT_PATH_CAP`, and
+`veability.veability_score`, with the report in `report.RunReport` and
+`fingerprint`. Import them from their modules; the package itself carries
+only the version and `_start_process`.
 
 The process policy. A `fuzrank` process (`fuzrank.__main__`, or `python -m
 fuzrank.cli`) calls `_start_process` before click and numpy load. It

@@ -11,20 +11,11 @@ existing target that is not a regular file, such as a FIFO or a device. A
 failed write to stdout is an exit-1 error, except a broken pipe, which click
 ends with exit 1 and nothing on stderr.
 
-Start-up bounds a call, so each command loads only what it uses. `import
-fuzrank.cli` loads click, numpy and the scenario parser, and no other fuzrank
-module; numpy and click stay at the top only because the benchmark's
-import-time probe (`perfbench/run.py`) expects `import fuzrank.cli` to load
-both. The parser loads no engine, and a section's module only with the
-section (see `scenario`): `graph` for a graph, `cvss` and `veability` for
-vulnerabilities or assets. Then `rank` loads `classic`, `fuzzy` and `report`
-(with `hashlib`, and `csv` for `--format csv`); `veability` loads `veability`
-and `report`, and the engines only when a cost must come from the ranking;
-`graph` loads `graph`; `validate` loads nothing more. So `validate` never
-loads an engine, `graph` on a document with only a graph loads neither
-engine, and `rank` on a document with no graph never loads `graph`. No
-fuzrank module uses `dataclasses`, which generates each class's methods by
-`exec` at import: records are NamedTuples or plain classes.
+Each command's work is a call into `fuzrank.pipeline`, which also says
+which modules each command loads; this module parses the arguments, reads
+the scenario, and writes what the call returns. Every error, the pipeline's
+and this module's own, is a `RunError`, which the command group turns into
+click's error in one place, with its message and exit code.
 
 A `fuzrank` process follows the process policy stated once, in the package
 docstring (`fuzrank`): `run` is its entry, and `main` the entry for
@@ -45,48 +36,29 @@ import errno
 import os
 import stat
 import sys
-import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import click
-import numpy as np
+import numpy  # noqa: F401  the benchmark's import-time probe expects it
 
-from . import __version__
-from .scenario import (
-    ScenarioError,
-    ScenarioFile,
-    asset_profiles,
-    parse_scenario,
-    resolve_vulnerability_records,
-)
-
-if TYPE_CHECKING:
-    from .classic import DecisionMatrix, RankingResult
-    from .fuzzy import FuzzyDecisionMatrix
+from . import __version__, pipeline
+from .pipeline import RunError
+from .scenario import ScenarioError, ScenarioFile, parse_scenario
 
 PATH_CAP_ENV = "FUZRANK_PATH_CAP"
-
-EXIT_VALIDATION = 1
-EXIT_COMPUTATION = 2
-
-
-class CliError(click.ClickException):
-    def __init__(self, message: str, exit_code: int = EXIT_VALIDATION):
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, bytes]:
     p = Path(path)
     if not p.is_file():
         if p.exists():
-            raise CliError(f"not a regular file: {path}")
-        raise CliError(f"file not found: {path}")
+            raise RunError(f"not a regular file: {path}")
+        raise RunError(f"file not found: {path}")
     try:
         data = p.read_bytes()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+        raise RunError(f"cannot read {path}: {exc}")
     try:
         try:
             text = data.decode("utf-8")
@@ -94,9 +66,7 @@ def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, bytes]:
             raise ScenarioError([f"$: not UTF-8 text: {exc}"]) from None
         scenario = parse_scenario(text, strict=strict)
     except ScenarioError as exc:
-        raise CliError(
-            "scenario validation failed:\n" + "\n".join(f"  {e}" for e in exc.errors)
-        )
+        raise RunError("scenario validation failed:\n" + "\n".join(f"  {e}" for e in exc.errors))
     return scenario, data
 
 
@@ -111,7 +81,7 @@ def _echo(text: str, **kwargs) -> None:
         if exc.errno == errno.EPIPE:
             raise
         sys.stdout = open(os.devnull, "w")
-        raise CliError(f"cannot write to stdout: {exc}")
+        raise RunError(f"cannot write to stdout: {exc}")
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -129,9 +99,9 @@ def _write_output(text: str, out: Optional[str]) -> None:
             mode: Optional[int] = None
         else:
             if stat.S_ISDIR(st.st_mode):
-                raise CliError(f"cannot write {out}: is a directory")
+                raise RunError(f"cannot write {out}: is a directory")
             if not stat.S_ISREG(st.st_mode):  # a rename would replace a FIFO or device
-                raise CliError(f"cannot write {out}: not a regular file")
+                raise RunError(f"cannot write {out}: not a regular file")
             mode = st.st_mode & 0o7777
         while True:
             tmp = target.parent / f".fuzrank-{os.urandom(4).hex()}"
@@ -150,7 +120,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc}")
+        raise RunError(f"cannot write {out}: {exc}")
 
 
 def _write_report(
@@ -180,96 +150,23 @@ def _path_cap() -> int:
             raise ValueError
         return cap
     except ValueError:
-        raise CliError(f"{PATH_CAP_ENV} must be a positive integer, got {raw!r}")
+        raise RunError(f"{PATH_CAP_ENV} must be a positive integer, got {raw!r}")
 
 
-def _classic_inputs(
-    scenario: ScenarioFile, pooled: Optional[FuzzyDecisionMatrix]
-) -> tuple[DecisionMatrix, np.ndarray]:
-    """Crisp matrix and weight vector for the classic engine.
+class _Commands(click.Group):
+    """The command group: a `RunError` becomes click's error, with its
+    message and exit code."""
 
-    The matrix is the scenario's explicit decision_matrix, or the per-cell
-    peak (most probable value) of the pooled fuzzy ratings. Weights come
-    from the pairwise matrix when present, otherwise from the criteria's own
-    weights (the parser reads a label as its peak), normalized to sum 1.
-    """
-    from .classic import DecisionMatrix, derive_weights
-
-    if scenario.decision_matrix is not None:
-        cells = scenario.decision_matrix
-    elif pooled is not None:
-        # pooled over the parser's checked scale: finite, nonnegative, one row
-        # per (unique) action and one column per criterion
-        cells = pooled.values[..., 1]
-    else:
-        raise CliError(
-            "classic engine needs a 'decision_matrix' or a 'panel' in the scenario"
-        )
-    matrix = DecisionMatrix(scenario.actions, scenario.criteria, cells)
-
-    if scenario.pairwise is not None:
-        weights = derive_weights(scenario.pairwise)
-    else:
-        raw = [spec.weight for spec in scenario.criteria]
-        if None in raw:
-            spec = scenario.criteria[raw.index(None)]
-            raise CliError(
-                f"criterion {spec.id!r} has no weight and the scenario has no "
-                "'pairwise' matrix; cannot weight the classic engine"
-            )
-        # scaled by the largest weight first, so weights near the float
-        # maximum do not overflow the sum
-        top = max(raw)
-        if top > 0:
-            raw = [w / top for w in raw]
-        total = sum(raw)
-        if total <= 0:
-            raise CliError("criterion weights sum to zero; cannot weight the classic engine")
-        weights = np.asarray([w / total for w in raw])
-    return matrix, weights
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except RunError as exc:
+            error = click.ClickException(exc.message)
+            error.exit_code = exc.exit_code
+            raise error from exc
 
 
-def _run_engines(scenario: ScenarioFile, engine: str) -> tuple[list[RankingResult], tuple]:
-    """Run the chosen engines, pooling the panel's ratings at most once, and
-    return their rankings and the warnings they raised, in order.
-
-    A float fault (numpy's RuntimeWarning: overflow, invalid value, division
-    by zero) while an engine runs is a computation failure naming that
-    engine, never a report warning: its result could hold an inf or a NaN.
-    Pooling counts to the fuzzy engine unless only the classic one runs.
-    """
-    from .classic import ConvergenceError, rank_classic
-    from .fuzzy import aggregate_ratings, apply_weights, normalize_fuzzy, rank_fuzzy
-
-    results = []
-    running = "classic" if engine == "classic" else "fuzzy"
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            warnings.simplefilter("error", RuntimeWarning)
-            pooled = None
-            needs_panel = engine != "classic" or scenario.decision_matrix is None
-            if needs_panel and scenario.panel is not None:
-                pooled = aggregate_ratings(scenario.panel, scenario.scale)
-            if engine in ("classic", "both"):
-                running = "classic"
-                matrix, weights = _classic_inputs(scenario, pooled)
-                results.append(rank_classic(matrix, weights))
-            if engine in ("fuzzy", "both"):
-                running = "fuzzy"
-                if pooled is None:
-                    raise CliError("fuzzy engine needs a 'panel' section in the scenario")
-                results.append(rank_fuzzy(apply_weights(normalize_fuzzy(pooled))))
-    except RuntimeWarning as exc:
-        raise CliError(f"computation failed in {running}: {exc}", exit_code=EXIT_COMPUTATION)
-    except ConvergenceError as exc:
-        raise CliError(f"computation failed: {exc}", exit_code=EXIT_COMPUTATION)
-    except ValueError as exc:
-        raise CliError(f"cannot rank scenario: {exc}")
-    return results, tuple(str(w.message) for w in caught)
-
-
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="fuzrank")
 def main() -> None:
     """Rank attacker actions over an attack-graph scenario and score assets."""
@@ -286,8 +183,8 @@ def main() -> None:
 def rank(scenario_path: str, engine: str, fmt: str, strict: bool, output: Optional[str]) -> None:
     """Rank attacker actions by cost/benefit closeness."""
     scenario, data = _read_scenario(scenario_path, strict)
-    rankings, warned = _run_engines(scenario, engine)
-    _write_report(data, scenario, warned, fmt, output, rankings=tuple(rankings))
+    rankings, warned = pipeline.rank(scenario, engine)
+    _write_report(data, scenario, warned, fmt, output, rankings=rankings)
 
 
 @main.command()
@@ -299,20 +196,7 @@ def rank(scenario_path: str, engine: str, fmt: str, strict: bool, output: Option
 def veability(scenario_path: str, fmt: str, strict: bool, output: Optional[str]) -> None:
     """Score each asset's VEA-bility (higher = more secure)."""
     scenario, data = _read_scenario(scenario_path, strict)
-    if not scenario.assets:
-        raise CliError("scenario has no 'assets' section to score")
-
-    action_costs, warned = None, ()
-    if any(v.atc_cost is None and v.action is not None for v in scenario.vulnerabilities):
-        (ranking,), warned = _run_engines(scenario, "fuzzy")
-        action_costs = {e.action: e.cost for e in ranking.entries}
-    try:
-        records = resolve_vulnerability_records(scenario, action_costs)
-    except ValueError as exc:
-        raise CliError(f"cannot score assets: {exc}")
-    from .veability import veability_score
-
-    scores = tuple(veability_score(p) for p in asset_profiles(scenario, records))
+    scores, warned = pipeline.score_assets(scenario)
     _write_report(data, scenario, warned, fmt, output, assets=scores)
 
 
@@ -326,19 +210,9 @@ def veability(scenario_path: str, fmt: str, strict: bool, output: Optional[str])
 def graph(scenario_path: str, goal: Optional[str], strict: bool, output: Optional[str]) -> None:
     """Export the scenario's attack graph as Graphviz DOT."""
     scenario, _ = _read_scenario(scenario_path, strict)
-    if scenario.graph is None:
-        raise CliError("scenario has no 'graph' section to export")
-    from .graph import PathExplosionError, export_dot, subgraph_to_goal
+    from .graph import export_dot
 
-    g = scenario.graph
-    if goal is not None:
-        if goal not in g.nodes:
-            raise CliError(f"goal node {goal!r} is not in the graph")
-        try:
-            g = subgraph_to_goal(g, goal, cap=_path_cap())
-        except PathExplosionError as exc:
-            raise CliError(f"computation failed: {exc}", exit_code=EXIT_COMPUTATION)
-    _write_output(export_dot(g), output)
+    _write_output(export_dot(pipeline.select_graph(scenario, goal, _path_cap)), output)
 
 
 @main.command()

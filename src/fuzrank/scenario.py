@@ -19,11 +19,10 @@ accepted only when every key and cell is exactly where it should be.
 `_explain_grid` runs only to explain a grid that pass refused, and reports
 every problem found.
 
-A refused section draws no follow-on errors: nothing is checked against a
-scale override that drew any error, or against an `actions` or `criteria`
-section that is present but not a list. Such a section is passed on as None,
-and each section that reads it skips the checks that need it; the refused
-section's own errors say what is wrong.
+A refused section draws no follow-on errors. The scale override, `schemes`,
+`criteria`, `actions` and `vulnerabilities` are each passed on as None when
+the section drew any error, and each section that reads one skips the checks
+that need it; the refused section's own errors say what is wrong.
 
 The parser is the one checker of the input; the stages after it trust what
 it built. It states every graph rule itself: `_parse_graph` locates each
@@ -285,15 +284,15 @@ def parse_scenario(text: str, strict: bool = False) -> ScenarioFile:
 
     _optional_str(col, "$", doc, "title")
 
-    scale = _parse_scale(col, doc.get("scale"))
-    scheme_codes = _parse_schemes(col, doc.get("schemes"))
-    criteria = _parse_criteria(col, doc.get("criteria"), scale)
-    actions = _parse_actions(col, doc.get("actions"))
+    scale = _section(col, _parse_scale, doc.get("scale"))
+    scheme_codes = _section(col, _parse_schemes, doc.get("schemes"))
+    criteria = _section(col, _parse_criteria, doc.get("criteria"), scale)
+    actions = _section(col, _parse_actions, doc.get("actions"))
     graph = _parse_graph(col, doc.get("graph"), scheme_codes)
     panel = _parse_panel(col, doc.get("panel"), actions, criteria, scale)
     pairwise = _parse_pairwise(col, doc.get("pairwise"), criteria)
     decision_matrix = _parse_decision_matrix(col, doc.get("decision_matrix"), actions, criteria)
-    vulnerabilities = _parse_vulnerabilities(col, doc.get("vulnerabilities"), actions)
+    vulnerabilities = _section(col, _parse_vulnerabilities, doc.get("vulnerabilities"), actions)
     assets = _parse_assets(col, doc.get("assets"), vulnerabilities)
 
     if col.errors:
@@ -313,14 +312,20 @@ def parse_scenario(text: str, strict: bool = False) -> ScenarioFile:
     )
 
 
+def _section(col: _Collector, parse: Callable[..., Any], *args: Any) -> Any:
+    """The section `parse(col, *args)` returns, or None when the section
+    drew any error: a refused section is passed on as None."""
+    before = len(col.errors)
+    section = parse(col, *args)
+    return section if len(col.errors) == before else None
+
+
 def _parse_scale(col: _Collector, raw: Any) -> Optional[dict[str, TFN]]:
-    """The default scale when `raw` is absent, else the override, or None
-    when the override drew any error (the reasons then in `col`)."""
+    """The default scale when `raw` is absent, else the override."""
     if raw is None:
         return default_scale()
     if not _expect(col, "$.scale", raw, dict, "an object of label -> [a, b, c]"):
         return None
-    before = len(col.errors)
     entries: dict[str, TFN] = {}
     for label, triple in raw.items():
         path = f"$.scale.{label}"
@@ -337,12 +342,12 @@ def _parse_scale(col: _Collector, raw: Any) -> Optional[dict[str, TFN]]:
             col.error(path, f"TFN components must satisfy a <= b <= c, got ({a}, {b}, {c})")
     if not entries:
         col.error("$.scale", "scale override has no valid entries")
-    return entries if len(col.errors) == before else None
+    return entries
 
 
 def _parse_schemes(col: _Collector, raw: Any) -> set[str]:
     """The scheme codes a node may reference: the predefined ones and each
-    correctly declared one."""
+    declared one."""
     codes = set(PREDEFINED_SCHEMES)
     if raw is None:
         return codes
@@ -362,8 +367,7 @@ def _parse_schemes(col: _Collector, raw: Any) -> set[str]:
 
 def _parse_criteria(
     col: _Collector, raw: Any, scale: Optional[Mapping[str, TFN]]
-) -> Optional[tuple[CriterionSpec, ...]]:
-    """The criteria, or None when the section is present but not a list."""
+) -> tuple[CriterionSpec, ...]:
     if raw is None:
         return ()
     out: list[CriterionSpec] = []
@@ -396,15 +400,14 @@ def _parse_criteria(
         elif weight is not None:
             weight = _number(col, f"{path}.weight", weight, lo=0)
         out.append(CriterionSpec(cid, kind=kind, weight=weight))
-    return tuple(out) if isinstance(raw, list) else None
+    return tuple(out)
 
 
-def _parse_actions(col: _Collector, raw: Any) -> Optional[tuple[str, ...]]:
-    """The action ids, or None when the section is present but not a list."""
+def _parse_actions(col: _Collector, raw: Any) -> tuple[str, ...]:
     if raw is None:
         return ()
     if not _expect(col, "$.actions", raw, list, "a list of action ids"):
-        return None
+        return ()
     out: dict[str, None] = {}
     for i, item in enumerate(raw):
         if not isinstance(item, str) or not item:
@@ -417,7 +420,7 @@ def _parse_actions(col: _Collector, raw: Any) -> Optional[tuple[str, ...]]:
     return tuple(out)
 
 
-def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[AttackGraph]:
+def _parse_graph(col: _Collector, raw: Any, schemes: Optional[set[str]]) -> Optional[AttackGraph]:
     """The attack graph, or None when it is absent or the document is refused
     (the reasons then in `col`).
 
@@ -461,7 +464,7 @@ def _parse_graph(col: _Collector, raw: Any, scheme_codes: set[str]) -> Optional[
         label = _optional_str(col, path, item, "label")
         cve = _optional_str(col, path, item, "cve")
         scheme = _optional_str(col, path, item, "scheme")
-        if scheme is not None and scheme not in scheme_codes:
+        if scheme is not None and schemes is not None and scheme not in schemes:
             col.error(
                 f"{path}.scheme",
                 f"scheme {scheme!r} is neither predefined (I, S, P) nor declared",
@@ -715,12 +718,12 @@ def _parse_pairwise(
     """The pairwise comparison matrix as rows of floats, or None when it is
     absent or refused (the reasons then in `col`).
 
-    The document must have criteria, one per row. Each row and cell is
-    checked where it stands. The matrix rules are then checked in order, the
-    first one broken reported under `$.pairwise`: every cell positive, each
-    diagonal cell within 1e-9 of 1, and reciprocal, each product
-    cells[i][j] * cells[j][i] within 1e-9 of 1. A product past the float
-    range is inf, which is not.
+    The document must have criteria, one per row. Every row and cell is
+    checked where it stands. Only when every cell is a finite number are the
+    matrix rules checked, in order, the first one broken reported under
+    `$.pairwise`: every cell positive, each diagonal cell within 1e-9 of 1,
+    and reciprocal, each product cells[i][j] * cells[j][i] within 1e-9 of 1.
+    A product past the float range is inf, which is not.
     """
     if raw is None:
         return None
@@ -736,15 +739,15 @@ def _parse_pairwise(
     if len(raw) != n:
         col.error("$.pairwise", f"matrix has {len(raw)} rows but there are {n} criteria")
         return None
+    before = len(col.errors)
     cells: list[tuple[float, ...]] = []
     for i, row in enumerate(raw):
         if not (isinstance(row, list) and len(row) == n):
             col.error(f"$.pairwise[{i}]", f"expected a row of {n} numbers")
-            return None
-        vals = [_number(col, f"$.pairwise[{i}][{j}]", x) for j, x in enumerate(row)]
-        if None in vals:
-            return None
-        cells.append(tuple(vals))
+            continue
+        cells.append(tuple(_number(col, f"$.pairwise[{i}][{j}]", x) for j, x in enumerate(row)))
+    if len(col.errors) > before:
+        return None
     if not all(x > 0 for row in cells for x in row):
         problem = "entries must all be positive"
     elif not all(abs(cells[i][i] - 1.0) <= 1e-9 for i in range(n)):
@@ -886,13 +889,15 @@ def _parse_vulnerabilities(
 
 
 def _parse_assets(
-    col: _Collector, raw: Any, vulnerabilities: tuple[VulnerabilityRecord, ...]
+    col: _Collector, raw: Any, vulnerabilities: Optional[tuple[VulnerabilityRecord, ...]]
 ) -> tuple[AssetProfile, ...]:
+    """The asset profiles. With refused vulnerabilities, each asset's
+    references are left unchecked, and its own fields checked as ever."""
     if raw is None:
         return ()
     from .veability import AssetProfile
 
-    known = {v.cve: v for v in vulnerabilities}
+    known = {v.cve: v for v in vulnerabilities or ()}
     out: list[AssetProfile] = []
     for path, item, aid in _objects(col, raw, "assets", "asset", _ASSET_KEYS, duplicate="asset id"):
         services = item.get("services_on_asset", 0)
@@ -906,7 +911,7 @@ def _parse_assets(
         records: dict[str, VulnerabilityRecord] = {}
         refs = item.get("vulnerabilities", [])
         ok = _expect(col, f"{path}.vulnerabilities", refs, list, "a list of vulnerability ids")
-        for j, cve in enumerate(refs if ok else ()):
+        for j, cve in enumerate(refs if ok and vulnerabilities is not None else ()):
             if not isinstance(cve, str) or cve not in known:
                 problem = "unknown"
             elif cve in records:

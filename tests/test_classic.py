@@ -95,7 +95,12 @@ def test_pairwise_validation():
         "$.pairwise: a pairwise matrix requires a nonempty top-level 'criteria' list"
     ]
     assert pairwise_errors([[1, 2, 3], [1, 1, 1]]) == [
-        "$.pairwise[0]: expected a row of 2 numbers"
+        "$.pairwise[0]: expected a row of 2 numbers",
+        "$.pairwise[1]: expected a row of 2 numbers",
+    ]
+    assert pairwise_errors([[1, "x", 1], [1, 1, 1], [1, 1, None]]) == [
+        "$.pairwise[0][1]: expected a number, got str",
+        "$.pairwise[2][2]: expected a number, got NoneType",
     ]
     assert pairwise_errors([[1, 2], [0.5]]) == ["$.pairwise[1]: expected a row of 2 numbers"]
     assert pairwise_errors([[1, -2], [-0.5, 1]]) == [rule + "entries must all be positive"]

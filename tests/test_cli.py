@@ -218,26 +218,31 @@ CRISP = {
 }
 
 
+# Input rules that only a run can check: (command, document, message). A
+# document's None field is left out of the file.
+RUN_TIME_INPUT_RULES = [
+    (["rank", "--engine", "classic"], {**CRISP, "decision_matrix": None},
+     "classic engine needs a 'decision_matrix' or a 'panel' in the scenario"),
+    (["rank", "--engine", "classic"],
+     {**CRISP, "criteria": [{"id": "C-1", "weight": 1.0}, {"id": "C-2", "kind": "cost"}]},
+     "criterion 'C-2' has no weight and the scenario has no 'pairwise' matrix; "
+     "cannot weight the classic engine"),
+    (["rank", "--engine", "classic"],
+     {**CRISP, "criteria": [{"id": "C-1", "weight": 0}, {"id": "C-2", "weight": 0.0}]},
+     "criterion weights sum to zero; cannot weight the classic engine"),
+    (["veability"],
+     {"schema_version": "1",
+      "vulnerabilities": [{"cve": "C", "impact_score": 5, "exploitability_score": 5,
+                           "temporal_score": 5}],
+      "assets": [{"id": "h", "vulnerabilities": ["C"]}]},
+     "cannot score assets: vulnerability C has no atc_cost and no ranked action to take it from"),
+]
+RUN_TIME_INPUT_RULE_IDS = ["no-matrix-no-panel", "unweighted-criterion", "zero-weights",
+                           "no-cost-no-action"]
+
+
 @pytest.mark.parametrize(
-    "command, doc, message",
-    [
-        (["rank", "--engine", "classic"], {**CRISP, "decision_matrix": None},
-         "classic engine needs a 'decision_matrix' or a 'panel' in the scenario"),
-        (["rank", "--engine", "classic"],
-         {**CRISP, "criteria": [{"id": "C-1", "weight": 1.0}, {"id": "C-2", "kind": "cost"}]},
-         "criterion 'C-2' has no weight and the scenario has no 'pairwise' matrix; "
-         "cannot weight the classic engine"),
-        (["rank", "--engine", "classic"],
-         {**CRISP, "criteria": [{"id": "C-1", "weight": 0}, {"id": "C-2", "weight": 0.0}]},
-         "criterion weights sum to zero; cannot weight the classic engine"),
-        (["veability"],
-         {"schema_version": "1",
-          "vulnerabilities": [{"cve": "C", "impact_score": 5, "exploitability_score": 5,
-                               "temporal_score": 5}],
-          "assets": [{"id": "h", "vulnerabilities": ["C"]}]},
-         "cannot score assets: vulnerability C has no atc_cost and no ranked action to take it from"),
-    ],
-    ids=["no-matrix-no-panel", "unweighted-criterion", "zero-weights", "no-cost-no-action"],
+    "command, doc, message", RUN_TIME_INPUT_RULES, ids=RUN_TIME_INPUT_RULE_IDS
 )
 def test_run_time_input_rules_exit_one(runner, tmp_path, command, doc, message):
     path = tmp_path / "doc.json"

@@ -467,10 +467,28 @@ X_PANEL = {
         ({"criteria": {"C-1": {}}, "actions": ["A1"], "panel": ONE_RATER_PANEL,
           "pairwise": [[1]], "decision_matrix": {"A1": {"C-1": 1}}},
          ["$.criteria: expected a list of criterion objects, got dict"]),
+        ({"vulnerabilities": [{"cve": "C", "impact_score": 11, "exploitability_score": 5,
+                               "temporal_score": 5, "atc_cost": 0.5}],
+          "assets": [{"id": "h", "vulnerabilities": ["C"], "network_services_total": 0}]},
+         ["$.vulnerabilities[0].impact_score: value 11.0 outside [0, 10]",
+          "$.assets[0].network_services_total: must be at least 1"]),
+        ({"actions": [""], "criteria": [{"id": "C-1"}], "panel": ONE_RATER_PANEL},
+         ["$.actions[0]: action id must be a nonempty string"]),
+        ({"schemes": [{"code": "X"}],
+          "graph": {"nodes": [{"id": "c", "kind": "configuration", "scheme": "X"},
+                              {"id": "f", "kind": "final_step"}],
+                    "edges": [["c", "f"]], "targets": []}},
+         ["$.schemes[0].description: scheme description must be a nonempty string"]),
+        ({"criteria": [{"id": ""}, {"id": "C-1"}], "actions": ["A1"],
+          "panel": {"decision_makers": ["d"], "ratings": {"d": {"A1": {"": "H", "C-1": "H"}}},
+                    "weights": {"d": {"": "H", "C-1": "H"}}}},
+         ["$.criteria[0].id: criterion id must be a nonempty string"]),
     ],
     ids=["scale-not-object", "scale-without-valid-entry", "scale-partly-refused",
          "scale-refused-panel-keeps-its-own-errors", "actions-not-list-vulnerability",
-         "actions-not-list-panel-and-matrix", "criteria-not-list"],
+         "actions-not-list-panel-and-matrix", "criteria-not-list",
+         "vulnerability-refused-asset-keeps-its-own-errors", "action-id-refused",
+         "scheme-refused", "criterion-id-refused"],
 )
 def test_refused_section_draws_no_follow_on_errors(doc, expected):
     """A section the parser refuses is checked against by no other section;
