@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Optional
 
 import click
-import numpy  # noqa: F401  the benchmark's import-time probe expects it
+import numpy  # noqa: F401  only for the benchmark's import-time probe; the engines load it
 
 from . import __version__, pipeline
 from .pipeline import RunError
@@ -119,8 +119,8 @@ def _write_output(text: str, out: Optional[str]) -> None:
         except BaseException:
             os.unlink(tmp)
             raise
-    except OSError as exc:
-        raise RunError(f"cannot write {out}: {exc}")
+    except OSError as exc:  # its text would name the temp file
+        raise RunError(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def _write_report(

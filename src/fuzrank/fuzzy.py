@@ -12,12 +12,14 @@ weighted by fuzzy criterion weights, and ranked by summed vertex distances to
 the fuzzy ideal and anti-ideal (Chen 2000, Fuzzy Sets and Systems 114:1-9).
 
 Array layout. A `scenario.RatingPanel` carries its linguistic labels as
-integer codes into `panel.labels`: `rating_codes` has shape (k, m, n) for k
-raters, m alternatives and n criteria, `weight_codes` has shape (k, n). Only
-the scenario parser builds these codes, while it validates the panel; the
-panel's type lives with it, so the parser loads no engine. Pooling looks
-the codes up in one column per component (every label's a, its b, its c) built
-from the scale, and reduces each column on its own, so every later
+one-byte codes into `panel.labels`, rater-major: k * m * n rating codes for k
+raters, m alternatives and n criteria, and k * n weight codes. Only the
+scenario parser builds these codes, while it validates the panel; the panel's
+type lives with it, and the codes are bytes, so the parser loads neither an
+engine nor numpy: numpy loads only with the engines. `aggregate_ratings`
+reads the codes once as index arrays of shape (k, m, n) and (k, n). Pooling
+looks the codes up in one column per component (every label's a, its b, its
+c) built from the scale, and reduces each column on its own, so every later
 stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
 (m, n, 3), the last axis holding each cell's (a, b, c), and whose fuzzy
 weights have shape (n, 3).
@@ -102,9 +104,11 @@ def aggregate_ratings(panel: RatingPanel, scale: Mapping[str, TFN]) -> FuzzyDeci
         np.minimum(np.maximum(mean, a), c, out=out[..., 1])
         return out
 
-    return FuzzyDecisionMatrix(
-        panel.alternatives, panel.criteria, pool(panel.rating_codes), pool(panel.weight_codes)
-    )
+    k, m, n = len(panel.decision_makers), len(panel.alternatives), len(panel.criteria)
+    # intp once: a uint8 index is cast again on each of pool's three lookups
+    ratings = np.frombuffer(panel.rating_codes, np.uint8).astype(np.intp).reshape(k, m, n)
+    weights = np.frombuffer(panel.weight_codes, np.uint8).astype(np.intp).reshape(k, n)
+    return FuzzyDecisionMatrix(panel.alternatives, panel.criteria, pool(ratings), pool(weights))
 
 
 def normalize_fuzzy(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:

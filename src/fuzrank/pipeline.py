@@ -8,10 +8,11 @@ it: 1 for an input the run cannot use, 2 for a computation failure.
 
 Start-up bounds a call, so each command loads only what it uses, and each
 function here imports its stage modules in its body, where they are looked
-up at call time. `import fuzrank.cli` loads click, numpy and the scenario
-parser, and no other fuzrank module but this one; numpy and click stay at
-the top of `cli` only because the benchmark's import-time probe
-(`perfbench/run.py`) expects `import fuzrank.cli` to load both. The parser
+up at call time. Numpy loads only with the engines (`classic`, `fuzzy`):
+this module and the parser import none. `import fuzrank.cli` loads click,
+the scenario parser and no other fuzrank module but this one; it also
+imports numpy, and only because the benchmark's import-time probe
+(`perfbench/run.py`) expects `import fuzrank.cli` to load it. The parser
 loads no engine, and a section's module only with the section (see
 `scenario`): `graph` for a graph, `cvss` and `veability` for vulnerabilities
 or assets. Then `rank` loads `classic` and `fuzzy`; `score_assets` loads
@@ -28,13 +29,11 @@ methods by `exec` at import: records are NamedTuples or plain classes.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .scenario import ScenarioFile, asset_profiles, resolve_vulnerability_records
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .classic import DecisionMatrix, RankingResult
     from .fuzzy import FuzzyDecisionMatrix
     from .graph import AttackGraph
@@ -55,7 +54,7 @@ class RunError(Exception):
 
 def _classic_inputs(
     scenario: ScenarioFile, pooled: Optional[FuzzyDecisionMatrix]
-) -> tuple[DecisionMatrix, np.ndarray]:
+) -> tuple[DecisionMatrix, Sequence[float]]:
     """Crisp matrix and weight vector for the classic engine.
 
     The matrix is the scenario's explicit decision_matrix, or the per-cell
@@ -63,8 +62,6 @@ def _classic_inputs(
     from the pairwise matrix when present, otherwise from the criteria's own
     weights (the parser reads a label as its peak), normalized to sum 1.
     """
-    import numpy as np
-
     from .classic import DecisionMatrix, derive_weights
 
     if scenario.decision_matrix is not None:
@@ -95,7 +92,7 @@ def _classic_inputs(
         total = sum(raw)
         if total <= 0:
             raise RunError("criterion weights sum to zero; cannot weight the classic engine")
-        weights = np.asarray([w / total for w in raw])
+        weights = [w / total for w in raw]
     return matrix, weights
 
 

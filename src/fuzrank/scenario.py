@@ -43,10 +43,10 @@ their ranges checked here. The two bridges at the end only fill a record's
 The format's own value types live here, with no numpy: `CriterionKind`,
 `CriterionSpec`, the triangular fuzzy number `TFN` and `default_scale`, the
 coded `RatingPanel`, and the `PREDEFINED_SCHEMES` a graph node may name. This
-module imports neither engine. The types of a section load with the section
-that builds them: `graph` for a graph, numpy for a panel's label codes,
-`cvss` and `veability` for vulnerabilities or assets. So a document without a
-panel parses with no numpy.
+module imports neither engine, and numpy loads only with the engines. The
+types of a section load with the section that builds them: `graph` for a
+graph, `cvss` and `veability` for vulnerabilities or assets. A panel's label
+codes are bytes, one per label, so a scale holds at most 256 labels.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .graph import AttackGraph
     from .veability import AssetProfile, VulnerabilityRecord
 
@@ -100,15 +98,17 @@ def default_scale() -> dict[str, TFN]:
 
 class RatingPanel:
     """Linguistic rating grids from k decision makers over m alternatives and
-    n criteria, plus each rater's criterion-weight labels, held as integer
-    codes into `labels`: `rating_codes` has shape (k, m, n), `weight_codes`
-    shape (k, n). Only the parser builds panels: it decodes and checks every
-    label while it validates the document.
+    n criteria, plus each rater's criterion-weight labels, held as one-byte
+    codes into `labels`: `rating_codes` holds k * m * n of them, rater-major
+    (rater, then alternative, then criterion), and `weight_codes` k * n, rater
+    by rater. Only the parser builds panels: it decodes and checks every label
+    while it validates the document. `fuzzy.aggregate_ratings` reads the codes
+    as (k, m, n) and (k, n) arrays.
     """
 
     def __init__(self, decision_makers: tuple[str, ...], alternatives: tuple[str, ...],
                  criteria: tuple[CriterionSpec, ...], labels: tuple[str, ...],
-                 rating_codes: np.ndarray, weight_codes: np.ndarray):
+                 rating_codes: bytes, weight_codes: bytes):
         self.decision_makers, self.alternatives, self.criteria = (
             decision_makers, alternatives, criteria)
         self.labels, self.rating_codes, self.weight_codes = labels, rating_codes, weight_codes
@@ -342,6 +342,8 @@ def _parse_scale(col: _Collector, raw: Any) -> Optional[dict[str, TFN]]:
             col.error(path, f"TFN components must satisfy a <= b <= c, got ({a}, {b}, {c})")
     if not entries:
         col.error("$.scale", "scale override has no valid entries")
+    elif len(entries) > 256:  # a panel holds each label's code in one byte
+        col.error("$.scale", f"scale override has {len(entries)} labels; at most 256 are allowed")
     return entries
 
 
@@ -577,7 +579,7 @@ def _parse_panel(
 
     The ratings and the weights are keyed grids, each decoded in one pass by
     `_leaves`, with no Python-level call per row, the label codes streamed
-    into the array; a label outside the scale fails the code lookup. Only for
+    into bytes; a label outside the scale fails the code lookup. Only for
     a refused panel does `_explain_grid` run, to report every problem.
     """
     if raw is None:
@@ -608,16 +610,11 @@ def _parse_panel(
     if not _expect(col, "$.panel.ratings", ratings, dict, "an object keyed by rater"):
         return None
     weights = raw.get("weights")
-    import numpy as np
-
     # a refused scale has no codes, so its panel is only explained
     code_of = {label: i for i, label in enumerate(scale or ())}.__getitem__
-    k, m, n = len(raters), len(actions), len(crit_ids)
     try:
-        rating_codes = np.fromiter(
-            map(code_of, _leaves(ratings, raters, actions, crit_ids)), np.intp, k * m * n
-        )
-        weight_codes = np.fromiter(map(code_of, _leaves(weights, raters, crit_ids)), np.intp, k * n)
+        rating_codes = bytes(map(code_of, _leaves(ratings, raters, actions, crit_ids)))
+        weight_codes = bytes(map(code_of, _leaves(weights, raters, crit_ids)))
     except (KeyError, TypeError):
         pass
     else:
@@ -626,8 +623,8 @@ def _parse_panel(
             alternatives=actions,
             criteria=criteria,
             labels=tuple(scale),
-            rating_codes=rating_codes.reshape(k, m, n),
-            weight_codes=weight_codes.reshape(k, n),
+            rating_codes=rating_codes,
+            weight_codes=weight_codes,
         )
 
     # The panel is refused: say why.

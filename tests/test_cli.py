@@ -190,7 +190,8 @@ def test_rank_unwritable_output_exit_one(runner, scenario_file, tmp_path):
         main, ["rank", str(scenario_file), "-o", str(missing_dir)]
     )
     assert result.exit_code == 1
-    assert "cannot write" in result.output
+    # the user's path and the reason, never the temp file's name
+    assert result.stderr == f"Error: cannot write {missing_dir}: No such file or directory\n"
     assert not missing_dir.exists()
 
 

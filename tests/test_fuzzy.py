@@ -149,13 +149,13 @@ def test_pooling_keeps_tfn_ordered(rater_rows):
     # each triple under a label of its own
     k = len(rater_rows)
     triples = [t for row in rater_rows for t in row]
-    codes = np.arange(len(triples)).reshape(k, 3)
+    codes = bytes(range(len(triples)))
     panel = RatingPanel(
         decision_makers=tuple(f"dm{r}" for r in range(k)),
         alternatives=("A1",),
         criteria=specs([B, B, B]),
         labels=tuple(f"T{i}" for i in range(len(triples))),
-        rating_codes=codes[:, None, :],
+        rating_codes=codes,
         weight_codes=codes,
     )
     scale = {label: TFN(*t) for label, t in zip(panel.labels, triples)}
@@ -164,10 +164,11 @@ def test_pooling_keeps_tfn_ordered(rater_rows):
         assert (v[..., 0] <= v[..., 1]).all() and (v[..., 1] <= v[..., 2]).all()
 
 
-def pool_reference(table, codes):
+def pool_reference(table, codes, shape):
     """Gather-then-reduce pooling: look every code up as a whole (a, b, c)
-    row, then reduce strided views of the (k, ..., 3) result."""
-    tfns = table[codes]
+    row, shape the rows as `shape` + (3,), with k raters first, then reduce
+    strided views of the result."""
+    tfns = table[list(codes)].reshape(*shape, 3)
     a = tfns[..., 0].min(axis=0)
     c = tfns[..., 2].max(axis=0)
     return np.stack([a, np.clip(tfns[..., 1].mean(axis=0), a, c), c], axis=-1)
@@ -195,8 +196,8 @@ def coded_panels(draw, triple=TRIPLE, kinds=(B,)):
         alternatives=tuple(f"A{i}" for i in range(m)),
         criteria=specs(draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))),
         labels=tuple(f"T{i}" for i in range(len(scale))),
-        rating_codes=np.array(rating_codes, dtype=np.intp).reshape(k, m, n),
-        weight_codes=np.array(weight_codes, dtype=np.intp).reshape(k, n),
+        rating_codes=bytes(rating_codes),
+        weight_codes=bytes(weight_codes),
     )
     return panel, {label: TFN(*t) for label, t in zip(panel.labels, scale)}
 
@@ -206,8 +207,10 @@ def test_pooling_matches_gather_then_reduce_bit_for_bit(case):
     panel, scale = case
     table = np.array([scale[label] for label in panel.labels], dtype=float)
     pooled = aggregate_ratings(panel, scale)
-    assert pooled.values.tobytes() == pool_reference(table, panel.rating_codes).tobytes()
-    assert pooled.weights.tobytes() == pool_reference(table, panel.weight_codes).tobytes()
+    k, m, n = len(panel.decision_makers), len(panel.alternatives), len(panel.criteria)
+    ratings = pool_reference(table, panel.rating_codes, (k, m, n))
+    assert pooled.values.tobytes() == ratings.tobytes()
+    assert pooled.weights.tobytes() == pool_reference(table, panel.weight_codes, (k, n)).tobytes()
 
 
 @given(coded_panels(triple=st.just((0.0, 0.0, 0.0)) | TRIPLE, kinds=(B, CO)))

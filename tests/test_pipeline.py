@@ -108,6 +108,17 @@ def test_a_bad_goal_is_reported_before_the_cap_is_read():
         pipeline.select_graph(scenario, "nope", _unread_cap)
 
 
+def test_parsing_a_panel_and_selecting_its_graph_load_no_numpy():
+    # numpy loads only with the engines: a panel's label codes are bytes
+    code = (
+        "from fuzrank import cvss, graph, pipeline, report, scenario, veability\n"
+        f"parsed = scenario.parse_scenario(open({str(SCENARIO)!r}).read())\n"
+        "assert parsed.panel is not None\n"
+        "pipeline.select_graph(parsed, 'RAN-control', lambda: graph.DEFAULT_PATH_CAP)\n"
+    )
+    assert _loaded_in_child(code, ("numpy",)) == []
+
+
 def test_import_loads_no_engine_and_no_front_end():
     names = ("fuzrank.classic", "fuzrank.fuzzy", "fuzrank.veability", "fuzrank.cvss",
              "fuzrank.graph", "fuzrank.report", "numpy", "click")

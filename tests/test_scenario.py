@@ -276,6 +276,22 @@ def test_scale_override_rejects_bad_triples():
     assert errors_of(minimal(scale={})) == ["$.scale: scale override has no valid entries"]
 
 
+def test_scale_holds_at_most_256_labels():
+    # a panel holds each label's code in one byte
+    labels = [f"T{i}" for i in range(257)]
+    scale = {label: [i, i, i] for i, label in enumerate(labels)}
+    panel = {"decision_makers": ["dm1"], "ratings": {"dm1": {"A1": {"C-1": "T255"}}},
+             "weights": {"dm1": {"C-1": "T0"}}}
+    sections = {"criteria": [{"id": "C-1"}], "actions": ["A1"], "panel": panel}
+    assert errors_of(minimal(scale=scale, **sections)) == [
+        "$.scale: scale override has 257 labels; at most 256 are allowed"
+    ]
+    del scale["T256"]
+    scenario = parse_scenario(minimal(scale=scale, **sections), strict=True)
+    assert scenario.panel.rating_codes == bytes([255])
+    assert aggregate_ratings(scenario.panel, scenario.scale).cells[0][0] == TFN(255, 255, 255)
+
+
 def test_scale_override_rejects_negative_components():
     # Chen's fuzzy TOPSIS is defined on positive TFNs
     assert errors_of(minimal(scale={"N": [-2, -1, 1], "P": [1, 2, 3]})) == [
@@ -418,6 +434,10 @@ ONE_RATER_PANEL = {
          ["$.panel.decision_makers: rater names must be unique"]),
         ({**PANEL_SECTIONS, "panel": {**ONE_RATER_PANEL, "weights": ["H"]}}, False,
          ["$.panel.weights: expected an object keyed by rater, got list"]),
+        ({**PANEL_SECTIONS, "panel": {**ONE_RATER_PANEL, "ratings": ["H"]}}, False,
+         ["$.panel.ratings: expected an object keyed by rater, got list"]),
+        ({"criteria": [{"id": "C-1", "weight": "HUGE"}]}, False,
+         ["$.criteria[0].weight: label 'HUGE' not in the scale (VL, L, AV, H, VH)"]),
         ({**PANEL_SECTIONS, "decision_matrix": [[1.0]]}, False,
          ["$.decision_matrix: expected an object keyed by action id, got list"]),
         ({"actions": ["A1"], "decision_matrix": {"A1": {}}}, False,
@@ -429,7 +449,8 @@ ONE_RATER_PANEL = {
         "scale-not-object", "predefined-scheme-strict", "scheme-without-description",
         "actions-not-list", "graph-not-object", "unknown-node-scheme", "target-not-string",
         "panel-not-object", "panel-without-actions", "repeated-rater", "panel-weights-not-object",
-        "matrix-not-object", "matrix-without-criteria", "one-explicit-subscore",
+        "panel-ratings-not-object", "label-weight-outside-scale", "matrix-not-object",
+        "matrix-without-criteria", "one-explicit-subscore",
     ],
 )
 def test_section_shape_errors(doc, strict, expected):
@@ -972,7 +993,9 @@ def test_panel_decode_matches_per_cell_oracle(doc):
         return
     panel = scenario.panel
     assert panel is not None and expected is not None
-    assert (panel.rating_codes.tolist(), panel.weight_codes.tolist()) == expected
+    rating_rows, weight_rows = expected
+    assert panel.rating_codes == bytes(c for rows in rating_rows for row in rows for c in row)
+    assert panel.weight_codes == bytes(c for row in weight_rows for c in row)
 
 
 CELL_VALUES = [0, -0.0, 1, 2.5, 2**53 + 1, 1e308]
