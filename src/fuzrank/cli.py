@@ -61,7 +61,8 @@ def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, bytes]:
         raise RunError(f"cannot read {path}: {exc}")
     try:
         try:
-            text = data.decode("utf-8")
+            # RFC 8259 lets a parser ignore a byte order mark
+            text = data.decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ScenarioError([f"$: not UTF-8 text: {exc}"]) from None
         scenario = parse_scenario(text, strict=strict)

@@ -1,4 +1,4 @@
-"""Typed attack-graph model: AND/OR minimal sets, path enumeration, DOT export.
+"""Attack-graph search and export: AND/OR minimal sets, path enumeration, DOT.
 
 Node semantics: Configuration nodes are facts known to be true; AttackStep and
 FinalStep nodes require ALL predecessors (AND); Privilege nodes require ANY
@@ -42,29 +42,24 @@ ready nodes of a set it takes the smallest bit index, which is the smallest
 id, so each path is the set's smallest-id-first topological order. Only
 ``enumerate_paths`` reaches ``_linearize``, so only it loads ``heapq``.
 
-This module holds no validation. The scenario parser is the one checker of
-the format and states every graph rule (`scenario._parse_graph`): the input
-checks located in the document, each node's kind against its edges, cycles
-and reachability of the final steps. It builds the `AttackGraph`, and the
-code here trusts it.
+This module holds no validation and defines no graph type. The scenario
+parser is the one checker of the format and states every graph rule
+(`scenario._parse_graph`): the input checks located in the document, each
+node's kind against its edges, cycles and reachability of the final steps.
+It builds the `AttackGraph`, which `scenario` defines with `NodeKind` and
+`AttackNode`, and the code here trusts it. Of the commands, only `graph`
+loads this module.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import reduce
 from operator import or_
-from typing import Collection, NamedTuple, Optional, Sequence
+from typing import Collection, Sequence
 
+from .scenario import AttackGraph, NodeKind
 
 DEFAULT_PATH_CAP = 10_000
-
-
-class NodeKind(Enum):
-    CONFIGURATION = "configuration"
-    ATTACK_STEP = "attack_step"
-    PRIVILEGE = "privilege"
-    FINAL_STEP = "final_step"
 
 
 _DOT_SHAPES = {
@@ -75,25 +70,8 @@ _DOT_SHAPES = {
 }
 
 
-class AttackNode(NamedTuple):
-    id: str
-    kind: NodeKind
-    label: str = ""
-    cve: Optional[str] = None
-
-
 class PathExplosionError(RuntimeError):
     """Raised when path enumeration exceeds the configured cap."""
-
-
-class AttackGraph:
-    """Validated DAG of attack nodes. Built by the scenario parser, which
-    checks it, and by subgraph_to_goal; `_preds` maps each node id to its
-    predecessors in sorted-id order."""
-
-    def __init__(self, nodes: dict[str, AttackNode], edges: frozenset[tuple[str, str]],
-                 targets: frozenset[str], _preds: dict[str, tuple[str, ...]]):
-        self.nodes, self.edges, self.targets, self._preds = nodes, edges, targets, _preds
 
 
 def enumerate_paths(
@@ -111,10 +89,10 @@ def enumerate_paths(
     """
     ids, (base, masks, _, _) = _minimal_masks(graph, goal, cap)
     index = {nid: i for i, nid in enumerate(ids)}
-    pred_masks = [sum(1 << index[p] for p in graph._preds[nid]) for nid in ids]
+    pred_masks = [sum(1 << index[p] for p in graph.preds[nid]) for nid in ids]
     succ_bits: list[list[int]] = [[] for _ in ids]
     for i, nid in enumerate(ids):
-        for p in graph._preds[nid]:
+        for p in graph.preds[nid]:
             succ_bits[index[p]].append(i)
     return sorted(_linearize(ids, pred_masks, succ_bits, m) for m in _expand(base, masks))
 
@@ -161,7 +139,7 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
         if nid in families:
             stack.pop()
             continue
-        preds = graph._preds[nid]
+        preds = graph.preds[nid]
         pending = [p for p in preds if p not in families]
         if pending:
             stack.extend(reversed(pending))
@@ -331,7 +309,7 @@ def export_dot(graph: AttackGraph) -> str:
         if nid in graph.targets:
             attrs += ", peripheries=2"
         lines.append(f"  {_dot_quote(nid)} [{attrs}];")
-    for src, dst in sorted(graph.edges):
+    for src, dst in sorted((p, nid) for nid, ps in graph.preds.items() for p in ps):
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -357,7 +335,6 @@ def subgraph_to_goal(graph: AttackGraph, goal: str, cap: int = DEFAULT_PATH_CAP)
     kept = set(keep)
     return AttackGraph(
         nodes={nid: graph.nodes[nid] for nid in keep},
-        edges=frozenset((s, d) for s, d in graph.edges if s in kept and d in kept),
         targets=graph.targets & kept,
-        _preds={nid: tuple(p for p in graph._preds[nid] if p in kept) for nid in keep},
+        preds={nid: tuple(p for p in graph.preds[nid] if p in kept) for nid in keep},
     )

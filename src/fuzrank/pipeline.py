@@ -6,24 +6,25 @@ a library caller gets the same results with no click. Every problem a run
 meets is a `RunError`, with the message and exit code the command line gives
 it: 1 for an input the run cannot use, 2 for a computation failure.
 
-Start-up bounds a call, so each command loads only what it uses, and each
-function here imports its stage modules in its body, where they are looked
-up at call time. Numpy loads only with the engines (`classic`, `fuzzy`):
-this module and the parser import none. `import fuzrank.cli` loads click,
-the scenario parser and no other fuzrank module but this one; it also
+Start-up bounds a call, so a command loads only the modules it runs, and
+each function here imports its stage modules in its body, where they are
+looked up at call time. Numpy loads only with the engines (`classic`,
+`fuzzy`): this module and the parser import none. `import fuzrank.cli` loads
+click, the scenario parser and no other fuzrank module but this one; it also
 imports numpy, and only because the benchmark's import-time probe
 (`perfbench/run.py`) expects `import fuzrank.cli` to load it. The parser
-loads no engine, and a section's module only with the section (see
-`scenario`): `graph` for a graph, `cvss` and `veability` for vulnerabilities
-or assets. Then `rank` loads `classic` and `fuzzy`; `score_assets` loads
-`veability`, and the engines only when a cost must come from the ranking;
-`select_graph` loads `graph`. The `rank` and `veability` commands add
-`report` (with `hashlib`, and `csv` for `--format csv`), and `validate`
-loads nothing more. So
-`validate` never loads an engine, `graph` on a document with only a graph
-loads neither engine, and `rank` on a document with no graph never loads
-`graph`. No fuzrank module uses `dataclasses`, which generates each class's
-methods by `exec` at import: records are NamedTuples or plain classes.
+defines every type it returns (see `scenario`), so it loads no stage module
+but `cvss`, which checks the vectors of a vulnerabilities section. Then
+`rank` loads `classic` and `fuzzy`; `score_assets` loads `veability`, and
+the engines only when a cost must come from the ranking; `select_graph`
+loads `graph` for a goal, and the `graph` command loads it to export DOT.
+The `rank` and `veability` commands add `report` (with `hashlib`, and `csv`
+for `--format csv`), and `validate` loads nothing more. So `validate` loads
+no engine, no `graph` and no `veability`; `graph` loads no `veability`, nor
+an engine; `rank` loads no `graph` and no `veability`; and `veability` loads
+no `graph`. No fuzrank module uses `dataclasses`, which generates each
+class's methods by `exec` at import: records are NamedTuples or plain
+classes.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from __future__ import annotations
 import warnings
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .scenario import ScenarioFile, asset_profiles, resolve_vulnerability_records
+from .scenario import AttackGraph, ScenarioFile, asset_profiles, resolve_vulnerability_records
 
 if TYPE_CHECKING:
     from .classic import DecisionMatrix, RankingResult
     from .fuzzy import FuzzyDecisionMatrix
-    from .graph import AttackGraph
     from .veability import AssetScore
 
 EXIT_VALIDATION = 1

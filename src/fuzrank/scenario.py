@@ -40,13 +40,16 @@ The parser builds the scoring types itself: each vulnerability becomes a
 their ranges checked here. The two bridges at the end only fill a record's
 `atc_cost` from the ranking and swap the resolved records into the profiles.
 
-The format's own value types live here, with no numpy: `CriterionKind`,
-`CriterionSpec`, the triangular fuzzy number `TFN` and `default_scale`, the
-coded `RatingPanel`, and the `PREDEFINED_SCHEMES` a graph node may name. This
-module imports neither engine, and numpy loads only with the engines. The
-types of a section load with the section that builds them: `graph` for a
-graph, `cvss` and `veability` for vulnerabilities or assets. A panel's label
-codes are bytes, one per label, so a scale holds at most 256 labels.
+Every type the parser returns is defined here, with no numpy:
+`CriterionKind`, `CriterionSpec`, the triangular fuzzy number `TFN` and
+`default_scale`, the coded `RatingPanel`, the attack graph's `NodeKind`,
+`AttackNode` and `AttackGraph`, the scoring inputs `VulnerabilityRecord` and
+`AssetProfile`, and the `PREDEFINED_SCHEMES` a graph node may name. So the
+parser loads no module that uses them, and a command loads only the modules
+it runs (see `pipeline`). The one module that loads with a section is `cvss`,
+with the vulnerabilities, as checking a vector needs its code. This module
+imports neither engine, and numpy loads only with the engines. A panel's
+label codes are bytes, one per label, so a scale holds at most 256 labels.
 """
 
 from __future__ import annotations
@@ -59,9 +62,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
-    from .graph import AttackGraph
-    from .veability import AssetProfile, VulnerabilityRecord
-
     # a matrix as the parser holds it: a tuple of float rows
     _Rows = tuple[tuple[float, ...], ...]
 
@@ -112,6 +112,46 @@ class RatingPanel:
         self.decision_makers, self.alternatives, self.criteria = (
             decision_makers, alternatives, criteria)
         self.labels, self.rating_codes, self.weight_codes = labels, rating_codes, weight_codes
+
+
+class NodeKind(Enum):
+    CONFIGURATION = "configuration"
+    ATTACK_STEP = "attack_step"
+    PRIVILEGE = "privilege"
+    FINAL_STEP = "final_step"
+
+
+class AttackNode(NamedTuple):
+    id: str
+    kind: NodeKind
+    label: str = ""
+    cve: Optional[str] = None
+
+
+class AttackGraph:
+    """Validated DAG of attack nodes. Built by the parser, which checks it,
+    and by `graph.subgraph_to_goal`; `preds` maps each node id to its
+    predecessors in sorted-id order, and so holds every edge."""
+
+    def __init__(self, nodes: dict[str, AttackNode], targets: frozenset[str],
+                 preds: dict[str, tuple[str, ...]]):
+        self.nodes, self.targets, self.preds = nodes, targets, preds
+
+
+class VulnerabilityRecord(NamedTuple):
+    cve: str
+    impact_score: float
+    exploitability_score: float
+    temporal_score: float
+    atc_cost: Optional[float] = None  # None until resolved from the ranking
+    action: Optional[str] = None
+
+
+class AssetProfile(NamedTuple):
+    asset_id: str
+    vulnerabilities: tuple[VulnerabilityRecord, ...] = ()
+    services_on_asset: int = 0
+    network_services_total: int = 1
 
 
 #: Threat categories arising from MEC/5G integration, code -> description;
@@ -443,8 +483,6 @@ def _parse_graph(col: _Collector, raw: Any, schemes: Optional[set[str]]) -> Opti
         return None
     if not _expect(col, "$.graph", raw, dict, "an object with nodes/edges/targets"):
         return None
-    from .graph import AttackGraph, AttackNode, NodeKind
-
     node_kinds = {k.value: k for k in NodeKind}
     col.unknown_keys("$.graph", raw, _GRAPH_KEYS)
 
@@ -564,7 +602,7 @@ def _parse_graph(col: _Collector, raw: Any, schemes: Optional[set[str]]) -> Opti
     if col.errors:
         return None
     # with no error, every target is declared and every declared node kept
-    return AttackGraph(nodes, frozenset(edges), frozenset(targets), sorted_preds)
+    return AttackGraph(nodes, frozenset(targets), sorted_preds)
 
 
 def _parse_panel(
@@ -809,7 +847,6 @@ def _parse_vulnerabilities(
     if raw is None:
         return ()
     from .cvss import CvssError, score_cvss
-    from .veability import VulnerabilityRecord
 
     out: list[VulnerabilityRecord] = []
     for path, item, cve in _objects(
@@ -892,8 +929,6 @@ def _parse_assets(
     references are left unchecked, and its own fields checked as ever."""
     if raw is None:
         return ()
-    from .veability import AssetProfile
-
     known = {v.cve: v for v in vulnerabilities or ()}
     out: list[AssetProfile] = []
     for path, item, aid in _objects(col, raw, "assets", "asset", _ASSET_KEYS, duplicate="asset id"):

@@ -7,31 +7,18 @@ produced by the ranking engines: A = 10 x mean closeness over the asset's
 vulnerabilities. The mean (rather than a sum) keeps the dimension inside
 [0, 10] for any vulnerability count.
 
-The scenario parser builds every `VulnerabilityRecord` and `AssetProfile` and
-checks their input ranges, with JSON-path messages; only the output,
-`AssetScore`, is range-checked here.
+The inputs, `VulnerabilityRecord` and `AssetProfile`, are defined in
+`scenario`, whose parser builds them and checks their input ranges, with
+JSON-path messages; only the output, `AssetScore`, is defined and
+range-checked here. Of the commands, only `veability` loads this module.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-
-class VulnerabilityRecord(NamedTuple):
-    cve: str
-    impact_score: float
-    exploitability_score: float
-    temporal_score: float
-    atc_cost: Optional[float] = None  # None until resolved from the ranking
-    action: Optional[str] = None
-
-
-class AssetProfile(NamedTuple):
-    asset_id: str
-    vulnerabilities: tuple[VulnerabilityRecord, ...] = ()
-    services_on_asset: int = 0
-    network_services_total: int = 1
+from .scenario import AssetProfile, VulnerabilityRecord
 
 
 class _AssetScoreFields(NamedTuple):

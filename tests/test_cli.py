@@ -460,6 +460,20 @@ def test_validate_non_utf8_file_exit_one(runner, tmp_path):
     assert "scenario validation failed:\n  $: not UTF-8 text: " in result.output
 
 
+def test_scenario_with_a_byte_order_mark_is_read(runner, scenario_file, tmp_path):
+    marked = tmp_path / "bom.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + scenario_file.read_bytes())
+    result = runner.invoke(main, ["validate", str(marked)])
+    assert result.exit_code == 0, result.output
+    plain, with_bom = (
+        json.loads(runner.invoke(main, ["rank", str(p), "--format", "json"]).stdout)
+        for p in (scenario_file, marked)
+    )
+    # the fingerprint is of the file's bytes, the mark among them
+    assert plain.pop("scenario_fingerprint") != with_bom.pop("scenario_fingerprint")
+    assert plain == with_bom
+
+
 def test_unreadable_scenario_exit_one(runner, scenario_file, monkeypatch):
     def refuse(self):
         raise PermissionError(13, "Permission denied", str(self))
@@ -809,24 +823,45 @@ def test_rank_without_a_graph_does_not_load_the_graph_module(tmp_path):
     assert _loaded_in_child(code, ("fuzrank.graph",)) == []
 
 
+def _commands_in_child(*commands: list[str]) -> str:
+    """Code that runs each of `commands` through `fuzrank.cli.main`."""
+    return "from fuzrank.cli import main\n" + "".join(
+        f"main({args!r}, standalone_mode=False)\n" for args in commands
+    )
+
+
+def test_rank_and_veability_do_not_load_the_graph_module():
+    """The parser defines the graph types, so a document's graph loads no
+    graph code until a command searches or exports it."""
+    code = _commands_in_child(
+        ["rank", str(SCENARIO), "--format", "json"],
+        ["veability", str(SCENARIO), "--format", "json"],
+    )
+    assert _loaded_in_child(code, ("fuzrank.graph",)) == []
+
+
+def test_commands_but_veability_do_not_load_the_scoring_module():
+    """The parser defines the scoring inputs, so a document's vulnerabilities
+    and assets load no scoring code until `veability` scores them."""
+    code = _commands_in_child(
+        ["rank", str(SCENARIO)],
+        ["graph", str(SCENARIO), "--goal", "RAN-control"],
+        ["validate", str(SCENARIO)],
+    )
+    assert _loaded_in_child(code, ("fuzrank.veability",)) == []
+
+
 def test_graph_only_commands_do_not_load_scoring_modules(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"schema_version": "1", "graph": {"nodes": CHAIN,
                                 "edges": [["c", "f"]], "targets": ["f"]}}))
-    code = (
-        "from fuzrank.cli import main\n"
-        f"main(['graph', {str(path)!r}, '--goal', 'f'], standalone_mode=False)\n"
-        f"main(['validate', {str(path)!r}], standalone_mode=False)\n"
-    )
+    code = _commands_in_child(["graph", str(path), "--goal", "f"], ["validate", str(path)])
     scoring = ("fuzrank.cvss", "fuzrank.veability", "fuzrank.classic", "fuzrank.fuzzy")
     assert _loaded_in_child(code, scoring) == []
 
 
 def test_validate_loads_neither_engine():
-    code = (
-        "from fuzrank.cli import main\n"
-        f"main(['validate', {str(SCENARIO)!r}], standalone_mode=False)\n"
-    )
+    code = _commands_in_child(["validate", str(SCENARIO)])
     assert _loaded_in_child(code, ("fuzrank.classic", "fuzrank.fuzzy")) == []
 
 
@@ -850,11 +885,38 @@ def test_veability_with_every_cost_given_loads_neither_engine(tmp_path):
     for vulnerability in doc["vulnerabilities"]:
         vulnerability["atc_cost"] = 0.5
     path.write_text(json.dumps(doc))
-    code = (
-        "from fuzrank.cli import main\n"
-        f"main(['veability', {str(path)!r}, '--format', 'json'], standalone_mode=False)\n"
-    )
+    code = _commands_in_child(["veability", str(path), "--format", "json"])
     assert _loaded_in_child(code, ("fuzrank.classic", "fuzrank.fuzzy")) == []
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Every command prints the same bytes under two string-hash seeds, each
+    in its own interpreter."""
+    from test_graph import layered_doc
+
+    layered = tmp_path / "layered.json"
+    layered.write_text(json.dumps({"schema_version": "1", "graph": layered_doc(7, 3)}))
+    s = str(SCENARIO)
+    code = _commands_in_child(
+        ["rank", s, "--engine", "both", "--format", "json"],
+        ["veability", s, "--format", "json"],
+        ["graph", s],
+        ["graph", s, "--goal", "RAN-control"],
+        ["validate", s, "--strict"],
+        ["graph", str(layered), "--goal", "goal-L7"],
+    )
+    src = str(Path(fuzrank.__file__).parents[1])
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("0", "1")
+    ]
+    (out0, err0), (out1, err1) = outputs = [child.communicate(timeout=60) for child in children]
+    assert [child.returncode for child in children] == [0, 0], outputs
+    assert out0.count(b'digraph "attack_graph" {') == 3 and b"is a valid scenario" in out0
+    assert (out0, err0) == (out1, err1)
 
 
 # --- the process policy: no collector, one BLAS thread ----------------------------

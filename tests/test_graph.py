@@ -9,15 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzrank.graph import (
-    AttackNode,
-    NodeKind,
     PathExplosionError,
     _minimal,
     enumerate_paths,
     export_dot,
     subgraph_to_goal,
 )
-from fuzrank.scenario import PREDEFINED_SCHEMES, ScenarioError, parse_scenario
+from fuzrank.scenario import (
+    PREDEFINED_SCHEMES,
+    AttackNode,
+    NodeKind,
+    ScenarioError,
+    parse_scenario,
+)
 
 C = NodeKind.CONFIGURATION
 S = NodeKind.ATTACK_STEP
@@ -41,6 +45,11 @@ def graph_document(nodes, edges=(), targets=()):
 def graph_of(nodes, edges=(), targets=()):
     """The graph the scenario parser builds from these nodes, edges and targets."""
     return parse_scenario(graph_document(nodes, edges, targets)).graph
+
+
+def edges_of(graph):
+    """The graph's (src, dst) edges, read off its predecessors, sorted."""
+    return sorted((p, nid) for nid, ps in graph.preds.items() for p in ps)
 
 
 def graph_errors(nodes, edges=(), targets=()):
@@ -74,7 +83,7 @@ def oracle_minimal_sets(graph, goal):
             node = graph.nodes[nid]
             if node.kind is C:
                 continue
-            preds = graph._preds[nid]
+            preds = graph.preds[nid]
             present = sum(1 for p in preds if p in subset)
             if node.kind is P:
                 ok = present >= 1
@@ -140,7 +149,7 @@ def test_build_six_cve_style_scenario():
 def test_build_trivial_single_configuration():
     g = graph_of([n("only", C)], [], [])
     assert len(g.nodes) == 1
-    assert g._preds["only"] == ()
+    assert g.preds["only"] == ()
 
 
 def test_final_step_with_successor_rejected():
@@ -352,7 +361,7 @@ def test_chain_deeper_than_recursion_limit():
 def test_minimal_sets_and_subgraph_match_oracle(seed, data):
     g = random_typed_dag(np.random.default_rng(seed))
     targets = data.draw(st.sets(st.sampled_from(sorted(g.nodes))))
-    g = graph_of(g.nodes.values(), g.edges, targets)
+    g = graph_of(g.nodes.values(), edges_of(g), targets)
     goal = data.draw(st.sampled_from(sorted(g.nodes)))
     got = enumerate_paths(g, goal)
     assert len(got) == len(set(got))
@@ -363,13 +372,12 @@ def test_minimal_sets_and_subgraph_match_oracle(seed, data):
     # the restriction is assembled directly; validating it must give the same graph
     rebuilt = graph_of(
         [g.nodes[nid] for nid in sorted(keep)],
-        [(s, d) for s, d in sorted(g.edges) if s in keep and d in keep],
+        [(s, d) for s, d in edges_of(g) if s in keep and d in keep],
         [t for t in g.targets if t in keep],
     )
     assert list(sub.nodes.items()) == list(rebuilt.nodes.items())
-    assert sub.edges == rebuilt.edges
     assert sub.targets == rebuilt.targets
-    assert list(sub._preds.items()) == list(rebuilt._preds.items())
+    assert list(sub.preds.items()) == list(rebuilt.preds.items())
     assert export_dot(sub) == export_dot(rebuilt)
 
 
@@ -387,7 +395,7 @@ def test_enumeration_matches_bruteforce_oracle_randomized():
             seen = set()
             for nid in path:
                 node = g.nodes[nid]
-                preds = g._preds[nid]
+                preds = g.preds[nid]
                 if node.kind is P:
                     assert any(p in seen for p in preds)
                 elif node.kind is not C:
@@ -452,7 +460,7 @@ def reference_minimal_masks(graph, goal, cap):
         if nid in families:
             stack.pop()
             continue
-        preds = graph._preds[nid]
+        preds = graph.preds[nid]
         pending = [p for p in preds if p not in families]
         if pending:
             stack.extend(reversed(pending))
@@ -541,7 +549,7 @@ def reference_linearize(graph, path):
     """The nodes of `path` in topological order, the smallest ready id first."""
     order, left = [], set(path)
     while left:
-        nid = min(x for x in left if left.isdisjoint(graph._preds[x]))
+        nid = min(x for x in left if left.isdisjoint(graph.preds[x]))
         order.append(nid)
         left.remove(nid)
     return tuple(order)
@@ -715,13 +723,13 @@ def test_twelve_layer_family_is_capped_or_read_without_expansion():
 def test_back_edge_errors_match_graphlib_reference(seed, data):
     g = random_typed_dag(np.random.default_rng(seed))
     # an edge from a node back to one of its ancestors, or to itself, closes a cycle
-    tail = head = data.draw(st.sampled_from(sorted(nid for nid in g.nodes if g._preds[nid])))
+    tail = head = data.draw(st.sampled_from(sorted(nid for nid in g.nodes if g.preds[nid])))
     for _ in range(data.draw(st.integers(0, 4))):
-        if not g._preds[head]:
+        if not g.preds[head]:
             break
-        head = data.draw(st.sampled_from(g._preds[head]))
+        head = data.draw(st.sampled_from(g.preds[head]))
     nodes = data.draw(st.permutations(list(g.nodes.values())))
-    edges = data.draw(st.permutations(sorted(g.edges) + [(tail, head)]))
+    edges = data.draw(st.permutations(edges_of(g) + [(tail, head)]))
     errors = graph_errors(nodes, edges)
     assert errors == [f"$.graph: {e}" for e in reference_validation_errors(nodes, edges)]
     assert any(e.startswith("$.graph: cycle detected: ") for e in errors)
@@ -738,12 +746,12 @@ GRAPH_MUTANTS = ("none", "cycle", "configuration-pred", "final-succ", "unreachab
 @given(st.integers(0, 2**32 - 1), st.sampled_from(GRAPH_MUTANTS), st.data())
 def test_parsed_graph_matches_graphlib_reference(seed, mutant, data):
     g = random_typed_dag(np.random.default_rng(seed))
-    nodes, edges = list(g.nodes.values()), sorted(g.edges)
+    nodes, edges = list(g.nodes.values()), edges_of(g)
     steps = sorted(nid for nid, x in g.nodes.items() if x.kind is not F)
     if mutant == "cycle":  # back to an ancestor, or to itself
-        tail = head = data.draw(st.sampled_from(sorted(nid for nid in g.nodes if g._preds[nid])))
-        while g._preds[head] and data.draw(st.booleans()):
-            head = data.draw(st.sampled_from(g._preds[head]))
+        tail = head = data.draw(st.sampled_from(sorted(nid for nid in g.nodes if g.preds[nid])))
+        while g.preds[head] and data.draw(st.booleans()):
+            head = data.draw(st.sampled_from(g.preds[head]))
         edges.append((tail, head))
     elif mutant == "configuration-pred":
         nodes.append(n("x-late", C))
@@ -762,9 +770,9 @@ def test_parsed_graph_matches_graphlib_reference(seed, mutant, data):
     if not errors:
         got = parse_scenario(text, strict=True).graph
         assert list(got.nodes.items()) == [(x.id, x) for x in nodes]
-        assert got.edges == frozenset(edges) and got.targets == frozenset(targets)
+        assert got.targets == frozenset(targets)
         preds = {nid: tuple(sorted(s for s, d in edges if d == nid)) for nid in sorted(got.nodes)}
-        assert list(got._preds.items()) == list(preds.items())
+        assert list(got.preds.items()) == list(preds.items())
         return
     with pytest.raises(ScenarioError) as got:
         parse_scenario(text, strict=True)
@@ -779,8 +787,8 @@ def test_parsed_graph_matches_graphlib_reference(seed, mutant, data):
 # same graph.
 
 def reference_assemble(by_id, edges, targets):
-    """The whole-graph errors of checked input, or the graph's (nodes, edges,
-    targets, _preds)."""
+    """The whole-graph errors of checked input, or the graph's (nodes,
+    targets, preds)."""
     errors = []
     preds = {nid: [] for nid in sorted(by_id)}
     succs = {nid: [] for nid in preds}
@@ -826,7 +834,7 @@ def reference_assemble(by_id, edges, targets):
 
     if errors:
         return errors
-    return by_id, frozenset(edges), frozenset(targets), sorted_preds
+    return by_id, frozenset(targets), sorted_preds
 
 
 KIND_NAMES = [k.value for k in NodeKind]
@@ -913,10 +921,10 @@ def test_parser_states_the_graph_rules_of_the_assemble_reference(section):
         assert exc.value.errors == located + [f"$.graph: {m}" for m in errors]
         return
     got = parse_scenario(text).graph
-    by_id, got_edges, got_targets, preds = reference
+    by_id, got_targets, preds = reference
     assert list(got.nodes.items()) == list(by_id.items())
-    assert got.edges == got_edges and got.targets == got_targets
-    assert list(got._preds.items()) == list(preds.items())
+    assert got.targets == got_targets
+    assert list(got.preds.items()) == list(preds.items())
 
 
 # --- DOT export ---------------------------------------------------------------
@@ -974,7 +982,7 @@ def test_export_dot_six_cve_roundtrip():
     g = graph_of(nodes, edges, targets=[f"f-{cves[-1]}"])
     parsed_nodes, parsed_edges = parse_dot(export_dot(g))
     assert set(parsed_nodes) == set(g.nodes)
-    assert set(parsed_edges) == set(g.edges)
+    assert sorted(parsed_edges) == edges_of(g)
     boxes = [nid for nid, a in parsed_nodes.items() if a["shape"] == "box"]
     assert len(boxes) == 6
     # labels carried through for the final exploits

@@ -382,7 +382,7 @@ def test_duplicate_edges_and_targets_warn_lax_and_error_strict():
     ]
     scenario = parse_scenario(text)
     assert list(scenario.warnings) == expected
-    assert scenario.graph.edges == {("c", "s"), ("s", "f")}
+    assert scenario.graph.preds == {"c": (), "f": ("s",), "s": ("c",)}
     assert scenario.graph.targets == {"f"}
     assert errors_of(text, strict=True) == [f"{e} (strict mode)" for e in expected]
 

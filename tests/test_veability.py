@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fuzrank.scenario import AssetProfile, VulnerabilityRecord
 from fuzrank.veability import (
-    AssetProfile,
     AssetScore,
-    VulnerabilityRecord,
     attackability_dim,
     exploitability_dim,
     severity,
