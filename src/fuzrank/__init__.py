@@ -7,17 +7,17 @@ The supported entry points are the `fuzrank` command line, the run layer
 command line's process entry is `fuzrank.__main__` (the installed script
 and `python -m fuzrank`); its commands live in `fuzrank.cli`, whose `main`
 tests and library callers invoke. Each command's work is one call into the
-run layer, on a parsed scenario: `pipeline.rank`, `pipeline.score_assets`
-and `pipeline.select_graph`, which raise `pipeline.RunError` with the
-command's message and exit code. The module functions are
-`scenario.parse_scenario`, `resolve_vulnerability_records` and
-`asset_profiles`, the fuzzy stages `aggregate_ratings`, `normalize_fuzzy`,
-`apply_weights` and `rank_fuzzy`, `classic.DecisionMatrix`,
-`derive_weights` and `rank_classic`, `graph.subgraph_to_goal`,
-`export_dot`, `enumerate_paths` and `DEFAULT_PATH_CAP`, and
-`veability.veability_score`, with the report in `report.RunReport` and
-`fingerprint`. Import them from their modules; the package itself carries
-only the version and `_start_process`.
+run layer, on a parsed scenario: `pipeline.rank` (with an engine named in
+`pipeline.ENGINES`), `pipeline.score_assets` and `pipeline.select_graph`,
+which raise `pipeline.RunError` with the command's message and exit code.
+The module functions are `scenario.parse_scenario`,
+`resolve_vulnerability_records` and `asset_profiles`, the fuzzy stages
+`aggregate_ratings`, `normalize_fuzzy`, `apply_weights` and `rank_fuzzy`,
+`classic.DecisionMatrix`, `derive_weights` and `rank_classic`,
+`graph.subgraph_to_goal`, `export_dot`, `enumerate_paths` and
+`DEFAULT_PATH_CAP`, and `veability.veability_score`, with the report in
+`report.RunReport` and `fingerprint`. Import them from their modules; the
+package itself carries only the version and `_start_process`.
 
 The process policy. A `fuzrank` process (`fuzrank.__main__`, or `python -m
 fuzrank.cli`) calls `_start_process` before click and numpy load. It
@@ -37,11 +37,14 @@ stdout and stderr, and ends the process by `os._exit` with click's exit
 code, so the interpreter does not tear down numpy's and click's modules one
 object at a time. That is safe because the output is written and flushed,
 an `-o` file is closed and renamed, fuzrank starts no thread, and every exit
-hook (coverage's among them) has run. If a flush fails, the exit code is not
-an int, or `python -i` is to show its prompt, the process exits the
-ordinary way, by `sys.exit`. `fuzrank.cli.main` is the entry for embedding
-fuzrank: it never calls `os._exit`, and importing fuzrank, `main` and the
-module functions change neither the collector nor `os.environ`.
+hook (coverage's among them) has run. Every stdout write flushes, so a
+stdout flush that fails here holds only bytes whose failed write was
+reported, and `run` drops them with the stream. If the stderr flush fails,
+the exit code is not an int, or `python -i` is to show its prompt, the
+process exits the ordinary way, by `sys.exit`. `fuzrank.cli.main` is the
+entry for embedding fuzrank: it never calls `os._exit` nor replaces
+`sys.stdout`, and importing fuzrank, `main` and the module functions change
+neither the collector nor `os.environ`.
 """
 
 __version__ = "1.0.0"

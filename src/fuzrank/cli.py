@@ -47,6 +47,7 @@ from .pipeline import RunError
 from .scenario import ScenarioError, ScenarioFile, parse_scenario
 
 PATH_CAP_ENV = "FUZRANK_PATH_CAP"
+_FORMATS = ("table", "json", "csv")  # the names `report.RunReport.render` takes
 
 
 def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, bytes]:
@@ -72,17 +73,20 @@ def _read_scenario(path: str, strict: bool) -> tuple[ScenarioFile, bytes]:
 
 
 def _echo(text: str, **kwargs) -> None:
-    """`click.echo` to stdout. A broken pipe is left to click (exit 1, nothing
-    on stderr); any other failed write is an exit-1 error, and the bytes that
-    could not be written are dropped with the stream, so that no later flush
-    fails on them again."""
+    """`click.echo` to stdout, which flushes. A broken pipe is left to click
+    (exit 1, nothing on stderr); any other failed write is an exit-1 error."""
     try:
         click.echo(text, **kwargs)
     except OSError as exc:
         if exc.errno == errno.EPIPE:
             raise
-        sys.stdout = open(os.devnull, "w")
         raise RunError(f"cannot write to stdout: {exc}")
+
+
+def _warn(warnings: tuple[str, ...]) -> None:
+    """Each warning to stderr, once the command's work is done."""
+    for w in warnings:
+        click.echo(f"warning: {w}", err=True)
 
 
 def _write_output(text: str, out: Optional[str]) -> None:
@@ -134,8 +138,7 @@ def _write_report(
     warned = scenario.warnings + warned
     report = RunReport(fingerprint(data), __version__, warnings=warned, **parts)
     if fmt == "csv":
-        for w in report.warnings:
-            click.echo(f"warning: {w}", err=True)
+        _warn(report.warnings)
     _write_output(report.render(fmt), out)
 
 
@@ -175,9 +178,9 @@ def main() -> None:
 
 @main.command()
 @click.argument("scenario_path", metavar="SCENARIO")
-@click.option("--engine", type=click.Choice(["classic", "fuzzy", "both"]), default="both",
+@click.option("--engine", type=click.Choice(pipeline.ENGINES), default="both",
               show_default=True, help="Which ranking engine(s) to run.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]),
+@click.option("--format", "fmt", type=click.Choice(_FORMATS),
               default="table", show_default=True, help="Report format.")
 @click.option("--strict", is_flag=True, help="Treat scenario warnings as errors.")
 @click.option("-o", "--output", help="Write the report to this path instead of stdout.")
@@ -190,7 +193,7 @@ def rank(scenario_path: str, engine: str, fmt: str, strict: bool, output: Option
 
 @main.command()
 @click.argument("scenario_path", metavar="SCENARIO")
-@click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]),
+@click.option("--format", "fmt", type=click.Choice(_FORMATS),
               default="table", show_default=True, help="Report format.")
 @click.option("--strict", is_flag=True, help="Treat scenario warnings as errors.")
 @click.option("-o", "--output", help="Write the report to this path instead of stdout.")
@@ -213,7 +216,9 @@ def graph(scenario_path: str, goal: Optional[str], strict: bool, output: Optiona
     scenario, _ = _read_scenario(scenario_path, strict)
     from .graph import export_dot
 
-    _write_output(export_dot(pipeline.select_graph(scenario, goal, _path_cap)), output)
+    dot = export_dot(pipeline.select_graph(scenario, goal, _path_cap))
+    _warn(scenario.warnings)
+    _write_output(dot, output)
 
 
 @main.command()
@@ -222,8 +227,7 @@ def graph(scenario_path: str, goal: Optional[str], strict: bool, output: Optiona
 def validate(scenario_path: str, strict: bool) -> None:
     """Validate a scenario file and report problems."""
     scenario, _ = _read_scenario(scenario_path, strict)
-    for w in scenario.warnings:
-        click.echo(f"warning: {w}", err=True)
+    _warn(scenario.warnings)
     _echo(f"OK: {scenario_path} is a valid scenario")
 
 
@@ -241,7 +245,10 @@ def run() -> None:
     if isinstance(code, int) and not sys.flags.inspect:
         atexit._run_exitfuncs()
         try:
-            sys.stdout.flush()
+            try:
+                sys.stdout.flush()
+            except OSError:  # only bytes whose failed write was reported (see `fuzrank`)
+                sys.stdout = open(os.devnull, "w")
             sys.stderr.flush()
         except Exception:
             pass  # the ordinary exit below flushes again and reports it

@@ -12,17 +12,17 @@ weighted by fuzzy criterion weights, and ranked by summed vertex distances to
 the fuzzy ideal and anti-ideal (Chen 2000, Fuzzy Sets and Systems 114:1-9).
 
 Array layout. A `scenario.RatingPanel` carries its linguistic labels as
-one-byte codes into `panel.labels`, rater-major: k * m * n rating codes for k
-raters, m alternatives and n criteria, and k * n weight codes. Only the
-scenario parser builds these codes, while it validates the panel; the panel's
-type lives with it, and the codes are bytes, so the parser loads neither an
-engine nor numpy: numpy loads only with the engines. `aggregate_ratings`
-reads the codes once as index arrays of shape (k, m, n) and (k, n). Pooling
-looks the codes up in one column per component (every label's a, its b, its
-c) built from the scale, and reduces each column on its own, so every later
-stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
-(m, n, 3), the last axis holding each cell's (a, b, c), and whose fuzzy
-weights have shape (n, 3).
+one-byte codes, each its label's index in the scale, rater-major: k * m * n
+rating codes for k raters, m alternatives and n criteria, and k * n weight
+codes. Only the scenario parser builds these codes, while it validates the
+panel; the panel's type lives with it, and the codes are bytes, so the parser
+loads neither an engine nor numpy: numpy loads only with the engines.
+`aggregate_ratings` reads the codes once as index arrays of shape (k, m, n)
+and (k, n). Pooling looks the codes up in one column per component (every
+label's a, its b, its c) built from the scale's values, and reduces each
+column on its own, so every later stage works on a `FuzzyDecisionMatrix`
+whose `values` array has shape (m, n, 3), the last axis holding each cell's
+(a, b, c), and whose fuzzy weights have shape (n, 3).
 
 Record types. `TFN`, like every value record in fuzrank, is a NamedTuple;
 `RatingPanel` and `FuzzyDecisionMatrix` are plain classes. None generates
@@ -80,7 +80,7 @@ def aggregate_ratings(panel: RatingPanel, scale: Mapping[str, TFN]) -> FuzzyDeci
     [min a, max c], where its exact value lies. When k peaks could sum past
     the float range, each is divided by k before the sum instead of after.
     """
-    rows = [scale[label] for label in panel.labels]
+    rows = list(scale.values())  # in the order the codes index
     # a Python number: top * k is inf past the float range, with no numpy warning
     top = max([row[1] for row in rows], default=0.0)
     table = np.array(rows, dtype=float)

@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 
 EXIT_VALIDATION = 1
 EXIT_COMPUTATION = 2
+ENGINES = ("classic", "fuzzy", "both")  # the engine names `rank` takes
 
 
 class RunError(Exception):
@@ -97,15 +98,17 @@ def _classic_inputs(
 
 
 def rank(scenario: ScenarioFile, engine: str) -> tuple[tuple[RankingResult, ...], tuple[str, ...]]:
-    """Run the chosen engines ("classic", "fuzzy" or "both"), pooling the
-    panel's ratings at most once, and return their rankings and the warnings
-    they raised, in order.
+    """Run the chosen engines (a name in `ENGINES`; any other raises
+    ValueError before any work), pooling the panel's ratings at most once,
+    and return their rankings and the warnings they raised, in order.
 
     A float fault (numpy's RuntimeWarning: overflow, invalid value, division
     by zero) while an engine runs is a computation failure naming that
     engine, never a report warning: its result could hold an inf or a NaN.
     Pooling counts to the fuzzy engine unless only the classic one runs.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}")
     from .classic import ConvergenceError, rank_classic
     from .fuzzy import aggregate_ratings, apply_weights, normalize_fuzzy, rank_fuzzy
 

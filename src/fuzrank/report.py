@@ -197,4 +197,6 @@ class RunReport(NamedTuple):
             return self.to_json()
         if fmt == "csv":
             return self.to_csv()
-        return self.to_table()
+        if fmt == "table":
+            return self.to_table()
+        raise ValueError(f"unknown report format {fmt!r}; use one of table, json, csv")

@@ -13,11 +13,11 @@ object's fields (any other key draws an "unknown field" warning), and each
 section. Every problem is reported as `<json-path>: <message>`.
 
 The panel's ratings and weights and the decision matrix are keyed grids:
-objects keyed by ids, whose rows are keyed by criterion id. Every keyed grid is
-decoded in one pass by `_leaves`, with no Python-level call per row, and is
-accepted only when every key and cell is exactly where it should be.
-`_explain_grid` runs only to explain a grid that pass refused, and reports
-every problem found.
+objects keyed by ids, down to rows keyed by criterion id. Each is one `_grid`
+call, which states its levels once. It is decoded in one pass by `_leaves`,
+with no Python-level call per row, and accepted only when every key and cell
+is exactly where it should be; only a refused grid is walked again, by
+`_explain`, which reports every problem found.
 
 A refused section draws no follow-on errors. The scale override, `schemes`,
 `criteria`, `actions` and `vulnerabilities` are each passed on as None when
@@ -64,6 +64,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, NamedTuple, 
 if TYPE_CHECKING:
     # a matrix as the parser holds it: a tuple of float rows
     _Rows = tuple[tuple[float, ...], ...]
+    # a keyed grid's level: its ids, what a missing and an unknown one are called
+    _Level = tuple[tuple[str, ...], str, str]
 
 
 class CriterionKind(Enum):
@@ -99,19 +101,18 @@ def default_scale() -> dict[str, TFN]:
 class RatingPanel:
     """Linguistic rating grids from k decision makers over m alternatives and
     n criteria, plus each rater's criterion-weight labels, held as one-byte
-    codes into `labels`: `rating_codes` holds k * m * n of them, rater-major
-    (rater, then alternative, then criterion), and `weight_codes` k * n, rater
-    by rater. Only the parser builds panels: it decodes and checks every label
-    while it validates the document. `fuzzy.aggregate_ratings` reads the codes
-    as (k, m, n) and (k, n) arrays.
+    codes, each its label's index in the scale: `rating_codes` holds k * m * n
+    of them, rater-major (rater, then alternative, then criterion), and
+    `weight_codes` k * n, rater by rater. Only the parser builds panels: it
+    decodes and checks every label while it validates the document.
+    `fuzzy.aggregate_ratings` reads the codes as (k, m, n) and (k, n) arrays.
     """
 
     def __init__(self, decision_makers: tuple[str, ...], alternatives: tuple[str, ...],
-                 criteria: tuple[CriterionSpec, ...], labels: tuple[str, ...],
-                 rating_codes: bytes, weight_codes: bytes):
+                 criteria: tuple[CriterionSpec, ...], rating_codes: bytes, weight_codes: bytes):
         self.decision_makers, self.alternatives, self.criteria = (
             decision_makers, alternatives, criteria)
-        self.labels, self.rating_codes, self.weight_codes = labels, rating_codes, weight_codes
+        self.rating_codes, self.weight_codes = rating_codes, weight_codes
 
 
 class NodeKind(Enum):
@@ -615,10 +616,9 @@ def _parse_panel(
     """The rating panel as label codes, or None when it is absent or refused
     (the reasons then in `col`).
 
-    The ratings and the weights are keyed grids, each decoded in one pass by
-    `_leaves`, with no Python-level call per row, the label codes streamed
-    into bytes; a label outside the scale fails the code lookup. Only for
-    a refused panel does `_explain_grid` run, to report every problem.
+    The ratings and the weights are keyed grids, each one `_grid` call, the
+    label codes streamed into bytes; a label outside the scale fails the
+    code lookup.
     """
     if raw is None:
         return None
@@ -644,54 +644,34 @@ def _parse_panel(
         return None
     raters = tuple(raters_raw)
     crit_ids = tuple(c.id for c in criteria)
-    ratings = raw.get("ratings")
-    if not _expect(col, "$.panel.ratings", ratings, dict, "an object keyed by rater"):
-        return None
-    weights = raw.get("weights")
+    ratings, weights = raw.get("ratings"), raw.get("weights")
     # a refused scale has no codes, so its panel is only explained
     code_of = {label: i for i, label in enumerate(scale or ())}.__getitem__
-    try:
-        rating_codes = bytes(map(code_of, _leaves(ratings, raters, actions, crit_ids)))
-        weight_codes = bytes(map(code_of, _leaves(weights, raters, crit_ids)))
-    except (KeyError, TypeError):
-        pass
-    else:
-        return RatingPanel(
-            decision_makers=raters,
-            alternatives=actions,
-            criteria=criteria,
-            labels=tuple(scale),
-            rating_codes=rating_codes,
-            weight_codes=weight_codes,
-        )
+    codes = lambda leaves: bytes(map(code_of, leaves))  # noqa: E731
 
-    # The panel is refused: say why.
     def check_label(path: str, label: Any) -> None:
         if scale is not None and (not isinstance(label, str) or label not in scale):
             col.error(path, f"label {label!r} not in the scale ({', '.join(scale)})")
 
-    for dm in raters:
-        grid = ratings.get(dm)
-        path = f"$.panel.ratings.{dm}"
-        if not isinstance(grid, dict):
-            col.error(path, f"missing rating grid for decision maker {dm!r}")
-            continue
-        _unknown_ids(col, path, grid, actions, "unknown action")
-        _explain_grid(
-            col, path, grid, actions, crit_ids, "ratings for action", "rating", check_label
-        )
-    _unknown_ids(col, "$.panel.ratings", ratings, raters, "rating grid for undeclared rater")
-
+    if not _expect(col, "$.panel.ratings", ratings, dict, "an object keyed by rater"):
+        return None
+    rating_codes = _grid(
+        col, "$.panel.ratings", ratings, codes, check_label,
+        (raters, "rating grid for decision maker", "rating grid for undeclared rater"),
+        (actions, "ratings for action", "unknown action"),
+        (crit_ids, "rating for criterion", "unknown criterion"),
+    )
     if not _expect(col, "$.panel.weights", weights, dict, "an object keyed by rater"):
         return None
-    _explain_grid(
-        col, "$.panel.weights", weights, raters, crit_ids,
-        "criterion weight labels for decision maker", "weight label", check_label,
+    weight_codes = _grid(
+        col, "$.panel.weights", weights, codes, check_label,
+        (raters, "criterion weight labels for decision maker",
+         "criterion weight labels for undeclared rater"),
+        (crit_ids, "weight label for criterion", "unknown criterion"),
     )
-    _unknown_ids(
-        col, "$.panel.weights", weights, raters, "criterion weight labels for undeclared rater"
-    )
-    return None
+    if rating_codes is None or weight_codes is None:
+        return None
+    return RatingPanel(raters, actions, criteria, rating_codes, weight_codes)
 
 
 def _leaves(obj: Any, *levels: tuple[str, ...]) -> Iterator[Any]:
@@ -710,41 +690,46 @@ def _leaves(obj: Any, *levels: tuple[str, ...]) -> Iterator[Any]:
     return leaves
 
 
-def _unknown_ids(
-    col: _Collector, path: str, obj: Mapping[str, Any], known: Sequence[str], message: str
+def _grid(
+    col: _Collector, path: str, obj: dict, decode: Callable[[Iterator[Any]], Any],
+    check_cell: Callable[[str, Any], Any], *levels: _Level,
+) -> Any:
+    """`decode` of the leaves `_leaves` reads off the keyed grid `obj`. When
+    either refuses the grid (`decode` by returning None or raising KeyError,
+    TypeError or OverflowError), `_explain` reports why and None is returned."""
+    try:
+        decoded = decode(_leaves(obj, *(ids for ids, _, _ in levels)))
+    except (KeyError, TypeError, OverflowError):
+        decoded = None
+    if decoded is None:
+        _explain(col, path, obj, check_cell, levels)
+    return decoded
+
+
+def _explain(
+    col: _Collector, path: str, obj: dict, check_cell: Callable[[str, Any], Any],
+    levels: tuple[_Level, ...],
 ) -> None:
-    """Report each key of `obj` outside `known`, in the object's order."""
-    known_set = set(known)
+    """Report every problem of `obj` at `levels[0]` and below: each unknown
+    key, in the object's order, then each declared key in turn. On the last
+    level a missing key is reported at `path`, and a cell checked by
+    `check_cell`; above it, a value that is not an object, at its own path."""
+    (ids, noun, unknown), below = levels[0], levels[1:]
+    known = set(ids)
     for key in obj:
-        if key not in known_set:
-            col.error(f"{path}.{key}", f"{message} {key!r}")
-
-
-def _explain_grid(
-    col: _Collector,
-    path: str,
-    grid: Mapping[str, Any],
-    row_ids: tuple[str, ...],
-    crit_ids: tuple[str, ...],
-    row_noun: str,
-    cell_noun: str,
-    check_cell: Callable[[str, Any], Any],
-) -> None:
-    """Report each row of `row_ids` that is missing or not an object, each
-    unknown or missing criterion in a row, and each cell through
-    `check_cell(path, value)`. The caller reports unknown row ids."""
-    for rid in row_ids:
-        row = grid.get(rid)
-        row_path = f"{path}.{rid}"
-        if not isinstance(row, dict):
-            col.error(row_path, f"missing {row_noun} {rid!r}")
-            continue
-        _unknown_ids(col, row_path, row, crit_ids, "unknown criterion")
-        for cid in crit_ids:
-            if cid in row:
-                check_cell(f"{row_path}.{cid}", row[cid])
+        if key not in known:
+            col.error(f"{path}.{key}", f"{unknown} {key!r}")
+    for key in ids:
+        key_path = f"{path}.{key}"
+        if not below:
+            if key in obj:
+                check_cell(key_path, obj[key])
             else:
-                col.error(row_path, f"missing {cell_noun} for criterion {cid!r}")
+                col.error(path, f"missing {noun} {key!r}")
+        elif isinstance(obj.get(key), dict):
+            _explain(col, key_path, obj[key], check_cell, below)
+        else:
+            col.error(key_path, f"missing {noun} {key!r}")
 
 
 def _parse_pairwise(
@@ -809,8 +794,7 @@ def _parse_decision_matrix(
     when it is absent or refused (the reasons then in `col`).
 
     The matrix is a keyed grid of nonnegative finite numbers (not bools),
-    decoded in one pass by `_leaves`. Only for a refused matrix does
-    `_explain_grid` run, to report every problem.
+    one `_grid` call.
     """
     if raw is None:
         return None
@@ -820,25 +804,22 @@ def _parse_decision_matrix(
         if actions is not None and criteria is not None:
             col.error("$.decision_matrix", "requires top-level 'actions' and 'criteria' lists")
         return None
-    crit_ids = tuple(c.id for c in criteria)
-    try:
-        values = list(_leaves(raw, actions, crit_ids))
+
+    def decode(leaves: Iterator[Any]) -> Optional[_Rows]:
+        values = list(leaves)
         if set(map(type, values)) <= {int, float}:
             cells = list(map(float, values))  # an int past the float range overflows
             # a nan fails both comparisons
             if all(0.0 <= x < math.inf for x in cells):
-                n = len(crit_ids)
+                n = len(criteria)
                 return tuple(tuple(cells[i:i + n]) for i in range(0, len(cells), n))
-    except (KeyError, TypeError, OverflowError):
-        pass
+        return None
 
-    # The matrix is refused: say why.
-    _unknown_ids(col, "$.decision_matrix", raw, actions, "unknown action")
-    _explain_grid(
-        col, "$.decision_matrix", raw, actions, crit_ids, "row for action", "value",
-        lambda path, x: _number(col, path, x, lo=0),
+    return _grid(
+        col, "$.decision_matrix", raw, decode, lambda path, x: _number(col, path, x, lo=0),
+        (actions, "row for action", "unknown action"),
+        (tuple(c.id for c in criteria), "value for criterion", "unknown criterion"),
     )
-    return None
 
 
 def _parse_vulnerabilities(

@@ -1,5 +1,7 @@
 import ast
+import errno
 import gc
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import sys
 from importlib.resources import files
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -731,6 +734,28 @@ def test_csv_warnings_go_to_stderr(runner, scenario_file, tmp_path, command):
     assert warned.stderr == "warning: $.bogus: unknown field\n"
 
 
+@pytest.mark.parametrize("goal", [[], ["--goal", "RAN-control"]], ids=["whole", "goal"])
+def test_graph_prints_the_scenario_warnings_to_stderr(runner, scenario_file, tmp_path, goal):
+    doc = json.loads(scenario_file.read_text())
+    doc["bogus"] = 1
+    doc["graph"]["edges"].append(doc["graph"]["edges"][0])
+    path = tmp_path / "warned.json"
+    path.write_text(json.dumps(doc))
+    clean = runner.invoke(main, ["graph", str(scenario_file), *goal])
+    warned = runner.invoke(main, ["graph", str(path), *goal])
+    assert clean.exit_code == warned.exit_code == 0
+    assert warned.stdout == clean.stdout
+    assert clean.stderr == ""
+    src, dst = doc["graph"]["edges"][0]
+    i = len(doc["graph"]["edges"]) - 1
+    assert warned.stderr == (
+        "warning: $.bogus: unknown field\n"
+        f"warning: $.graph.edges[{i}]: duplicate edge {src!r} -> {dst!r}\n"
+    )
+    validated = runner.invoke(main, ["validate", str(path)])
+    assert validated.stderr == warned.stderr
+
+
 def test_csv_inconsistent_pairwise_warning_goes_to_stderr(runner, tmp_path):
     crits = ["C-1", "C-2", "C-3"]
     doc = {
@@ -1027,6 +1052,18 @@ def test_full_stdout_is_an_error_not_a_traceback(scenario_file, launcher, comman
         child = _cli_process(launcher, [command, str(scenario_file)], full)
     assert child.returncode == 1
     assert child.stderr == b"Error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+def test_main_keeps_the_callers_stdout_after_a_failed_write(scenario_file, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    full = Full()
+    monkeypatch.setattr(sys, "stdout", full)
+    with pytest.raises(click.ClickException, match="^cannot write to stdout: "):
+        main(["validate", str(scenario_file)], standalone_mode=False)
+    assert sys.stdout is full
 
 
 @pytest.mark.parametrize("launcher", LAUNCHERS)

@@ -154,11 +154,10 @@ def test_pooling_keeps_tfn_ordered(rater_rows):
         decision_makers=tuple(f"dm{r}" for r in range(k)),
         alternatives=("A1",),
         criteria=specs([B, B, B]),
-        labels=tuple(f"T{i}" for i in range(len(triples))),
         rating_codes=codes,
         weight_codes=codes,
     )
-    scale = {label: TFN(*t) for label, t in zip(panel.labels, triples)}
+    scale = {f"T{i}": TFN(*t) for i, t in enumerate(triples)}
     pooled = aggregate_ratings(panel, scale)
     for v in (pooled.values, pooled.weights):
         assert (v[..., 0] <= v[..., 1]).all() and (v[..., 1] <= v[..., 2]).all()
@@ -195,17 +194,16 @@ def coded_panels(draw, triple=TRIPLE, kinds=(B,)):
         decision_makers=tuple(f"dm{r}" for r in range(k)),
         alternatives=tuple(f"A{i}" for i in range(m)),
         criteria=specs(draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))),
-        labels=tuple(f"T{i}" for i in range(len(scale))),
         rating_codes=bytes(rating_codes),
         weight_codes=bytes(weight_codes),
     )
-    return panel, {label: TFN(*t) for label, t in zip(panel.labels, scale)}
+    return panel, {f"T{i}": TFN(*t) for i, t in enumerate(scale)}
 
 
 @given(coded_panels())
 def test_pooling_matches_gather_then_reduce_bit_for_bit(case):
     panel, scale = case
-    table = np.array([scale[label] for label in panel.labels], dtype=float)
+    table = np.array(list(scale.values()), dtype=float)
     pooled = aggregate_ratings(panel, scale)
     k, m, n = len(panel.decision_makers), len(panel.alternatives), len(panel.criteria)
     ratings = pool_reference(table, panel.rating_codes, (k, m, n))

@@ -7,6 +7,8 @@ missing, when a data file did not make it into the package.
 
 from pathlib import Path
 
+import pytest
+
 import fuzrank
 
 
@@ -23,3 +25,10 @@ def test_imported_package_holds_every_file_of_the_source_tree():
     assert {Path("__init__.py"), Path("data", "paper_s4.json")} <= source
     missing = source - _tree(Path(fuzrank.__file__).parent)
     assert sorted(map(str, missing)) == []
+
+
+def test_version_is_the_one_pyproject_states():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == fuzrank.__version__

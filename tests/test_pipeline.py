@@ -108,6 +108,19 @@ def test_a_bad_goal_is_reported_before_the_cap_is_read():
         pipeline.select_graph(scenario, "nope", _unread_cap)
 
 
+def test_an_unknown_engine_is_refused_before_any_work(monkeypatch):
+    from fuzrank import fuzzy
+
+    def unpooled(*args):
+        raise AssertionError("the ratings were pooled")
+
+    scenario = parse_scenario(DATA.decode("utf-8"))
+    monkeypatch.setattr(fuzzy, "aggregate_ratings", unpooled)
+    message = r"^unknown engine 'fuzy'; use one of classic, fuzzy, both$"
+    with pytest.raises(ValueError, match=message):
+        pipeline.rank(scenario, "fuzy")
+
+
 def test_parsing_a_panel_and_selecting_its_graph_load_no_numpy():
     # numpy loads only with the engines: a panel's label codes are bytes
     code = (

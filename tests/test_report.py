@@ -99,6 +99,12 @@ def test_json_is_the_stdlib_layout(report):
     assert report.to_json() == reference_json(report)
 
 
+def test_render_refuses_an_unknown_format():
+    message = r"^unknown report format 'xml'; use one of table, json, csv$"
+    with pytest.raises(ValueError, match=message):
+        paper_like_report().render("xml")
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("field", ["d_plus", "d_minus", "cost", "benefit"])
 def test_json_refuses_non_finite_floats(field, value):

@@ -212,20 +212,33 @@ def test_rating_with_unknown_label():
                 "weights": {"dm1": {"C-1": "H"}, "dm2": {}, "dm3": {"C-1": "VL", "C-2": "L"}},
             },
             [
+                "$.panel.ratings.zed: rating grid for undeclared rater 'zed'",
                 "$.panel.ratings.dm2.A9: unknown action 'A9'",
                 "$.panel.ratings.dm2.A8: unknown action 'A8'",
                 "$.panel.ratings.dm2.A1.C-9: unknown criterion 'C-9'",
                 "$.panel.ratings.dm2.A1.C-1: label True not in the scale (VL, L, AV, H, VH)",
                 "$.panel.ratings.dm3: missing rating grid for decision maker 'dm3'",
-                "$.panel.ratings.zed: rating grid for undeclared rater 'zed'",
                 "$.panel.weights.dm2: missing weight label for criterion 'C-1'",
                 "$.panel.weights.dm3.C-2: unknown criterion 'C-2'",
+            ],
+        ),
+        (
+            {
+                "decision_makers": ["dm1"],
+                "ratings": {"dm1": {"A1": {"C-1": "H"}}},
+                "weights": {"dm1": {"C-1": 7, "C-9": "H"}, "ghost": {}},
+            },
+            [
+                "$.panel.weights.ghost: criterion weight labels for undeclared rater 'ghost'",
+                "$.panel.weights.dm1.C-9: unknown criterion 'C-9'",
+                "$.panel.weights.dm1.C-1: label 7 not in the scale (VL, L, AV, H, VH)",
             ],
         ),
     ],
     ids=[
         "no-raters", "no-grid", "row-misses-criterion", "unknown-action", "missing-row",
         "list-rows", "non-string-labels", "undeclared-rater", "one-grid-many-errors",
+        "weights-unknown-keys-first",
     ],
 )
 def test_panel_coverage_errors(panel, expected):
