@@ -177,8 +177,10 @@ def derive_weights(matrix) -> np.ndarray:
     lambda_max, w = principal_eigen(matrix)
     cr = consistency_ratio(matrix, lambda_max)
     if cr > 0.1:
+        # from 1000 on, exponent form: an extreme CR would print a hundred digits
+        shown = f"{cr:.3f}" if cr < 1000 else f"{cr:.3e}"
         warnings.warn(
-            f"pairwise comparisons are inconsistent (CR = {cr:.3f} > 0.1); "
+            f"pairwise comparisons are inconsistent (CR = {shown} > 0.1); "
             "weights may be unreliable",
             stacklevel=2,
         )

@@ -15,14 +15,14 @@ Array layout. A `scenario.RatingPanel` carries its linguistic labels as
 one-byte codes, each its label's index in the scale, rater-major: k * m * n
 rating codes for k raters, m alternatives and n criteria, and k * n weight
 codes. Only the scenario parser builds these codes, while it validates the
-panel; the panel's type lives with it, and the codes are bytes, so the parser
-loads neither an engine nor numpy: numpy loads only with the engines.
-`aggregate_ratings` reads the codes once as index arrays of shape (k, m, n)
-and (k, n). Pooling looks the codes up in one column per component (every
-label's a, its b, its c) built from the scale's values, and reduces each
-column on its own, so every later stage works on a `FuzzyDecisionMatrix`
-whose `values` array has shape (m, n, 3), the last axis holding each cell's
-(a, b, c), and whose fuzzy weights have shape (n, 3).
+panel, and the panel's type lives with it. `aggregate_ratings` reads the
+codes once as index arrays of shape (k, m, n) and (k, n). Pooling looks the
+codes up in one column per component (every label's a, its b, its c) built
+from the scale's values, and reduces each column on its own, so every later
+stage works on a `FuzzyDecisionMatrix` whose `values` array has shape
+(m, n, 3), the last axis holding each cell's (a, b, c), and whose fuzzy
+weights have shape (n, 3). The ideal and anti-ideal are crisp, one value per
+criterion, shape (n,).
 
 Record types. `TFN`, like every value record in fuzrank, is a NamedTuple;
 `RatingPanel` and `FuzzyDecisionMatrix` are plain classes. None generates
@@ -158,11 +158,9 @@ def apply_weights(matrix: FuzzyDecisionMatrix) -> FuzzyDecisionMatrix:
 
 
 def fuzzy_ideals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of the (m, n, 3) array: ideal = crisp max of upper bounds,
-    anti-ideal = crisp min of lower bounds, each an (n, 3) degenerate triple."""
-    fpis = np.repeat(values[..., 2].max(axis=0)[:, None], 3, axis=1)
-    fnis = np.repeat(values[..., 0].min(axis=0)[:, None], 3, axis=1)
-    return fpis, fnis
+    """Per column of the (m, n, 3) array, crisp as Chen (2000) defines them:
+    ideal = max of upper bounds, anti-ideal = min of lower bounds, each (n,)."""
+    return values[..., 2].max(axis=0), values[..., 0].min(axis=0)
 
 
 def _vertex_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -183,6 +181,7 @@ def rank_fuzzy(weighted: FuzzyDecisionMatrix) -> RankingResult:
     """
     fpis, fnis = fuzzy_ideals(weighted.values)
     with np.errstate(over="ignore"):
-        d_plus = _vertex_distance(weighted.values, fpis).sum(axis=1)
-        d_minus = _vertex_distance(weighted.values, fnis).sum(axis=1)
+        # each crisp ideal broadcast over its column's three components
+        d_plus = _vertex_distance(weighted.values, fpis[:, None]).sum(axis=1)
+        d_minus = _vertex_distance(weighted.values, fnis[:, None]).sum(axis=1)
     return rank_by_closeness("fuzzy", weighted.alternatives, d_plus, d_minus)

@@ -47,8 +47,7 @@ parser is the one checker of the format and states every graph rule
 (`scenario._parse_graph`): the input checks located in the document, each
 node's kind against its edges, cycles and reachability of the final steps.
 It builds the `AttackGraph`, which `scenario` defines with `NodeKind` and
-`AttackNode`, and the code here trusts it. Of the commands, only `graph`
-loads this module.
+`AttackNode`, and the code here trusts it.
 """
 
 from __future__ import annotations

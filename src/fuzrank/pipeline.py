@@ -6,24 +6,24 @@ a library caller gets the same results with no click. Every problem a run
 meets is a `RunError`, with the message and exit code the command line gives
 it: 1 for an input the run cannot use, 2 for a computation failure.
 
-Start-up bounds a call, so a command loads only the modules it runs, and
-each function here imports its stage modules in its body, where they are
-looked up at call time. Numpy loads only with the engines (`classic`,
-`fuzzy`): this module and the parser import none. `import fuzrank.cli` loads
-click, the scenario parser and no other fuzrank module but this one; it also
+The loading rule. Start-up bounds a call, so a command loads only the
+modules it runs. This is the rule's one statement, and `LOADS` in
+`tests/test_pipeline.py` pins it: one row per entry point, with the exact
+fuzrank modules it loads, and which of numpy, click, `csv` and `dataclasses`
+it loads. Each function here imports its stage modules in its body, where
+they are looked up at call time. Numpy loads only with the engines
+(`classic`, `fuzzy`): this module and the parser import none.
+`import fuzrank.cli` loads click, the parser and this module; it also
 imports numpy, and only because the benchmark's import-time probe
-(`perfbench/run.py`) expects `import fuzrank.cli` to load it. The parser
-defines every type it returns (see `scenario`), so it loads no stage module
-but `cvss`, which checks the vectors of a vulnerabilities section. Then
-`rank` loads `classic` and `fuzzy`; `score_assets` loads `veability`, and
-the engines only when a cost must come from the ranking; `select_graph`
-loads `graph` for a goal, and the `graph` command loads it to export DOT.
-The `rank` and `veability` commands add `report` (with `hashlib`, and `csv`
-for `--format csv`), and `validate` loads nothing more. So `validate` loads
-no engine, no `graph` and no `veability`; `graph` loads no `veability`, nor
-an engine; `rank` loads no `graph` and no `veability`; and `veability` loads
-no `graph`. No fuzrank module uses `dataclasses`, which generates each
-class's methods by `exec` at import: records are NamedTuples or plain
+(`perfbench/run.py`) expects it to. The parser defines every type it returns
+(see `scenario`), so it loads no stage module but `cvss`, which checks the
+vectors of a vulnerabilities section. Then `rank` loads `classic` and
+`fuzzy`; `score_assets` loads `veability`, and the engines only when a cost
+must come from the ranking; `select_graph` loads `graph` for a goal, and the
+`graph` command loads it to export DOT. The `rank` and `veability` commands
+add `report` (with `hashlib`, and `csv` for `--format csv`), and `validate`
+loads nothing more. No fuzrank module uses `dataclasses`, which generates
+each class's methods by `exec` at import: records are NamedTuples or plain
 classes.
 """
 

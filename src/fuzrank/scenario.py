@@ -10,7 +10,12 @@ asset profiles. In strict mode every warning becomes an error.
 This parser is the format's only statement. The `_*_KEYS` sets list each
 object's fields (any other key draws an "unknown field" warning), and each
 `_parse_*` function checks the types, ranges and cross-references of its
-section. Every problem is reported as `<json-path>: <message>`.
+section. Every problem is reported as `<json-path>: <message>`. A key
+repeated in one JSON object is not a problem: as in `json.loads`, its last
+value wins, so a second top-level "actions" replaces the first, and a
+rater's second row for an action replaces the first. (Refusing repeats with
+an `object_pairs_hook` would slow the decode of a large panel by a quarter
+or more.)
 
 The panel's ratings and weights and the decision matrix are keyed grids:
 objects keyed by ids, down to rows keyed by criterion id. Each is one `_grid`
@@ -44,12 +49,9 @@ Every type the parser returns is defined here, with no numpy:
 `CriterionKind`, `CriterionSpec`, the triangular fuzzy number `TFN` and
 `default_scale`, the coded `RatingPanel`, the attack graph's `NodeKind`,
 `AttackNode` and `AttackGraph`, the scoring inputs `VulnerabilityRecord` and
-`AssetProfile`, and the `PREDEFINED_SCHEMES` a graph node may name. So the
-parser loads no module that uses them, and a command loads only the modules
-it runs (see `pipeline`). The one module that loads with a section is `cvss`,
-with the vulnerabilities, as checking a vector needs its code. This module
-imports neither engine, and numpy loads only with the engines. A panel's
-label codes are bytes, one per label, so a scale holds at most 256 labels.
+`AssetProfile`, and the `PREDEFINED_SCHEMES` a graph node may name (see
+`pipeline` for what this module loads). A panel's label codes are bytes, one
+per label, so a scale holds at most 256 labels.
 """
 
 from __future__ import annotations
@@ -262,15 +264,15 @@ def _objects(
     section: str,
     noun: str,
     fields: set[str],
+    duplicate: str,
     key: str = "id",
     what: Optional[str] = None,
-    duplicate: Optional[str] = None,
 ) -> Iterator[tuple[str, dict, str]]:
     """Yield (path, item, name) for each object of the list at `$.<section>`
     whose `key` is a nonempty string. The list, each item, its fields and its
     name are checked here, in the section's own words: `noun` names one item,
-    `what` its name (default "<noun> <key>"), and `duplicate`, when given,
-    what a repeated name is reported as."""
+    `duplicate` what a repeated name is reported as, and `what` its name
+    (default "<noun> <key>")."""
     if not _expect(col, f"$.{section}", raw, list, f"a list of {noun} objects"):
         return
     what = what or f"{noun} {key}"
@@ -284,11 +286,10 @@ def _objects(
         if not isinstance(name, str) or not name:
             col.error(f"{path}.{key}", f"{what} must be a nonempty string")
             continue
-        if duplicate is not None:
-            if name in seen:
-                col.error(f"{path}.{key}", f"duplicate {duplicate} {name!r}")
-                continue
-            seen.add(name)
+        if name in seen:
+            col.error(f"{path}.{key}", f"duplicate {duplicate} {name!r}")
+            continue
+        seen.add(name)
         yield path, item, name
 
 
@@ -508,7 +509,8 @@ def _parse_graph(col: _Collector, raw: Any, schemes: Optional[set[str]]) -> Opti
         if scheme is not None and schemes is not None and scheme not in schemes:
             col.error(
                 f"{path}.scheme",
-                f"scheme {scheme!r} is neither predefined (I, S, P) nor declared",
+                f"scheme {scheme!r} is neither predefined "
+                f"({', '.join(PREDEFINED_SCHEMES)}) nor declared",
             )
         nodes[nid] = AttackNode(nid, kind, label or "", cve)
 

@@ -9,8 +9,8 @@ vulnerabilities. The mean (rather than a sum) keeps the dimension inside
 
 The inputs, `VulnerabilityRecord` and `AssetProfile`, are defined in
 `scenario`, whose parser builds them and checks their input ranges, with
-JSON-path messages; only the output, `AssetScore`, is defined and
-range-checked here. Of the commands, only `veability` loads this module.
+JSON-path messages; only the output, `AssetScore`, is defined here.
+`veability_score` clamps each of its values into [0, 10], a NaN to 0.
 """
 
 from __future__ import annotations
@@ -21,25 +21,14 @@ from typing import NamedTuple, Sequence
 from .scenario import AssetProfile, VulnerabilityRecord
 
 
-class _AssetScoreFields(NamedTuple):
+class AssetScore(NamedTuple):
+    """One asset's three dimensions and its score, each in [0, 10]."""
+
     asset_id: str
     vulnerability: float
     exploitability: float
     attackability: float
     veability: float
-
-
-class AssetScore(_AssetScoreFields):
-    """One asset's three dimensions and its score, each checked into [0, 10]."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> AssetScore:
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields[1:], self[1:]):
-            if not (0 <= value <= 10):
-                raise ValueError(f"{name} must be in [0, 10], got {value!r}")
-        return self
 
 
 def severity(vuln: VulnerabilityRecord) -> float:

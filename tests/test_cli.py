@@ -776,6 +776,18 @@ def test_csv_inconsistent_pairwise_warning_goes_to_stderr(runner, tmp_path):
     assert result.stderr == f"warning: {expected}\n"
 
 
+def test_an_extreme_consistency_ratio_is_written_in_exponent_form(runner, tmp_path):
+    doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
+    doc["pairwise"] = [[1, 1e308, 1, 1], [1e-308, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["rank", str(path), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["warnings"] == [
+        "pairwise comparisons are inconsistent (CR = 2.166e+102 > 0.1); weights may be unreliable"
+    ]
+
+
 def _overflow(*args, **kwargs):
     return np.float64(1e308) * 10
 
@@ -795,57 +807,15 @@ def test_float_fault_in_an_engine_is_a_computation_failure(runner, scenario_file
     )
 
 
-def _loaded_in_child(code: str, names: tuple[str, ...]) -> list[str]:
-    """Which of `names` are in sys.modules when a fresh interpreter, with
-    this fuzrank's source directory on PYTHONPATH, has run `code` and exits
-    with code 0. An atexit hook reads them, so `code` may end the process
-    through `fuzrank.cli.run`."""
-    probe = (
-        "import atexit, sys\n"
-        f"atexit.register(lambda: print(*[n for n in {names!r} if n in sys.modules],"
-        " file=sys.stderr))\n"
-    ) + code
+def _run_in_child(code: str) -> str:
+    """Run `code` in a fresh interpreter, with this fuzrank's source directory
+    on PYTHONPATH, and return its stderr; the child must exit with code 0."""
     env = {**os.environ, "PYTHONPATH": str(Path(fuzrank.__file__).parents[1])}
     child = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert child.returncode == 0, child.stderr
-    return child.stderr.splitlines()[-1].split()
-
-
-def _process_entry_code(args: list[str]) -> str:
-    """Code that runs `fuzrank args` as `python -m fuzrank.cli` does."""
-    return (
-        "import runpy, sys\n"
-        f"sys.argv = {['fuzrank', *args]!r}\n"
-        "runpy.run_module('fuzrank.cli', run_name='__main__')\n"
-    )
-
-
-def test_import_generates_no_dataclass_code():
-    assert _loaded_in_child("import fuzrank.cli", ("dataclasses",)) == []
-
-
-def test_import_loads_neither_engine_nor_the_graph():
-    names = ("fuzrank.classic", "fuzrank.fuzzy", "fuzrank.graph")
-    assert _loaded_in_child("import fuzrank.cli", names) == []
-
-
-@pytest.mark.parametrize(
-    "args", [["graph", "{s}"], ["graph", "{s}", "--goal", "RAN-control"], ["validate", "{s}"]]
-)
-def test_commands_without_report_do_not_load_it(scenario_file, args):
-    code = _process_entry_code([a.format(s=scenario_file) for a in args])
-    assert _loaded_in_child(code, ("fuzrank.report", "csv", "dataclasses")) == []
-
-
-def test_rank_without_a_graph_does_not_load_the_graph_module(tmp_path):
-    path = tmp_path / "panel.json"
-    doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
-    del doc["graph"]
-    path.write_text(json.dumps(doc))
-    code = _process_entry_code(["rank", str(path), "--format", "json"])
-    assert _loaded_in_child(code, ("fuzrank.graph",)) == []
+    return child.stderr
 
 
 def _commands_in_child(*commands: list[str]) -> str:
@@ -853,65 +823,6 @@ def _commands_in_child(*commands: list[str]) -> str:
     return "from fuzrank.cli import main\n" + "".join(
         f"main({args!r}, standalone_mode=False)\n" for args in commands
     )
-
-
-def test_rank_and_veability_do_not_load_the_graph_module():
-    """The parser defines the graph types, so a document's graph loads no
-    graph code until a command searches or exports it."""
-    code = _commands_in_child(
-        ["rank", str(SCENARIO), "--format", "json"],
-        ["veability", str(SCENARIO), "--format", "json"],
-    )
-    assert _loaded_in_child(code, ("fuzrank.graph",)) == []
-
-
-def test_commands_but_veability_do_not_load_the_scoring_module():
-    """The parser defines the scoring inputs, so a document's vulnerabilities
-    and assets load no scoring code until `veability` scores them."""
-    code = _commands_in_child(
-        ["rank", str(SCENARIO)],
-        ["graph", str(SCENARIO), "--goal", "RAN-control"],
-        ["validate", str(SCENARIO)],
-    )
-    assert _loaded_in_child(code, ("fuzrank.veability",)) == []
-
-
-def test_graph_only_commands_do_not_load_scoring_modules(tmp_path):
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps({"schema_version": "1", "graph": {"nodes": CHAIN,
-                                "edges": [["c", "f"]], "targets": ["f"]}}))
-    code = _commands_in_child(["graph", str(path), "--goal", "f"], ["validate", str(path)])
-    scoring = ("fuzrank.cvss", "fuzrank.veability", "fuzrank.classic", "fuzrank.fuzzy")
-    assert _loaded_in_child(code, scoring) == []
-
-
-def test_validate_loads_neither_engine():
-    code = _commands_in_child(["validate", str(SCENARIO)])
-    assert _loaded_in_child(code, ("fuzrank.classic", "fuzrank.fuzzy")) == []
-
-
-def test_a_document_without_a_panel_parses_with_no_numpy(tmp_path):
-    path = tmp_path / "crisp.json"
-    doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
-    del doc["panel"]
-    doc["decision_matrix"] = {a: {c["id"]: 1 for c in doc["criteria"]} for a in doc["actions"]}
-    path.write_text(json.dumps(doc))
-    code = (
-        "from fuzrank.scenario import parse_scenario\n"
-        f"scenario = parse_scenario(open({str(path)!r}).read())\n"
-        "assert scenario.pairwise and scenario.decision_matrix and scenario.graph\n"
-    )
-    assert _loaded_in_child(code, ("numpy",)) == []
-
-
-def test_veability_with_every_cost_given_loads_neither_engine(tmp_path):
-    path = tmp_path / "costed.json"
-    doc = json.loads(SCENARIO.read_text(encoding="utf-8"))
-    for vulnerability in doc["vulnerabilities"]:
-        vulnerability["atc_cost"] = 0.5
-    path.write_text(json.dumps(doc))
-    code = _commands_in_child(["veability", str(path), "--format", "json"])
-    assert _loaded_in_child(code, ("fuzrank.classic", "fuzrank.fuzzy")) == []
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
@@ -994,7 +905,7 @@ def test_main_leaves_the_collector_as_it_found_it(runner, scenario_file):
 
 def test_import_leaves_the_collector_on():
     code = "import gc, fuzrank.cli\nassert gc.isenabled() and not gc.get_freeze_count()"
-    assert _loaded_in_child(code, ()) == []
+    _run_in_child(code)
 
 
 def test_main_and_import_leave_the_environment_alone(runner, scenario_file):
@@ -1004,7 +915,7 @@ def test_main_and_import_leave_the_environment_alone(runner, scenario_file):
     assert dict(os.environ) == before
     code = (f"import os\nfor name in {BLAS_THREAD_VARS!r}:\n    os.environ.pop(name, None)\n"
             "before = dict(os.environ)\nimport fuzrank.cli\nassert dict(os.environ) == before")
-    assert _loaded_in_child(code, ()) == []
+    _run_in_child(code)
 
 
 @pytest.mark.parametrize("launcher", LAUNCHERS)

@@ -313,17 +313,17 @@ def test_apply_weights_rejects_negative_and_mismatch():
 def test_fuzzy_ideals_read_off_extremes():
     m = fdm([[(0.1, 0.2, 0.4)], [(0.2, 0.3, 0.9)]])
     fpis, fnis = fuzzy_ideals(m.values)
-    assert fpis.tolist() == [[0.9, 0.9, 0.9]]
-    assert fnis.tolist() == [[0.1, 0.1, 0.1]]
+    assert fpis.tolist() == [0.9]
+    assert fnis.tolist() == [0.1]
 
 
 def test_fuzzy_ideals_single_and_identical_columns():
     single = fdm([[(0.2, 0.5, 0.7)]])
     fpis, fnis = fuzzy_ideals(single.values)
-    assert fpis.tolist() == [[0.7, 0.7, 0.7]] and fnis.tolist() == [[0.2, 0.2, 0.2]]
+    assert fpis.tolist() == [0.7] and fnis.tolist() == [0.2]
     same = fdm([[(0.2, 0.5, 0.7)], [(0.2, 0.5, 0.7)]])
     fpis, fnis = fuzzy_ideals(same.values)
-    assert fpis.tolist() == [[0.7, 0.7, 0.7]] and fnis.tolist() == [[0.2, 0.2, 0.2]]
+    assert fpis.tolist() == [0.7] and fnis.tolist() == [0.2]
 
 
 # --- closeness / ranking -----------------------------------------------------------

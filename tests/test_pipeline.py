@@ -7,7 +7,8 @@ from importlib.resources import files
 
 import pytest
 from click.testing import CliRunner
-from test_cli import RUN_TIME_INPUT_RULE_IDS, RUN_TIME_INPUT_RULES, _loaded_in_child, _overflow
+from test_cli import (CHAIN, RUN_TIME_INPUT_RULE_IDS, RUN_TIME_INPUT_RULES, _commands_in_child,
+                      _overflow, _run_in_child)
 
 from fuzrank import __version__, pipeline
 from fuzrank.cli import main
@@ -121,18 +122,94 @@ def test_an_unknown_engine_is_refused_before_any_work(monkeypatch):
         pipeline.rank(scenario, "fuzy")
 
 
-def test_parsing_a_panel_and_selecting_its_graph_load_no_numpy():
-    # numpy loads only with the engines: a panel's label codes are bytes
-    code = (
+# --- which modules each entry point loads ------------------------------------------
+
+# library code a row runs, by name
+LIBRARY = {
+    "parse a crisp document": (
+        "from fuzrank.scenario import parse_scenario\n"
+        "s = parse_scenario(open({crisp!r}).read())\n"
+        "assert s.panel is None and s.pairwise and s.decision_matrix and s.graph\n"
+    ),
+    "parse a panel, select a goal": (
         "from fuzrank import cvss, graph, pipeline, report, scenario, veability\n"
-        f"parsed = scenario.parse_scenario(open({str(SCENARIO)!r}).read())\n"
-        "assert parsed.panel is not None\n"
-        "pipeline.select_graph(parsed, 'RAN-control', lambda: graph.DEFAULT_PATH_CAP)\n"
-    )
-    assert _loaded_in_child(code, ("numpy",)) == []
+        "s = scenario.parse_scenario(open({paper!r}).read())\n"
+        "assert s.panel is not None\n"
+        "pipeline.select_graph(s, 'RAN-control', lambda: graph.DEFAULT_PATH_CAP)\n"
+    ),
+}
+# a command run as `python -m fuzrank.cli` runs it: as `__main__`, so
+# `fuzrank.cli` is not among the modules
+PROCESS = ("import runpy, sys\nsys.argv = ['fuzrank', *{!r}]\n"
+           "runpy.run_module('fuzrank.cli', run_name='__main__')\n")
+
+# The loading rule `pipeline` states, one row per entry point: the entry, the
+# fuzrank.* modules loaded when it exits, and which of numpy, click, csv and
+# dataclasses are. An entry is a command after `python -m fuzrank.cli` or `main`
+# (`fuzrank.cli.main`), a key of LIBRARY, or code; `{name}` is a document's path.
+LOADS = [
+    ("import fuzrank.cli", "cli pipeline scenario", "numpy click"),
+    ("import fuzrank.pipeline", "pipeline scenario", ""),
+    ("python -m fuzrank.cli graph {paper}", "cvss graph pipeline scenario", "numpy click"),
+    ("python -m fuzrank.cli graph {paper} --goal RAN-control", "cvss graph pipeline scenario",
+     "numpy click"),
+    ("python -m fuzrank.cli validate {paper}", "cvss pipeline scenario", "numpy click"),
+    ("python -m fuzrank.cli rank {no_graph} --format json",
+     "classic cvss fuzzy pipeline report scenario", "numpy click"),
+    ("main rank {paper}", "classic cli cvss fuzzy pipeline report scenario", "numpy click"),
+    ("main rank {paper} --format json", "classic cli cvss fuzzy pipeline report scenario",
+     "numpy click"),
+    ("main rank {paper} --format csv", "classic cli cvss fuzzy pipeline report scenario",
+     "numpy click csv"),
+    ("main veability {paper} --format json",
+     "classic cli cvss fuzzy pipeline report scenario veability", "numpy click"),
+    ("main veability {costed} --format json", "cli cvss pipeline report scenario veability",
+     "numpy click"),
+    ("main graph {paper} --goal RAN-control", "cli cvss graph pipeline scenario", "numpy click"),
+    ("main validate {paper}", "cli cvss pipeline scenario", "numpy click"),
+    ("main graph {graph_only} --goal f", "cli graph pipeline scenario", "numpy click"),
+    ("main validate {graph_only}", "cli pipeline scenario", "numpy click"),
+    ("parse a crisp document", "cvss scenario", ""),
+    ("parse a panel, select a goal", "cvss graph pipeline report scenario veability", ""),
+]
+# at exit, on stderr: the fuzrank.* modules loaded, and which of the others are;
+# an atexit hook, as the process entry ends by `os._exit` once the hooks have run
+PROBE = ("import atexit, sys\natexit.register(lambda: print(\n"
+         "    sorted(n[8:] for n in sys.modules if n.startswith('fuzrank.')),\n"
+         "    [n for n in ('numpy', 'click', 'csv', 'dataclasses') if n in sys.modules],\n"
+         "    file=sys.stderr))\n")
 
 
-def test_import_loads_no_engine_and_no_front_end():
-    names = ("fuzrank.classic", "fuzrank.fuzzy", "fuzrank.veability", "fuzrank.cvss",
-             "fuzrank.graph", "fuzrank.report", "numpy", "click")
-    assert _loaded_in_child("import fuzrank.pipeline", names) == []
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory) -> dict[str, str]:
+    """The paper's scenario and four variants of it, as paths by name."""
+    paper = json.loads(DATA)
+    ones = {a: {c["id"]: 1 for c in paper["criteria"]} for a in paper["actions"]}
+    variants = {
+        "no_graph": {k: v for k, v in paper.items() if k != "graph"},
+        "costed": {**paper, "vulnerabilities": [{**v, "atc_cost": 0.5}
+                                                for v in paper["vulnerabilities"]]},
+        "crisp": {**{k: v for k, v in paper.items() if k != "panel"}, "decision_matrix": ones},
+        "graph_only": {"schema_version": "1",
+                       "graph": {"nodes": CHAIN, "edges": [["c", "f"]], "targets": ["f"]}},
+    }
+    paths = {"paper": str(SCENARIO)}
+    for name, doc in variants.items():
+        path = tmp_path_factory.mktemp(name) / "doc.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("entry, modules, others", LOADS, ids=[row[0] for row in LOADS])
+def test_entry_point_loads(documents, entry, modules, others):
+    """A fresh interpreter that has run `entry` holds exactly its row's modules."""
+    words = [word.format(**documents) for word in entry.split()]
+    if words[0] == "main":
+        code = _commands_in_child(words[1:])
+    elif words[:3] == ["python", "-m", "fuzrank.cli"]:
+        code = PROCESS.format(words[3:])
+    else:
+        code = LIBRARY.get(entry, entry).format(**documents)
+    loaded = _run_in_child(PROBE + code).splitlines()[-1]
+    assert loaded == f"{modules.split()} {others.split()}"

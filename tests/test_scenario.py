@@ -96,6 +96,19 @@ def test_unknown_field_warns_lax_errors_strict():
     assert any("unknown field (strict mode)" in e for e in errs)
 
 
+def test_a_repeated_key_keeps_its_last_value():
+    # as json.loads does: the first "actions" and the first "A1" row are dropped
+    text = (
+        '{"schema_version": "1", "criteria": [{"id": "C-1"}], "actions": ["A9"], '
+        '"actions": ["A1"], "panel": {"decision_makers": ["r"], '
+        '"ratings": {"r": {"A1": {"C-1": "VL"}, "A1": {"C-1": "VH"}}}, '
+        '"weights": {"r": {"C-1": "H"}}}}'
+    )
+    scenario = parse_scenario(text, strict=True)
+    assert scenario.actions == ("A1",) and scenario.warnings == ()
+    assert scenario.panel.rating_codes == bytes([4])  # "VH", the scale's fifth label
+
+
 def test_rating_with_unknown_criterion_names_path_and_id():
     text = minimal(
         criteria=[{"id": "C-1"}],

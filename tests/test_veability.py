@@ -91,11 +91,6 @@ def test_veability_score_arithmetic():
     assert worst.veability == pytest.approx(10 - (10 + worst.exploitability + 10) / 3)
 
 
-def test_asset_score_rejects_out_of_range():
-    with pytest.raises(ValueError, match="veability"):
-        AssetScore("a", 5, 5, 5, 11)
-
-
 @given(
     st.lists(
         st.tuples(score, score, score, closeness),
