@@ -903,6 +903,25 @@ def test_main_leaves_the_collector_as_it_found_it(runner, scenario_file):
     assert gc.isenabled() and gc.get_freeze_count() == frozen
 
 
+def _loaded_after_import(names: tuple[str, ...]) -> list[str]:
+    """Which of `names` a fresh interpreter holds once it has imported fuzrank.cli."""
+    code = f"import sys, fuzrank.cli\nprint(*[n for n in {names!r} if n in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(fuzrank.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.split()
+
+
+def test_import_generates_no_dataclass_code():
+    assert _loaded_after_import(("dataclasses",)) == []
+
+
+def test_import_loads_neither_engine_nor_the_graph():
+    assert _loaded_after_import(("fuzrank.classic", "fuzrank.fuzzy", "fuzrank.graph")) == []
+
+
 def test_import_leaves_the_collector_on():
     code = "import gc, fuzrank.cli\nassert gc.isenabled() and not gc.get_freeze_count()"
     _run_in_child(code)
