@@ -3,25 +3,16 @@
 Implements the public v3.1 base-score formulas. The specification's Roundup
 rule (ceiling at one decimal, with a guard against floating-point noise) is
 applied to the base score and, for consistent reporting, to both subscores.
+
+The weight tables state the allowed values: each base metric's values are
+the keys of its weight table, in the order an error message lists them.
+Privileges Required has one table per Scope; both hold the same values.
 """
 
 from __future__ import annotations
 
 import math
 
-
-BASE_METRICS = ("AV", "AC", "PR", "UI", "S", "C", "I", "A")
-
-_ALLOWED = {
-    "AV": ("N", "A", "L", "P"),
-    "AC": ("L", "H"),
-    "PR": ("N", "L", "H"),
-    "UI": ("N", "R"),
-    "S": ("U", "C"),
-    "C": ("N", "L", "H"),
-    "I": ("N", "L", "H"),
-    "A": ("N", "L", "H"),
-}
 
 _ATTACK_VECTOR = {"N": 0.85, "A": 0.62, "L": 0.55, "P": 0.2}
 _ATTACK_COMPLEXITY = {"L": 0.77, "H": 0.44}
@@ -31,6 +22,13 @@ _PRIVILEGES = {
 }
 _USER_INTERACTION = {"N": 0.85, "R": 0.62}
 _CIA = {"N": 0.0, "L": 0.22, "H": 0.56}
+
+# each base metric and the weight table whose keys are its allowed values
+_ALLOWED = {
+    "AV": _ATTACK_VECTOR, "AC": _ATTACK_COMPLEXITY, "PR": _PRIVILEGES["U"],
+    "UI": _USER_INTERACTION, "S": _PRIVILEGES, "C": _CIA, "I": _CIA, "A": _CIA,
+}
+BASE_METRICS = tuple(_ALLOWED)
 
 
 class CvssError(ValueError):

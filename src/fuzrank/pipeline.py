@@ -21,10 +21,10 @@ vectors of a vulnerabilities section. Then `rank` loads `classic` and
 `fuzzy`; `score_assets` loads `veability`, and the engines only when a cost
 must come from the ranking; `select_graph` loads `graph` for a goal, and the
 `graph` command loads it to export DOT. The `rank` and `veability` commands
-add `report` (with `hashlib`, and `csv` for `--format csv`), and `validate`
-loads nothing more. No fuzrank module uses `dataclasses`, which generates
-each class's methods by `exec` at import: records are NamedTuples or plain
-classes.
+add `report` (with `hashlib`), and `validate` loads nothing more. No
+command loads `csv`: the report joins its CSV rows itself. No fuzrank module
+uses `dataclasses`, which generates each class's methods by `exec` at
+import: records are NamedTuples or plain classes.
 """
 
 from __future__ import annotations

@@ -5,6 +5,14 @@ hash is embedded, numeric table output is fixed at three decimals, and JSON
 carries full precision. Every ranking block states the formula behind its
 cost column, because the two engines orient their cost values oppositely.
 
+A report row is its record: the JSON rows, the table lines and the CSV rows
+read the fields of `ActionRanking` and `AssetScore` in their order. The CSV
+is what the csv module's minimal quoting writes, a float as its `repr` (the
+shortest text that reads back as the same float), but it is joined by hand:
+before Python 3.13 the csv writer leaves a bare carriage return unquoted, and
+on 3.10 it refuses a NUL character, so its bytes would depend on the Python
+version.
+
 The JSON is laid out by hand from one template per header, ranking block,
 action row and asset row, not by `json.dumps`, whose `indent` always takes the
 pure-Python encoder. Its bytes equal `json.dumps(doc, indent=2,
@@ -15,10 +23,9 @@ checks against the document built as plain dicts.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 from json.encoder import encode_basestring_ascii as _ascii
-from operator import attrgetter
+from itertools import starmap
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
@@ -78,19 +85,29 @@ def _ints(values: tuple[int, ...]) -> Iterator[str]:
 
 
 _Format = Callable[[tuple], Iterator[str]]
-_ACTION_FIELDS = attrgetter("action", "d_plus", "d_minus", "cost", "benefit", "rank")
 _ACTION_FORMATS: tuple[_Format, ...] = (_strings, _floats, _floats, _floats, _floats, _ints)
-_ASSET_FIELDS = attrgetter(
-    "asset_id", "vulnerability", "exploitability", "attackability", "veability"
-)
 _ASSET_FORMATS: tuple[_Format, ...] = (_strings, _floats, _floats, _floats, _floats)
+# one table line per record, its fields in order
+_ACTION_LINE = "{:<12} {:>8.3f} {:>8.3f} {:>8.3f} {:>8.3f} {:>5d}".format
+_ASSET_LINE = "{:<20} {:>7.3f} {:>7.3f} {:>7.3f} {:>10.3f}".format
 
 
-def _rows(template: str, items: Iterable, fields: attrgetter, formats: tuple[_Format, ...]) -> str:
-    """`template` filled once per item, joined by ",\\n". The fields are read
-    and formatted a column at a time: formats[i] writes column i."""
-    columns = zip(*map(fields, items))
+def _rows(template: str, records: Iterable[tuple], formats: tuple[_Format, ...]) -> str:
+    """`template` filled once per record, joined by ",\\n". The fields are
+    read and formatted a column at a time: formats[i] writes field i."""
+    columns = zip(*records)
     return ",\n".join(map(template.__mod__, zip(*(f(c) for f, c in zip(formats, columns)))))
+
+
+_CSV_SPECIAL = frozenset(',"\r\n')  # the characters that make a CSV field quoted
+
+
+def _csv_field(value: object) -> str:
+    """A CSV field as the csv module's minimal quoting writes it: a number
+    as its repr, and text quoted, its quotes doubled, when it holds a comma,
+    a quote, a carriage return or a newline."""
+    text = value if isinstance(value, str) else repr(value)
+    return text if _CSV_SPECIAL.isdisjoint(text) else '"%s"' % text.replace('"', '""')
 
 
 def fingerprint(data: bytes) -> str:
@@ -129,13 +146,13 @@ class RunReport(NamedTuple):
                     _ascii(r.cost_definition),
                     _ascii(r.cost_orientation),
                     _ascii(r.minimum_effort_action),
-                    _rows(_ACTION, r.entries, _ACTION_FIELDS, _ACTION_FORMATS),
+                    _rows(_ACTION, r.entries, _ACTION_FORMATS),
                 )
                 for r in self.rankings
             ]
             sections.append(',\n  "rankings": [\n%s\n  ]' % ",\n".join(blocks))
         if self.assets:
-            rows = _rows(_ASSET, self.assets, _ASSET_FIELDS, _ASSET_FORMATS)
+            rows = _rows(_ASSET, self.assets, _ASSET_FORMATS)
             sections.append(',\n  "assets": [\n%s\n  ]' % rows)
         sections.append("\n}\n")
         return "".join(sections)
@@ -147,20 +164,12 @@ class RunReport(NamedTuple):
             lines.append(f"cost = {r.cost_definition}  ({r.cost_orientation})")
             lines.append(f"minimum-effort action: {r.minimum_effort_action}")
             lines.append(f"{'action':<12} {'d+':>8} {'d-':>8} {'cost':>8} {'benefit':>8} {'rank':>5}")
-            for e in r.by_rank():
-                lines.append(
-                    f"{e.action:<12} {e.d_plus:>8.3f} {e.d_minus:>8.3f} "
-                    f"{e.cost:>8.3f} {e.benefit:>8.3f} {e.rank:>5d}"
-                )
+            lines.extend(starmap(_ACTION_LINE, r.by_rank()))
             lines.append("")
         if self.assets:
             lines.append("== VEA-bility ==")
             lines.append(f"{'asset':<20} {'V':>7} {'E':>7} {'A':>7} {'veability':>10}")
-            for a in self.assets:
-                lines.append(
-                    f"{a.asset_id:<20} {a.vulnerability:>7.3f} {a.exploitability:>7.3f} "
-                    f"{a.attackability:>7.3f} {a.veability:>10.3f}"
-                )
+            lines.extend(starmap(_ASSET_LINE, self.assets))
             lines.append("")
         if self.warnings:
             lines.append("warnings:")
@@ -169,28 +178,14 @@ class RunReport(NamedTuple):
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        import csv  # only this format needs it
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        rows: list[tuple] = []
         if self.rankings:
-            writer.writerow(
-                ["engine", "action", "d_plus", "d_minus", "cost", "benefit", "rank"]
-            )
-            for r in self.rankings:
-                for e in r.by_rank():
-                    writer.writerow(
-                        [r.engine, e.action, repr(e.d_plus), repr(e.d_minus),
-                         repr(e.cost), repr(e.benefit), e.rank]
-                    )
+            rows.append(("engine", "action", "d_plus", "d_minus", "cost", "benefit", "rank"))
+            rows += ((r.engine, *e) for r in self.rankings for e in r.by_rank())
         if self.assets:
-            writer.writerow(["asset", "V", "E", "A", "veability"])
-            for a in self.assets:
-                writer.writerow(
-                    [a.asset_id, repr(a.vulnerability), repr(a.exploitability),
-                     repr(a.attackability), repr(a.veability)]
-                )
-        return buf.getvalue()
+            rows.append(("asset", "V", "E", "A", "veability"))
+            rows += self.assets
+        return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
     def render(self, fmt: str) -> str:
         if fmt == "json":

@@ -477,9 +477,10 @@ def _parse_graph(col: _Collector, raw: Any, schemes: Optional[set[str]]) -> Opti
     document describes): each node's kind against its edges, then cycles,
     then, in an acyclic graph, that every final step is reachable from a
     configuration node. The nodes are ordered by Kahn's algorithm over
-    sorted-id predecessors; only when that leaves nodes unplaced does the
-    standard library's `graphlib` load, to name a cycle, which is its choice
-    over those predecessors.
+    sorted-id predecessors, which marks the reachable nodes in the same pass;
+    only when that leaves nodes unplaced does the standard library's
+    `graphlib` load, to name a cycle, which is its choice over those
+    predecessors.
     """
     if raw is None:
         return None
@@ -514,8 +515,10 @@ def _parse_graph(col: _Collector, raw: Any, schemes: Optional[set[str]]) -> Opti
             )
         nodes[nid] = AttackNode(nid, kind, label or "", cve)
 
+    # each kept node's predecessors and successors, filled as the edges are checked
+    preds: dict[str, list[str]] = {nid: [] for nid in sorted(nodes)}
+    succs: dict[str, list[str]] = {nid: [] for nid in preds}
     seen: set[tuple[str, str]] = set()
-    edges: list[tuple[str, str]] = []
     raw_edges = raw.get("edges", [])
     if _expect(col, "$.graph.edges", raw_edges, list, "a list of [from, to] pairs"):
         for i, item in enumerate(raw_edges):
@@ -536,7 +539,8 @@ def _parse_graph(col: _Collector, raw: Any, schemes: Optional[set[str]]) -> Opti
             if end:
                 col.error(f"$.graph.edges[{i}]", f"edge ({src!r} -> {dst!r}): unknown {end} node")
             elif src in nodes and dst in nodes:
-                edges.append(edge)
+                preds[dst].append(src)
+                succs[src].append(dst)
 
     targets: set[str] = set()
     raw_targets = raw.get("targets", [])
@@ -555,12 +559,6 @@ def _parse_graph(col: _Collector, raw: Any, schemes: Optional[set[str]]) -> Opti
         return None
 
     # What only the whole graph shows, under the bare $.graph path.
-    preds: dict[str, list[str]] = {nid: [] for nid in sorted(nodes)}
-    succs: dict[str, list[str]] = {nid: [] for nid in preds}
-    for src, dst in edges:
-        preds[dst].append(src)
-        succs[src].append(dst)
-
     # bound once: reading an Enum member off its class costs a lookup each time
     configuration, final_step = NodeKind.CONFIGURATION, NodeKind.FINAL_STEP
     finals: list[str] = []
@@ -579,7 +577,11 @@ def _parse_graph(col: _Collector, raw: Any, schemes: Optional[set[str]]) -> Opti
     sorted_preds = {nid: tuple(sorted(ps)) for nid, ps in preds.items()}
     indegree = {nid: len(ps) for nid, ps in preds.items()}
     order = [nid for nid, d in indegree.items() if not d]
+    reached: set[str] = set()  # the nodes reachable from a configuration node
     for nid in order:  # Kahn's algorithm: the list grows as nodes become ready
+        # every predecessor of nid is placed before it
+        if nodes[nid].kind is configuration or not reached.isdisjoint(preds[nid]):
+            reached.add(nid)
         for s in succs[nid]:
             indegree[s] -= 1
             if not indegree[s]:
@@ -591,12 +593,7 @@ def _parse_graph(col: _Collector, raw: Any, schemes: Optional[set[str]]) -> Opti
             TopologicalSorter(sorted_preds).prepare()
         except CycleError as exc:
             col.error("$.graph", "cycle detected: " + " -> ".join(exc.args[1]))
-    else:
-        # final steps must be reachable from some configuration node
-        reached: set[str] = set()
-        for nid in order:
-            if nodes[nid].kind is configuration or not reached.isdisjoint(preds[nid]):
-                reached.add(nid)
+    else:  # final steps must be reachable from some configuration node
         for nid in finals:
             if nid not in reached:
                 col.error(

@@ -160,7 +160,7 @@ LOADS = [
     ("main rank {paper} --format json", "classic cli cvss fuzzy pipeline report scenario",
      "numpy click"),
     ("main rank {paper} --format csv", "classic cli cvss fuzzy pipeline report scenario",
-     "numpy click csv"),
+     "numpy click"),
     ("main veability {paper} --format json",
      "classic cli cvss fuzzy pipeline report scenario veability", "numpy click"),
     ("main veability {costed} --format json", "cli cvss pipeline report scenario veability",

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -114,3 +116,63 @@ def test_json_refuses_non_finite_floats(field, value):
     bad = ranking._replace(entries=entries)
     with pytest.raises(ValueError, match="not JSON compliant"):
         report._replace(rankings=(bad,)).to_json()
+
+
+def test_report_columns_are_the_record_fields():
+    """A report row is its record: JSON, table and CSV read the fields of
+    `ActionRanking` and `AssetScore` in this order."""
+    assert ActionRanking._fields == ("action", "d_plus", "d_minus", "cost", "benefit", "rank")
+    assert AssetScore._fields == (
+        "asset_id", "vulnerability", "exploitability", "attackability", "veability"
+    )
+
+
+def reference_csv_rows(report):
+    """Each CSV row as a dict by column name: the ranked actions, in rank
+    order within each ranking, then the assets; floats as their repr."""
+    actions = [
+        {"engine": r.engine, "action": e.action, "d_plus": repr(e.d_plus),
+         "d_minus": repr(e.d_minus), "cost": repr(e.cost), "benefit": repr(e.benefit),
+         "rank": str(e.rank)}
+        for r in report.rankings
+        for e in sorted(r.entries, key=lambda e: e.rank)
+    ]
+    assets = [
+        {"asset": a.asset_id, "V": repr(a.vulnerability), "E": repr(a.exploitability),
+         "A": repr(a.attackability), "veability": repr(a.veability)}
+        for a in report.assets
+    ]
+    return actions, assets
+
+
+def read_csv(text):
+    """The rows `csv.reader` reads from text. Python 3.10's reader refuses a
+    NUL, so each NUL is read as a character that the text does not hold, and
+    turned back."""
+    stand_in = next(c for c in map(chr, range(0xE000, 0xF900)) if c not in text)
+    rows = csv.reader(io.StringIO(text.replace("\0", stand_in), newline=""))
+    return [[field.replace(stand_in, "\0") for field in row] for row in rows]
+
+
+def control_character_report():
+    """Ids with a bare carriage return, which a CSV reader ends a row at
+    unless the field is quoted, and a NUL."""
+    report = paper_like_report()
+    entry = report.rankings[0].entries[0]._replace(action="A\r1")
+    ranking = report.rankings[0]._replace(engine="classic\r", entries=(entry,))
+    asset = report.assets[0]._replace(asset_id="\r\0")
+    return report._replace(rankings=(ranking,), assets=(asset,))
+
+
+@example(paper_like_report())
+@example(control_character_report())
+@given(REPORT)
+def test_csv_reads_back_as_the_records(report):
+    rows = read_csv(report.to_csv())
+    for expected in reference_csv_rows(report):
+        if expected:
+            header, *block = rows[: 1 + len(expected)]
+            del rows[: 1 + len(expected)]
+            assert header == list(expected[0])
+            assert [dict(zip(header, row, strict=True)) for row in block] == expected
+    assert rows == []
