@@ -8,34 +8,32 @@ is a minimal node set that satisfies the goal, reported in topological order.
 Minimal sets are found as minimal cut sets are in fault-tree analysis (MOCUS):
 one memoised pass over the goal's ancestors, with node sets encoded as int
 bitmasks (bit i is node ``sorted(graph.nodes)[i]``; k is a subset of m iff
-``k & ~m == 0``). An OR node unites its predecessors' families, an AND node
-joins them pairwise with ``|``, and after every merge only the
-inclusion-minimal masks are kept (absorption), so each node's family is an
-antichain and no global superset prune is needed.
+``k & ~m == 0``). Each node's family, the antichain of its minimal sets, is
+kept factored as ``(base, masks, reach)``: its sets are ``base | m`` for each
+``m`` in ``masks``, no mask holds a base bit, and ``reach`` is the OR of the
+sets. A node with one predecessor, AND or OR, adds its own bit to the
+predecessor's base and shares its masks, copying nothing; families are shared
+and never changed in place. An AND node over several predecessors joins their
+families pairwise with ``|`` and keeps only the inclusion-minimal unions
+(absorption, `_minimal`).
 
-Each node's family is kept factored, as ``(base, masks, size, union)``: its
-sets are ``base | m`` for each ``m`` in ``masks``, no mask holds a base bit,
-``size`` is the popcount all the sets share (0 if they do not share one), and
-``union`` is the OR of the masks. So a node with one predecessor, AND or OR,
-adds its own bit to the predecessor's base and shares its masks, copying
-nothing; families are shared and never changed in place.
+The OR rule: at an OR node v over predecessors P, v's minimal sets are each
+predecessor p's minimal sets that hold no other node of P, with v added. A
+set s of p that holds some q in P satisfies q, so it holds a minimal set t of
+q, which lacks p (else p and q would be ancestors of each other), and t + v
+lies strictly inside s + v. A set that holds no other predecessor is absorbed
+by none, as every set of another predecessor q holds q and p's own sets are
+an antichain; by the same ancestor argument, no set belongs to two
+predecessors.
 
-An OR node whose predecessors' families all have the same nonzero ``size``
-keeps its masks unmaterialised, as a ``_Union`` of the parts ``(base,
-masks)`` of those families. Its branches are disjoint, because each
-predecessor's own bit is private to its part (the private-bit rule, which
-equal sizes imply, so it needs no test): every set of predecessor p holds
-p's bit, and a minimal set of another predecessor q that held p would
-contain one of p's sets and q besides, so it would be larger than
-``size``. So no set occurs in two parts; the node's count, which the cap bounds, is the sum of the parts'
-counts, the same number of distinct candidates that uniting them as sets
-gives; and sets of one popcount are an antichain, so none is absorbed. Only
-the consumers of the sets expand a union, into one flat list
-(``_expand``): an AND join over several predecessors, an OR node over
-predecessors of mixed sizes, and ``enumerate_paths``. ``subgraph_to_goal``
-reads ``base | union`` off the goal's family and expands nothing, so on a
-graph of disjoint OR alternatives its cost grows with nodes times branches,
-not with the number of minimal sets.
+So an OR node keeps its branches unexpanded, as a `_Union` of the parts
+``(base, masks)``; only a branch whose ``reach`` holds another predecessor is
+expanded, and filtered. Its candidate count, which the cap bounds, is the sum
+of its predecessors' family sizes. Only the consumers of the sets expand a
+union, into one flat list (`_expand`): an AND join, a filtered branch and
+``enumerate_paths``. ``subgraph_to_goal`` reads the goal's ``reach``, so on a
+graph of OR alternatives that hold no other alternative its cost grows with
+nodes times branches, not with the number of minimal sets.
 
 Bit order is sorted-id order, and ``_linearize`` depends on it: among the
 ready nodes of a set it takes the smallest bit index, which is the smallest
@@ -79,14 +77,15 @@ def enumerate_paths(
     """All minimal node sets that satisfy `goal`, each linearized topologically.
 
     The sets come from one memoised pass over bitmask families with absorption
-    at every node (see the module docstring), so every returned sequence is a
-    minimal satisfying set. `cap` bounds each node's deduplicated candidate
-    family, built from its predecessors' already-absorbed families; a node
-    that exceeds it raises PathExplosionError, and a `goal` that is not a
-    node raises KeyError. Output order is deterministic: sequences sorted
-    lexicographically.
+    at every node (the module docstring states the OR rule), so every returned
+    sequence is a minimal satisfying set. `cap` bounds each node's candidates,
+    counted from its predecessors' already-absorbed families: at an OR node
+    the sum of the predecessors' family sizes, at an AND node the distinct
+    unions of each pairwise join. A node that exceeds it raises
+    PathExplosionError, and a `goal` that is not a node raises KeyError.
+    Output order is deterministic: sequences sorted lexicographically.
     """
-    ids, (base, masks, _, _) = _minimal_masks(graph, goal, cap)
+    ids, (base, masks, _) = _minimal_masks(graph, goal, cap)
     index = {nid: i for i, nid in enumerate(ids)}
     pred_masks = [sum(1 << index[p] for p in graph.preds[nid]) for nid in ids]
     succ_bits: list[list[int]] = [[] for _ in ids]
@@ -97,37 +96,31 @@ def enumerate_paths(
 
 
 class _Union:
-    """The unmaterialised masks of an OR node over disjoint branches: ``b | m``
-    for each part ``(b, masks)`` and each ``m`` in its ``masks``, which may be
-    a `_Union` itself. No mask occurs in two parts, so ``len`` is the sum of
-    the parts' lengths."""
+    """The unmaterialised masks of an OR node: ``b | m`` for each part ``(b,
+    masks)`` and each ``m`` in its ``masks``, which may be a `_Union` itself.
+    No mask occurs in two parts (the OR rule in the module docstring), so
+    ``len`` is the sum of the parts' lengths."""
 
     __slots__ = ("parts", "count")
 
-    def __init__(self, parts: list[tuple[int, "Collection[int] | _Union"]], count: int):
-        self.parts, self.count = parts, count
+    def __init__(self, parts: list[tuple[int, "Collection[int] | _Union"]]):
+        self.parts, self.count = parts, sum(len(masks) for _, masks in parts)
 
     def __len__(self) -> int:
         return self.count
 
 
-_Family = tuple[int, "Collection[int] | _Union", int, int]  # (base, masks, size, union)
+_Family = tuple[int, "Collection[int] | _Union", int]  # (base, masks, reach)
 
 
 def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], _Family]:
     """The sorted node ids and the factored antichain of minimal sets satisfying `goal`.
 
-    Each family is ``(base, masks, size, union)``: the sets are ``base | m``
-    for each ``m`` in ``masks``, no mask holds a base bit, ``size`` is the
-    popcount every set shares (0 if they do not share one) and ``union`` is
-    the OR of the masks. ``masks`` is a list or set, or the `_Union` of an OR
-    node whose predecessors' families share one nonzero size: its branches
-    are disjoint (the private-bit rule in the module docstring), so its
-    length is the sum of its parts' and it is expanded only where the sets
-    themselves are needed (`_expand`). Masks are shared between families (a
-    node over one predecessor reuses its predecessor's), so none is ever
-    changed in place. Each node's candidate count, which `cap` bounds, is the
-    number of distinct sets its predecessors' families give before absorption.
+    Each family is ``(base, masks, reach)``, as the module docstring defines
+    it; ``masks`` is a list, or the `_Union` of an OR node's branches (the OR
+    rule there), expanded only where the sets themselves are needed
+    (`_expand`). `cap` bounds each node's candidates as `enumerate_paths`
+    says.
     """
     ids = sorted(graph.nodes)
     bit = {nid: 1 << i for i, nid in enumerate(ids)}
@@ -146,46 +139,42 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
         stack.pop()
         own = bit[nid]
         kind = graph.nodes[nid].kind
-        if kind is NodeKind.CONFIGURATION or not preds:
-            families[nid] = (own, [0], 1, 0)
+        if kind is NodeKind.CONFIGURATION:
+            families[nid] = (own, [0], own)
         elif len(preds) == 1:  # one predecessor, AND or OR: share its masks
-            base, masks, size, union = families[preds[0]]
+            base, masks, reach = families[preds[0]]
             if kind is NodeKind.PRIVILEGE and len(masks) > cap:  # only when cap < 1
                 raise _explosion(nid, cap)
             # own is no ancestor of itself in a DAG, so no mask holds its bit
-            families[nid] = (base | own, masks, size + 1 if size else 0, union)
-        elif kind is NodeKind.PRIVILEGE:
-            fams = [families[p] for p in preds]
-            size = fams[0][2]
-            if size and all(f[2] == size for f in fams):
-                # disjoint branches of one popcount (see the module docstring):
-                # kept as their union, with no set built or compared
-                count = sum(len(f[1]) for f in fams)
-                if count > cap:
-                    raise _explosion(nid, cap)
-                parts = [(b, masks) for b, masks, _, _ in fams]
-                union = reduce(or_, [b | u for b, _, _, u in fams])
-                families[nid] = (own, _Union(parts, count), size + 1, union)
-            else:
-                candidates: set[int] = set()
-                for b, masks, _, _ in fams:
-                    candidates.update(_expand(b, masks))
-                if len(candidates) > cap:
-                    raise _explosion(nid, cap)
-                families[nid] = _family(own, _minimal(candidates))
+            families[nid] = (base | own, masks, reach | own)
+        elif kind is NodeKind.PRIVILEGE:  # the OR rule of the module docstring
+            all_preds = sum(bit[p] for p in preds)
+            parts, count, reached = [], 0, own
+            for p in preds:
+                base, masks, reach = families[p]
+                count += len(masks)
+                others = all_preds ^ bit[p]
+                if reach & others:
+                    masks = [m for m in _expand(base, masks) if not m & others]
+                    base, reach = 0, reduce(or_, masks, 0)
+                parts.append((base, masks))
+                reached |= reach
+            if count > cap:
+                raise _explosion(nid, cap)
+            families[nid] = (own, _Union(parts), reached)
         else:  # AND over several predecessors: ATTACK_STEP and FINAL_STEP
-            base, masks, _, _ = families[preds[0]]
+            base, masks, _ = families[preds[0]]
             combos = _expand(base, masks)
             for p in preds[1:]:
-                base, masks, _, _ = families[p]
+                base, masks, _ = families[p]
                 sets = _expand(base, masks)
-                candidates = set()
+                candidates: set[int] = set()
                 for c in combos:
                     candidates.update(map(c.__or__, sets))
                     if len(candidates) > cap:
                         raise _explosion(nid, cap)
                 combos = _minimal(candidates)
-            families[nid] = _family(own, combos)
+            families[nid] = (own, combos, reduce(or_, combos, own))
     return ids, families[goal]
 
 
@@ -215,13 +204,6 @@ def _expand(base: int, masks: Collection[int] | _Union) -> list[int]:
     return list(map(base.__or__, flat[id(masks)] if type(masks) is _Union else masks))
 
 
-def _family(base: int, masks: Collection[int]) -> _Family:
-    """The factored family of the sets ``base | m``; no mask may hold a base bit."""
-    sizes = set(map(int.bit_count, masks))
-    size = base.bit_count() + sizes.pop() if len(sizes) == 1 else 0
-    return base, masks, size, reduce(or_, masks, 0)
-
-
 def _explosion(node_id: str, cap: int) -> PathExplosionError:
     return PathExplosionError(
         f"more than {cap} candidate paths while expanding {node_id!r}; "
@@ -230,7 +212,7 @@ def _explosion(node_id: str, cap: int) -> PathExplosionError:
 
 
 def _minimal(masks: Collection[int]) -> list[int]:
-    """Inclusion-minimal masks of a deduplicated family.
+    """Inclusion-minimal masks of a deduplicated family: an AND join's unions.
 
     Distinct masks of equal popcount are never subsets of one another, so a
     family of one popcount is returned as it is, found without a sort; and
@@ -317,20 +299,17 @@ def export_dot(graph: AttackGraph) -> str:
 def subgraph_to_goal(graph: AttackGraph, goal: str, cap: int = DEFAULT_PATH_CAP) -> AttackGraph:
     """Restriction of the graph to nodes on some minimal path to `goal`.
 
-    The kept nodes are the bitwise OR of the goal's minimal masks, read off
-    its factored family as ``base | union`` (see enumerate_paths for the
-    method and for `cap`); no mask of a `_Union` family is expanded and no
-    path is linearised, so a goal behind disjoint OR alternatives costs
-    nodes times branches, not one step per minimal set. The cap still bounds
-    each node's count, so the same PathExplosionError is raised.
+    The kept nodes are the union of the goal's minimal sets, its family's
+    ``reach`` (the module docstring's OR rule says which branches are
+    expanded to find it); no path is linearised. `cap` bounds each node as
+    `enumerate_paths` says, so the same PathExplosionError is raised.
     The restriction is built directly and checked no second time: a union of
     minimal satisfying sets keeps every AND node's predecessors and one of
     each OR node's, no cycle and no final step other than the goal, so it
     breaks no rule the parser checked.
     """
-    ids, (base, _, _, union) = _minimal_masks(graph, goal, cap)
-    union |= base
-    keep = [nid for i, nid in enumerate(ids) if union >> i & 1]  # sorted ids
+    ids, (_, _, reach) = _minimal_masks(graph, goal, cap)
+    keep = [nid for i, nid in enumerate(ids) if reach >> i & 1]  # sorted ids
     kept = set(keep)
     return AttackGraph(
         nodes={nid: graph.nodes[nid] for nid in keep},

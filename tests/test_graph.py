@@ -1,14 +1,19 @@
 import json
 import re
 import sys
+from functools import reduce
 from graphlib import CycleError, TopologicalSorter
+from importlib.resources import files
+from operator import or_
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzrank.graph as graph_module
 from fuzrank.graph import (
+    DEFAULT_PATH_CAP,
     PathExplosionError,
     _minimal,
     enumerate_paths,
@@ -614,10 +619,13 @@ def test_or_node_over_mixed_size_families_still_absorbs():
     assert {frozenset(p) for p in enumerate_paths(g, "g")} == oracle_minimal_sets(g, "g")
 
 
-# --- OR nodes over disjoint branches ------------------------------------------
-# An OR node whose predecessors' families share one popcount keeps them as an
-# unexpanded union; these graphs take that path at every privilege, and the
-# variants below break it so that the set path runs instead.
+# --- OR nodes: branches kept as a union, or filtered ----------------------------
+# An OR node keeps its predecessors' families as one unexpanded union, and
+# expands and filters only a branch whose sets hold another predecessor (the OR
+# rule in the module docstring of fuzrank.graph). The layered graphs keep every
+# branch at every privilege; of the variants below, some give a privilege
+# branches whose sets differ in size, which the rule does not look at, and some
+# a branch that holds another predecessor, which the filter drops.
 
 def layered_doc(layers, width):
     """The graph section of a layered scenario, laid out as the benchmark's
@@ -641,11 +649,23 @@ def layered_doc(layers, width):
     return {"nodes": nodes, "edges": edges, "targets": [goal]}
 
 
-def layered(layers, width, extra_nodes=(), extra_edges=()):
+def layered(layers, width, extra_nodes=(), extra_edges=(), dropped_edges=()):
     doc = layered_doc(layers, width)
     nodes = [n(x["id"], NodeKind(x["kind"])) for x in doc["nodes"]] + list(extra_nodes)
-    edges = [tuple(e) for e in doc["edges"]] + list(extra_edges)
-    return graph_of(nodes, edges, doc["targets"])
+    edges = [tuple(e) for e in doc["edges"] if tuple(e) not in dropped_edges]
+    return graph_of(nodes, edges + list(extra_edges), doc["targets"])
+
+
+def uneven_layered(layers, width):
+    """`layered` with branch 0 of every layer two steps long: step-k-0 reaches
+    priv-k through a second step, step-k-0b, so its sets are one node larger
+    than those of the layer's other branches."""
+    ks = range(1, layers + 1)
+    return layered(
+        layers, width, [n(f"step-{k}-0b", S) for k in ks],
+        [e for k in ks for e in [(f"step-{k}-0", f"step-{k}-0b"), (f"step-{k}-0b", f"priv-{k}")]],
+        {(f"step-{k}-0", f"priv-{k}") for k in ks},
+    )
 
 
 def assert_matches_reference(g, goal, cap):
@@ -683,25 +703,49 @@ def test_layered_variants_that_break_disjointness_match_reference(layers, width)
     goal, mid = f"goal-L{layers}", layers // 2 + 1
     variants = [
         # a second predecessor shared by two steps of one layer: their sets
-        # grow by one, so that layer's privilege mixes popcounts (not at
-        # width 2, where both steps share it and the branches stay disjoint)
+        # grow by one, but no branch holds another predecessor of priv-mid,
+        # so it keeps the union of its branches whole
         layered(layers, width, [n("cfg-shared", C)],
                 [("cfg-shared", f"step-{mid}-0"), ("cfg-shared", f"step-{mid}-1")]),
         # one OR branch an ancestor of another: priv-(mid-1) also reaches
-        # priv-mid directly, and its smaller sets absorb every step branch
+        # priv-mid directly, so priv-mid drops every step set, each of which
+        # holds priv-(mid-1), and keeps priv-(mid-1)'s branch
         layered(layers, width, [], [(f"priv-{mid - 1}", f"priv-{mid}")]),
-        # both at once, a layer apart: priv-(mid-1) mixes popcounts, and
-        # priv-mid, whose branches then share no one size, must still absorb
+        # both at once, a layer apart: priv-(mid-1) keeps the union of
+        # branches of two sizes, and priv-mid drops its step sets as above
         layered(layers, width, [n("cfg-shared", C)],
                 [("cfg-shared", f"step-{mid - 1}-0"), (f"priv-{mid - 1}", f"priv-{mid}")]),
+        # branches of two lengths at every layer: each privilege keeps the
+        # union, as no branch holds another predecessor
+        uneven_layered(layers, width),
     ]
-    # every small cap, and each side of the broken privilege's candidate count
+    # every small cap, and each side of priv-mid's candidate count
     # and of the goal's
     counts = (width ** (mid - 1) * (width + 1), width**layers)
     caps = {*range(1, 13), *(c + d for c in counts for d in (-1, 0, 1))}
     for g in variants:
         for cap in sorted(caps):
             assert_matches_reference(g, goal, cap)
+
+
+def test_goal_nodes_of_or_branches_of_unequal_length_expand_nothing(monkeypatch):
+    """No OR branch here holds another predecessor, so subgraph_to_goal
+    expands no family, though the branches' sets differ in size: two chains
+    of unequal length join at priv-ran-reach in the paper's graph, and branch
+    0 of every layer is a step longer than the others in the layered one."""
+    paper = parse_scenario((files("fuzrank") / "data" / "paper_s4.json").read_text()).graph
+    cases = [(paper, "RAN-control"), (uneven_layered(8, 3), "goal-L8")]
+    expected = []
+    for g, goal in cases:
+        ids, masks = reference_minimal_masks(g, goal, DEFAULT_PATH_CAP)
+        expected.append({ids[i] for i in range(len(ids)) if reduce(or_, masks) >> i & 1})
+
+    def expand(base, masks):
+        raise AssertionError("a family was expanded")
+
+    monkeypatch.setattr(graph_module, "_expand", expand)
+    for (g, goal), keep in zip(cases, expected):
+        assert set(subgraph_to_goal(g, goal).nodes) == keep
 
 
 def test_twelve_layer_family_is_capped_or_read_without_expansion():

@@ -65,3 +65,32 @@ def test_no_module_binds_a_top_level_name_twice():
         repeats += [f"{path.relative_to(ROOT).as_posix()}: {name}"
                     for name, n in counts.items() if n > 1]
     assert repeats == []
+
+
+def test_every_private_top_level_name_is_read_in_the_package():
+    """A private function, class or constant that no code of the package
+    reads, outside its own definition, is dead: only a test can still reach
+    it, and it keeps a rule alive that the package no longer follows."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "fuzrank").rglob("*.py"))}
+    reads = []  # (name, module, line)
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((node.attr, path, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                reads += [(alias.name, path, node.lineno) for alias in node.names]
+    unread = []
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            for name in _bound_names(stmt):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(r == name and not (p == path and stmt.lineno <= line <= stmt.end_lineno)
+                           for r, p, line in reads):
+                    unread.append(f"{path.relative_to(ROOT).as_posix()}: {name}")
+    assert unread == []
