@@ -14,8 +14,8 @@ kept factored as ``(base, masks, reach)``: its sets are ``base | m`` for each
 sets. A node with one predecessor, AND or OR, adds its own bit to the
 predecessor's base and shares its masks, copying nothing; families are shared
 and never changed in place. An AND node over several predecessors joins their
-families pairwise with ``|`` and keeps only the inclusion-minimal unions
-(absorption, `_minimal`).
+families one at a time with ``|``, starting from the family ``[0]``, and keeps
+the inclusion-minimal unions (the AND rule below).
 
 The OR rule: at an OR node v over predecessors P, v's minimal sets are each
 predecessor p's minimal sets that hold no other node of P, with v added. A
@@ -27,13 +27,25 @@ an antichain; by the same ancestor argument, no set belongs to two
 predecessors.
 
 So an OR node keeps its branches unexpanded, as a `_Union` of the parts
-``(base, masks)``; only a branch whose ``reach`` holds another predecessor is
-expanded, and filtered. Its candidate count, which the cap bounds, is the sum
-of its predecessors' family sizes. Only the consumers of the sets expand a
-union, into one flat list (`_expand`): an AND join, a filtered branch and
-``enumerate_paths``. ``subgraph_to_goal`` reads the goal's ``reach``, so on a
-graph of OR alternatives that hold no other alternative its cost grows with
-nodes times branches, not with the number of minimal sets.
+``(base, masks)``. A branch whose ``base`` holds another predecessor is
+dropped whole, as the base is in each of its sets; only a branch whose
+``reach`` holds one is expanded, and filtered. Its candidate count, which the
+cap bounds, is the sum of its predecessors' family sizes, dropped branches
+included.
+
+The AND rule: an AND node joins the unions c built so far, whose reaches OR
+to ``joined``, with the sets s of its next predecessor, of reach r, and keeps
+the inclusion-minimal unions c | s (absorption, `_minimal`). Where r misses
+``joined``, no union needs the test: a union c' | s' inside c | s has s'
+inside (c | s) & r = s and c' inside (c | s) & joined = c, and both families
+are antichains, so c' = c and s' = s. Every union is then minimal and
+distinct.
+
+Only the consumers of the sets expand a union, into one flat list
+(`_expand`): an AND join, a filtered branch and ``enumerate_paths``.
+``subgraph_to_goal`` reads the goal's ``reach``, so on a graph of OR
+alternatives that hold no other alternative its cost grows with nodes times
+branches, not with the number of minimal sets.
 
 Bit order is sorted-id order, and ``_linearize`` depends on it: among the
 ready nodes of a set it takes the smallest bit index, which is the smallest
@@ -51,6 +63,7 @@ It builds the `AttackGraph`, which `scenario` defines with `NodeKind` and
 from __future__ import annotations
 
 from functools import reduce
+from itertools import groupby
 from operator import or_
 from typing import Collection, Sequence
 
@@ -77,11 +90,13 @@ def enumerate_paths(
     """All minimal node sets that satisfy `goal`, each linearized topologically.
 
     The sets come from one memoised pass over bitmask families with absorption
-    at every node (the module docstring states the OR rule), so every returned
-    sequence is a minimal satisfying set. `cap` bounds each node's candidates,
-    counted from its predecessors' already-absorbed families: at an OR node
-    the sum of the predecessors' family sizes, at an AND node the distinct
-    unions of each pairwise join. A node that exceeds it raises
+    at every node (the module docstring states the OR and AND rules), so every
+    returned sequence is a minimal satisfying set. `cap` bounds each node's
+    candidates, counted from its predecessors' already-absorbed families: at
+    an OR node the sum of the predecessors' family sizes, dropped branches
+    included, and at an AND node the distinct unions of each join; the first
+    join, with ``[0]``, counts the first predecessor's family, which passes
+    the cap only when the cap is below 1. A node that exceeds it raises
     PathExplosionError, and a `goal` that is not a node raises KeyError.
     Output order is deterministic: sequences sorted lexicographically.
     """
@@ -154,6 +169,8 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
                 base, masks, reach = families[p]
                 count += len(masks)
                 others = all_preds ^ bit[p]
+                if base & others:  # every set holds another predecessor
+                    continue
                 if reach & others:
                     masks = [m for m in _expand(base, masks) if not m & others]
                     base, reach = 0, reduce(or_, masks, 0)
@@ -162,18 +179,18 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
             if count > cap:
                 raise _explosion(nid, cap)
             families[nid] = (own, _Union(parts), reached)
-        else:  # AND over several predecessors: ATTACK_STEP and FINAL_STEP
-            base, masks, _ = families[preds[0]]
-            combos = _expand(base, masks)
-            for p in preds[1:]:
-                base, masks, _ = families[p]
+        else:  # AND over several predecessors: the AND rule of the module docstring
+            combos, joined = [0], 0
+            for p in preds:
+                base, masks, reach = families[p]
                 sets = _expand(base, masks)
                 candidates: set[int] = set()
                 for c in combos:
                     candidates.update(map(c.__or__, sets))
                     if len(candidates) > cap:
                         raise _explosion(nid, cap)
-                combos = _minimal(candidates)
+                combos = _minimal(candidates) if reach & joined else list(candidates)
+                joined |= reach
             families[nid] = (own, combos, reduce(or_, combos, own))
     return ids, families[goal]
 
@@ -214,30 +231,23 @@ def _explosion(node_id: str, cap: int) -> PathExplosionError:
 def _minimal(masks: Collection[int]) -> list[int]:
     """Inclusion-minimal masks of a deduplicated family: an AND join's unions.
 
-    Distinct masks of equal popcount are never subsets of one another, so a
-    family of one popcount is returned as it is, found without a sort; and
-    otherwise each mask is tested only against kept masks of strictly smaller
-    popcount.
+    The masks are walked one popcount at a time, smallest first, and each is
+    kept unless a mask kept at a smaller popcount lies inside it. A level's
+    survivors join the kept masks after the level, as distinct masks of equal
+    popcount never lie inside one another.
     """
-    if len(set(map(int.bit_count, masks))) < 2:
-        return list(masks)
-    ordered = sorted(masks, key=int.bit_count)
-    smaller: list[int] = []
-    level: list[int] = []
-    size = ordered[0].bit_count()
-    for m in ordered:
-        if m.bit_count() != size:
-            smaller += level
-            level = []
-            size = m.bit_count()
-        outside = ~m
-        for k in smaller:
-            if not k & outside:  # k is a subset of m
-                break
-        else:
-            level.append(m)
-    smaller += level
-    return smaller
+    kept: list[int] = []
+    for _, level in groupby(sorted(masks, key=int.bit_count), int.bit_count):
+        new: list[int] = []
+        for m in level:
+            outside = ~m
+            for k in kept:
+                if not k & outside:  # k is a subset of m
+                    break
+            else:
+                new.append(m)
+        kept += new
+    return kept
 
 
 def _linearize(

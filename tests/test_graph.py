@@ -361,6 +361,26 @@ def test_chain_deeper_than_recursion_limit():
     assert len(subgraph_to_goal(g, ids[-1]).nodes) == depth
 
 
+def test_or_unions_nested_deeper_than_recursion_limit():
+    # p{k} is the OR of s{k}, a step on p{k-1}, and a configuration c{k}, so
+    # each privilege's union holds the one before it, as deep as the ladder
+    depth = sys.getrecursionlimit() + 50
+    nodes, edges = [n("c0", C)], [("c0", "s1")]
+    for k in range(1, depth + 1):
+        nodes += [n(f"c{k}", C), n(f"s{k}", S), n(f"p{k}", P)]
+        edges += [(f"s{k}", f"p{k}"), (f"c{k}", f"p{k}")]
+        if k > 1:
+            edges.append((f"p{k - 1}", f"s{k}"))
+    g = graph_of(nodes, edges)
+    goal = f"p{depth}"
+    _, (base, masks, _) = graph_module._minimal_masks(g, goal, DEFAULT_PATH_CAP)
+    # the set through c{k} holds c{k} and s{j}, p{j} for every j >= k but
+    # s{k}; the one through c0 holds c0 and every step and privilege
+    sets = graph_module._expand(base, masks)
+    assert sorted(map(int.bit_count, sets)) == [*range(2, 2 * depth + 1, 2), 2 * depth + 1]
+    assert len(subgraph_to_goal(g, goal).nodes) == len(g.nodes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_minimal_sets_and_subgraph_match_oracle(seed, data):
@@ -619,13 +639,15 @@ def test_or_node_over_mixed_size_families_still_absorbs():
     assert {frozenset(p) for p in enumerate_paths(g, "g")} == oracle_minimal_sets(g, "g")
 
 
-# --- OR nodes: branches kept as a union, or filtered ----------------------------
-# An OR node keeps its predecessors' families as one unexpanded union, and
-# expands and filters only a branch whose sets hold another predecessor (the OR
-# rule in the module docstring of fuzrank.graph). The layered graphs keep every
-# branch at every privilege; of the variants below, some give a privilege
-# branches whose sets differ in size, which the rule does not look at, and some
-# a branch that holds another predecessor, which the filter drops.
+# --- joins decided from the families' base and reach -----------------------------
+# An OR node keeps its predecessors' families as one unexpanded union, drops a
+# branch whose base holds another predecessor, and expands and filters only a
+# branch whose other sets may hold one; an AND join absorbs only where the
+# reaches it joins meet (the OR and AND rules in the module docstring of
+# fuzrank.graph). The layered graphs keep every branch at every privilege; of
+# the variants below, some give a privilege branches whose sets differ in
+# size, which the rules do not look at, and some a branch that holds another
+# predecessor, which the OR rule drops.
 
 def layered_doc(layers, width):
     """The graph section of a layered scenario, laid out as the benchmark's
@@ -668,6 +690,41 @@ def uneven_layered(layers, width):
     )
 
 
+def layered_with_shortcut(layers, width):
+    """`layered` with an edge from priv-(layers-1) straight to the last
+    privilege: the base of each step branch there holds priv-(layers-1)."""
+    return layered(layers, width, [], [(f"priv-{layers - 1}", f"priv-{layers}")])
+
+
+def two_fans(width):
+    """A final step `goal` over privileges priv-a and priv-b, each the OR of
+    `width` branches from its own configuration node; branch i is two steps
+    long when i is odd. width**2 minimal sets of several sizes."""
+    nodes, edges = [n("goal", F)], []
+    for side in "ab":
+        cfg, priv = f"cfg-{side}", f"priv-{side}"
+        nodes += [n(cfg, C), n(priv, P)]
+        edges.append((priv, "goal"))
+        for i in range(width):
+            step = f"step-{side}-{i}"
+            nodes.append(n(step, S))
+            edges.append((cfg, step))
+            if i % 2:
+                nodes.append(n(f"{step}b", S))
+                edges += [(step, f"{step}b"), (f"{step}b", priv)]
+            else:
+                edges.append((step, priv))
+    return graph_of(nodes, edges, ["goal"])
+
+
+def forbid(monkeypatch, name):
+    """Patch fuzrank.graph's `name` to fail the test if the search calls it."""
+    def refuse(*args):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(graph_module, name, refuse)
+
+
 def assert_matches_reference(g, goal, cap):
     """enumerate_paths and subgraph_to_goal give the reference search's sets
     and union, or its exact PathExplosionError text; True if no error."""
@@ -708,7 +765,7 @@ def test_layered_variants_that_break_disjointness_match_reference(layers, width)
         layered(layers, width, [n("cfg-shared", C)],
                 [("cfg-shared", f"step-{mid}-0"), ("cfg-shared", f"step-{mid}-1")]),
         # one OR branch an ancestor of another: priv-(mid-1) also reaches
-        # priv-mid directly, so priv-mid drops every step set, each of which
+        # priv-mid directly, so priv-mid drops its step branches, whose base
         # holds priv-(mid-1), and keeps priv-(mid-1)'s branch
         layered(layers, width, [], [(f"priv-{mid - 1}", f"priv-{mid}")]),
         # both at once, a layer apart: priv-(mid-1) keeps the union of
@@ -739,13 +796,60 @@ def test_goal_nodes_of_or_branches_of_unequal_length_expand_nothing(monkeypatch)
     for g, goal in cases:
         ids, masks = reference_minimal_masks(g, goal, DEFAULT_PATH_CAP)
         expected.append({ids[i] for i in range(len(ids)) if reduce(or_, masks) >> i & 1})
-
-    def expand(base, masks):
-        raise AssertionError("a family was expanded")
-
-    monkeypatch.setattr(graph_module, "_expand", expand)
+    forbid(monkeypatch, "_expand")
     for (g, goal), keep in zip(cases, expected):
         assert set(subgraph_to_goal(g, goal).nodes) == keep
+
+
+def test_or_branches_whose_base_holds_another_predecessor_expand_nothing(monkeypatch):
+    """priv-(L-1) reaches priv-L directly and through each step of layer L,
+    so priv-L drops the step branches by their base alone, and the goal keeps
+    every node but those steps. The dropped sets still count toward the cap."""
+    graphs = {layers: layered_with_shortcut(layers, 3) for layers in (7, 8, 9)}
+    keep = {layers: set(g.nodes) - {f"step-{layers}-{j}" for j in range(3)}
+            for layers, g in graphs.items()}
+    # the reference keeps the same nodes; it takes seconds at 8 and 9 layers
+    ids, masks = reference_minimal_masks(graphs[7], "goal-L7", 10**6)
+    assert {ids[i] for i in range(len(ids)) if reduce(or_, masks) >> i & 1} == keep[7]
+    forbid(monkeypatch, "_expand")
+    for layers, g in graphs.items():
+        assert set(subgraph_to_goal(g, f"goal-L{layers}", cap=10**6).nodes) == keep[layers]
+    # 3**8 * 3 dropped step sets and 3**8 kept ones at priv-9
+    message = ("more than 10000 candidate paths while expanding 'priv-9'; "
+               "raise the cap to enumerate anyway")
+    assert not assert_matches_reference(graphs[9], "goal-L9", DEFAULT_PATH_CAP)
+    with pytest.raises(PathExplosionError) as got:
+        subgraph_to_goal(graphs[9], "goal-L9")
+    assert str(got.value) == message
+
+
+def test_and_join_over_disjoint_reaches_absorbs_nothing(monkeypatch):
+    """priv-a and priv-b share no ancestor, so every union of their sets is
+    minimal and the join at the goal never calls _minimal, though the unions
+    differ in size."""
+    g = two_fans(6)
+    ids, masks = reference_minimal_masks(g, "goal", DEFAULT_PATH_CAP)
+    expected = {frozenset(ids[i] for i in range(len(ids)) if m >> i & 1) for m in masks}
+    assert len(expected) == 36
+    forbid(monkeypatch, "_minimal")
+    paths = enumerate_paths(g, "goal")
+    assert len(paths) == 36
+    assert {frozenset(p) for p in paths} == expected
+    assert set(subgraph_to_goal(g, "goal").nodes) == set(g.nodes)
+
+
+@pytest.mark.parametrize("width", range(1, 5))
+def test_joins_decided_from_base_and_reach_match_reference(width):
+    # each node's candidate count: width at each fan and width**2 at the
+    # goal's join; width**k at priv-k and width**(L-1) * (width + 1) at
+    # priv-L, whose step branches are dropped
+    cases = [(two_fans(width), "goal", [width, width**2])]
+    for layers in range(2, 6):
+        counts = [width**k for k in range(1, layers)] + [width ** (layers - 1) * (width + 1)]
+        cases.append((layered_with_shortcut(layers, width), f"goal-L{layers}", counts))
+    for g, goal, counts in cases:
+        for cap in sorted({*range(1, 13), *(c + d for c in counts for d in (-1, 0, 1))}):
+            assert_matches_reference(g, goal, cap)
 
 
 def test_twelve_layer_family_is_capped_or_read_without_expansion():
