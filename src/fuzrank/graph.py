@@ -15,7 +15,7 @@ sets. A node with one predecessor, AND or OR, adds its own bit to the
 predecessor's base and shares its masks, copying nothing; families are shared
 and never changed in place. An AND node over several predecessors joins their
 families one at a time with ``|``, starting from the family ``[0]``, and keeps
-the inclusion-minimal unions (the AND rule below).
+the inclusion-minimal unions of each join (absorption, `_minimal`).
 
 The OR rule: at an OR node v over predecessors P, v's minimal sets are each
 predecessor p's minimal sets that hold no other node of P, with v added. A
@@ -32,14 +32,6 @@ dropped whole, as the base is in each of its sets; only a branch whose
 ``reach`` holds one is expanded, and filtered. Its candidate count, which the
 cap bounds, is the sum of its predecessors' family sizes, dropped branches
 included.
-
-The AND rule: an AND node joins the unions c built so far, whose reaches OR
-to ``joined``, with the sets s of its next predecessor, of reach r, and keeps
-the inclusion-minimal unions c | s (absorption, `_minimal`). Where r misses
-``joined``, no union needs the test: a union c' | s' inside c | s has s'
-inside (c | s) & r = s and c' inside (c | s) & joined = c, and both families
-are antichains, so c' = c and s' = s. Every union is then minimal and
-distinct.
 
 Only the consumers of the sets expand a union, into one flat list
 (`_expand`): an AND join, a filtered branch and ``enumerate_paths``.
@@ -90,7 +82,7 @@ def enumerate_paths(
     """All minimal node sets that satisfy `goal`, each linearized topologically.
 
     The sets come from one memoised pass over bitmask families with absorption
-    at every node (the module docstring states the OR and AND rules), so every
+    at every node (the module docstring states the OR rule), so every
     returned sequence is a minimal satisfying set. `cap` bounds each node's
     candidates, counted from its predecessors' already-absorbed families: at
     an OR node the sum of the predecessors' family sizes, dropped branches
@@ -179,18 +171,17 @@ def _minimal_masks(graph: AttackGraph, goal: str, cap: int) -> tuple[list[str], 
             if count > cap:
                 raise _explosion(nid, cap)
             families[nid] = (own, _Union(parts), reached)
-        else:  # AND over several predecessors: the AND rule of the module docstring
-            combos, joined = [0], 0
+        else:  # AND over several predecessors: join and absorb one at a time
+            combos = [0]
             for p in preds:
-                base, masks, reach = families[p]
+                base, masks, _ = families[p]
                 sets = _expand(base, masks)
                 candidates: set[int] = set()
                 for c in combos:
                     candidates.update(map(c.__or__, sets))
                     if len(candidates) > cap:
                         raise _explosion(nid, cap)
-                combos = _minimal(candidates) if reach & joined else list(candidates)
-                joined |= reach
+                combos = _minimal(candidates)
             families[nid] = (own, combos, reduce(or_, combos, own))
     return ids, families[goal]
 
