@@ -1,8 +1,9 @@
-"""CVSS v3.1 vector parsing and base-score computation.
+"""CVSS v3.1 vector parsing and the two base subscores.
 
-Implements the public v3.1 base-score formulas. The specification's Roundup
-rule (ceiling at one decimal, with a guard against floating-point noise) is
-applied to the base score and, for consistent reporting, to both subscores.
+Implements the public v3.1 impact and exploitability subscore formulas, the
+inputs of VEA-bility; the base score built from them is not computed. The
+specification's Roundup rule (ceiling at one decimal, with a guard against
+floating-point noise) is applied to both subscores.
 
 The weight tables state the allowed values: each base metric's values are
 the keys of its weight table, in the order an error message lists them.
@@ -74,9 +75,8 @@ def roundup(value: float) -> float:
 
 
 def score_cvss(vector: str) -> dict[str, float]:
-    """Base score plus impact and exploitability subscores of a vector
-    string, each rounded up to one decimal. Zero-or-negative impact yields
-    base score 0."""
+    """Impact and exploitability subscores of a vector string, each rounded
+    up to one decimal. A negative impact reads 0."""
     m = parse_vector(vector)
     iss = 1.0 - (1.0 - _CIA[m["C"]]) * (1.0 - _CIA[m["I"]]) * (1.0 - _CIA[m["A"]])
     if m["S"] == "U":
@@ -92,15 +92,7 @@ def score_cvss(vector: str) -> dict[str, float]:
         * _USER_INTERACTION[m["UI"]]
     )
 
-    if impact <= 0:
-        base = 0.0
-    elif m["S"] == "U":
-        base = roundup(min(impact + exploitability, 10.0))
-    else:
-        base = roundup(min(1.08 * (impact + exploitability), 10.0))
-
     return {
-        "base": base,
         "impact_subscore": roundup(max(impact, 0.0)),
         "exploitability_subscore": roundup(exploitability),
     }

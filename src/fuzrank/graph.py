@@ -7,15 +7,15 @@ is a minimal node set that satisfies the goal, reported in topological order.
 
 Minimal sets are found as minimal cut sets are in fault-tree analysis (MOCUS):
 one memoised pass over the goal's ancestors, with node sets encoded as int
-bitmasks (bit i is node ``sorted(graph.nodes)[i]``; k is a subset of m iff
-``k & ~m == 0``). Each node's family, the antichain of its minimal sets, is
-kept factored as ``(base, masks, reach)``: its sets are ``base | m`` for each
-``m`` in ``masks``, no mask holds a base bit, and ``reach`` is the OR of the
-sets. A node with one predecessor, AND or OR, adds its own bit to the
-predecessor's base and shares its masks, copying nothing; families are shared
-and never changed in place. An AND node over several predecessors joins their
-families one at a time with ``|``, starting from the family ``[0]``, and keeps
-the inclusion-minimal unions of each join (absorption, `_minimal`).
+bitmasks (k is a subset of m iff ``k & ~m == 0``). Each node's family, the
+antichain of its minimal sets, is kept factored as ``(base, masks, reach)``:
+its sets are ``base | m`` for each ``m`` in ``masks``, no mask holds a base
+bit, and ``reach`` is the OR of the sets. A node with one predecessor, AND
+or OR, adds its own bit to the predecessor's base and shares its masks,
+copying nothing; families are shared and never changed in place. An AND
+node over several predecessors joins their families one at a time with
+``|``, starting from the family ``[0]``, and keeps the inclusion-minimal
+unions of each join (absorption, `_minimal`).
 
 The OR rule: at an OR node v over predecessors P, v's minimal sets are each
 predecessor p's minimal sets that hold no other node of P, with v added. A
@@ -39,10 +39,10 @@ Only the consumers of the sets expand a union, into one flat list
 alternatives that hold no other alternative its cost grows with nodes times
 branches, not with the number of minimal sets.
 
-Bit order is sorted-id order, and ``_linearize`` depends on it: among the
-ready nodes of a set it takes the smallest bit index, which is the smallest
-id, so each path is the set's smallest-id-first topological order. Only
-``enumerate_paths`` reaches ``_linearize``, so only it loads ``heapq``.
+Which bit a node holds is private to the search: `_minimal_masks` assigns
+the bits and returns the ids in bit order, and only the two decodes read
+them, `_linearize` for ``enumerate_paths`` and ``subgraph_to_goal``. A path's
+order is stated on ids (``enumerate_paths``), not on bits.
 
 This module holds no validation and defines no graph type. The scenario
 parser is the one checker of the format and states every graph rule
@@ -79,27 +79,25 @@ class PathExplosionError(RuntimeError):
 def enumerate_paths(
     graph: AttackGraph, goal: str, cap: int = DEFAULT_PATH_CAP
 ) -> list[tuple[str, ...]]:
-    """All minimal node sets that satisfy `goal`, each linearized topologically.
+    """All minimal node sets that satisfy `goal`, each as a path, the paths sorted.
 
     The sets come from one memoised pass over bitmask families with absorption
     at every node (the module docstring states the OR rule), so every
-    returned sequence is a minimal satisfying set. `cap` bounds each node's
-    candidates, counted from its predecessors' already-absorbed families: at
-    an OR node the sum of the predecessors' family sizes, dropped branches
-    included, and at an AND node the distinct unions of each join; the first
-    join, with ``[0]``, counts the first predecessor's family, which passes
-    the cap only when the cap is below 1. A node that exceeds it raises
-    PathExplosionError, and a `goal` that is not a node raises KeyError.
-    Output order is deterministic: sequences sorted lexicographically.
+    returned sequence is a minimal satisfying set. Each set is ordered by one
+    rule: repeatedly take the smallest id in the set whose predecessors in
+    the set are all placed. That is a topological order, and it costs
+    O(k**2) predecessor checks for a set of k nodes. The paths are then
+    sorted lexicographically, so the output is deterministic. `cap` bounds
+    each node's candidates, counted from its predecessors' already-absorbed
+    families: at an OR node the sum of the predecessors' family sizes,
+    dropped branches included, and at an AND node the distinct unions of
+    each join; the first join, with ``[0]``, counts the first predecessor's
+    family, which passes the cap only when the cap is below 1. A node that
+    exceeds it raises PathExplosionError, and a `goal` that is not a node
+    raises KeyError.
     """
     ids, (base, masks, _) = _minimal_masks(graph, goal, cap)
-    index = {nid: i for i, nid in enumerate(ids)}
-    pred_masks = [sum(1 << index[p] for p in graph.preds[nid]) for nid in ids]
-    succ_bits: list[list[int]] = [[] for _ in ids]
-    for i, nid in enumerate(ids):
-        for p in graph.preds[nid]:
-            succ_bits[index[p]].append(i)
-    return sorted(_linearize(ids, pred_masks, succ_bits, m) for m in _expand(base, masks))
+    return sorted(_linearize(graph, ids, m) for m in _expand(base, masks))
 
 
 class _Union:
@@ -241,38 +239,18 @@ def _minimal(masks: Collection[int]) -> list[int]:
     return kept
 
 
-def _linearize(
-    ids: Sequence[str], pred_masks: Sequence[int], succ_bits: Sequence[Sequence[int]], mask: int
-) -> tuple[str, ...]:
-    """Topological order of the nodes in `mask`, smallest id first among ready nodes.
-
-    Bit order is sorted-id order, so the smallest ready bit index is the
-    smallest ready id. `pred_masks[i]` holds the bits of node i's
-    predecessors and `succ_bits[i]` the bit indices of its successors, in any order.
-    """
-    from heapq import heappop, heappush
-
-    indeg: dict[int, int] = {}
-    ready: list[int] = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        rest ^= low
-        d = (pred_masks[i] & mask).bit_count()
-        if d:
-            indeg[i] = d
-        else:
-            ready.append(i)  # ascending, so already a heap
+def _linearize(graph: AttackGraph, ids: Sequence[str], mask: int) -> tuple[str, ...]:
+    """The nodes of `mask` (bit i is ``ids[i]``) in `enumerate_paths`' order."""
+    left: set[str] = set()
+    while mask:  # the set bits only, so the cost does not grow with the graph
+        low = mask & -mask
+        left.add(ids[low.bit_length() - 1])
+        mask ^= low
     order: list[str] = []
-    while ready:
-        i = heappop(ready)
-        order.append(ids[i])
-        for j in succ_bits[i]:
-            if j in indeg:
-                indeg[j] -= 1
-                if not indeg[j]:
-                    heappush(ready, j)
+    while left:
+        nid = min(x for x in left if left.isdisjoint(graph.preds[x]))
+        order.append(nid)
+        left.remove(nid)
     return tuple(order)
 
 

@@ -15,6 +15,7 @@ import fuzrank.graph as graph_module
 from fuzrank.graph import (
     DEFAULT_PATH_CAP,
     PathExplosionError,
+    _linearize,
     _minimal,
     enumerate_paths,
     export_dot,
@@ -592,6 +593,18 @@ def test_search_matches_reference_on_relabelled_dags(seed, data):
     paths = enumerate_paths(g, goal)
     assert {frozenset(p) for p in paths} == oracle_minimal_sets(g, goal)
     assert paths == sorted(reference_linearize(g, p) for p in paths)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_linearize_does_not_depend_on_which_bit_a_node_holds(seed, relabel, data):
+    """Each path keeps its order when the ids are given other bits."""
+    g = random_typed_dag(np.random.default_rng(seed), relabel=relabel)
+    goal = data.draw(st.sampled_from(sorted(g.nodes)))
+    ids = data.draw(st.permutations(sorted(g.nodes)))
+    bit = {nid: 1 << i for i, nid in enumerate(ids)}
+    for path in enumerate_paths(g, goal):
+        assert _linearize(g, ids, sum(bit[nid] for nid in path)) == path
 
 
 def test_node_pushed_twice_is_searched_once():
